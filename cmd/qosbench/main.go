@@ -10,9 +10,8 @@
 // Experiments: table1, table2, table3, table4, fig2, fig3, fig4, fig6,
 // fig7, fig8, fig9, fig10, fig11, fig12, guarantees, schemes, fim,
 // maxflow, designs, gc, hetero, failure, arraygc, fairness, mclock,
-// confidence, spatial, closedloop, sweep, shards, statpar, pack, report,
-// all. Use
-// -parallel to run the selection concurrently and -run report for a
+// confidence, spatial, closedloop, sweep, shards, statpar, report, all.
+// Use -parallel to run the selection concurrently and -run report for a
 // self-contained markdown report. -cpuprofile/-memprofile write pprof
 // profiles of the run.
 package main
@@ -103,7 +102,6 @@ func main() {
 		"sweep":      func(w io.Writer) error { return printSweep(w, *seed, *scale) },
 		"shards":     func(w io.Writer) error { return printShardScaling(w) },
 		"statpar":    func(w io.Writer) error { return printStatParallel(w, *seed, *scale) },
-		"pack":       func(w io.Writer) error { return printPack(w) },
 		"report": func(w io.Writer) error {
 			return experiments.WriteReport(w, experiments.ReportConfig{Seed: *seed, Scale: *scale, Requests: *requests, Trials: *trials, Seeds: *seeds})
 		},
@@ -114,7 +112,7 @@ func main() {
 		"fig8", "fig9", "fig10", "table4", "fig11", "fig12",
 		"guarantees", "schemes", "fim", "maxflow", "designs", "gc", "hetero", "failure",
 		"arraygc", "fairness", "mclock", "confidence", "spatial", "closedloop", "sweep",
-		"shards", "statpar", "pack",
+		"shards", "statpar",
 	}
 
 	var targets []string

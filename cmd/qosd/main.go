@@ -3,7 +3,7 @@
 // with a line protocol (see internal/qosnet) and receive admission
 // outcomes and guaranteed response times. Requests from concurrent
 // connections flow through the lock-free admission pipeline
-// (core.ConcurrentSystem); see the qosnet package docs for the concurrency
+// (core.System); see the qosnet package docs for the concurrency
 // model and robustness controls.
 //
 // Usage:

@@ -1,33 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"flashqos/internal/admission"
-	"flashqos/internal/retrieval"
-)
-
-// Burst-grained admission: the network layer drains a whole pipelined burst
-// of frames that share one arrival timestamp and submits them together.
-// Per-request submission pays one ledger CAS, one scheduler lock round trip
-// and one availability snapshot per frame; a burst pays each of those once
-// per (window, burst) instead. The outcomes are bit-identical to calling
-// Submit/SubmitWrite per request in input order from a single goroutine —
-// the contract DESIGN.md §12 spells out and TestSubmitBurstEquivalence /
-// the golden transcripts enforce:
-//
-//   - The deterministic scan never reads a window's count, only
-//     tryReserve/release deltas, so holding unconsumed burst credit in a
-//     window is invisible to it: credit is capped so consumed+credit never
-//     exceeds the limit, meaning a credit hit and a per-request tryReserve
-//     succeed in exactly the same states, and reserveUpTo returns 0 in
-//     exactly the states tryReserve fails.
-//   - Writes and statistical mode fall back to the per-request entry
-//     points: a write's c-slot reservation must see the true window count
-//     (credit is released first), and the statistical gate's wouldAdmit is
-//     count-order-sensitive, so grouping would change its decisions.
-//   - The frontier hints (noteFull, noteDeadBefore) fire at the same
-//     logical points as the per-request scan.
+import "flashqos/internal/retrieval"
 
 // BurstReq is one request of a burst submitted via SubmitBurst.
 type BurstReq struct {
@@ -61,258 +34,21 @@ func (sc *BurstScratch) outcomes(n int) []Outcome {
 	return sc.outs[:n]
 }
 
-// submitBurst admits reqs — simultaneous arrivals sharing one timestamp —
-// in input order, writing one outcome per request into outs. With a nil
-// idx the burst is reqs[0:len(reqs)] and outcome i lands in outs[i]
-// (len(outs) == len(reqs)). A non-nil idx is the scatter form behind
-// sharded fan-out: the burst is reqs[idx[0]], reqs[idx[1]], … in idx
-// order, and each outcome lands in outs[idx[k]] — the caller partitions
-// one request slice across engines by index and never copies requests or
-// outcomes.
-func (e *engine) submitBurst(arrival float64, reqs []BurstReq, idx []int32, outs []Outcome) {
-	n := len(reqs)
-	if idx != nil {
-		n = len(idx)
-	}
-	if e.stat != nil {
-		// Statistical admission is count-order-sensitive (wouldAdmit reads
-		// the live window count against the published Q snapshot), so the
-		// burst runs the exact per-request path.
-		for k := 0; k < n; k++ {
-			ri := k
-			if idx != nil {
-				ri = int(idx[k])
-			}
-			if r := &reqs[ri]; r.Write {
-				outs[ri] = e.submitWrite(arrival, r.Block, r.Tenant)
-			} else {
-				outs[ri] = e.submit(arrival, r.Block, r.Tenant)
-			}
-		}
-		return
-	}
-	// One tenant-policy snapshot per burst, loaded lazily at the first
-	// tenanted request (so tenant-less bursts pay one predictable branch
-	// per frame and no atomic load): a TENANT SET racing the burst lands
-	// on a request boundary at worst.
-	var (
-		snap       *admission.MCSnap
-		snapLoaded bool
-		arrivalW   int64
-	)
-	// One availability snapshot per burst: single-threaded this is
-	// indistinguishable from per-request snapshots; under concurrency a
-	// mask flip lands on a burst boundary instead of a frame boundary.
-	mask, limit, masked := e.maskLimit()
-	var (
-		curW   int64 // window holding unconsumed burst credit
-		credit int   // reserved-but-unconsumed slots in curW
-		locked bool  // schedMu held across the burst's read run
-	)
-	for k := 0; k < n; k++ {
-		i := k
-		if idx != nil {
-			i = int(idx[k])
-		}
-		r := &reqs[i]
-		tenant := r.Tenant
-		if tenant != 0 && !snapLoaded {
-			snap = e.tenants.Snapshot()
-			snapLoaded = true
-			if snap != nil {
-				arrivalW = e.window(arrival)
-			}
-		}
-		gated := tenant != 0 && snap != nil
-		if r.Write {
-			// submitWrite reserves c slots against the true window count and
-			// takes its own locks (and runs its own tenant gate); drop the
-			// credit and the scheduler lock so it sees exactly the
-			// per-request state.
-			if credit > 0 {
-				e.ledger.release(curW, credit)
-				credit = 0
-			}
-			if locked {
-				e.schedMu.Unlock()
-				locked = false
-			}
-			outs[i] = e.submitWrite(arrival, r.Block, tenant)
-			continue
-		}
-		if gated {
-			// Arrival-side gate, same order as the per-request path:
-			// limit first (no ledger credit), then availability.
-			switch snap.NoteArrival(tenant, arrivalW) {
-			case admission.Unknown:
-				outs[i] = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-				continue
-			case admission.OverLimit:
-				outs[i] = Outcome{Rejected: true, OverLimit: true, Admitted: arrival, Tenant: tenant}
-				continue
-			}
-		}
-		replicas := e.Replicas(r.Block)
-		if masked && aliveReplicas(replicas, mask) == 0 {
-			if gated {
-				snap.NoteRejected(tenant)
-			}
-			outs[i] = Outcome{Rejected: true, Unavailable: true, Admitted: arrival, Tenant: tenant}
-			continue
-		}
-		if gated && snap.Cap(tenant) < 1 {
-			snap.NoteRejected(tenant)
-			outs[i] = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-			continue
-		}
-		tAdm := e.startFrom(arrival)
-		w := e.window(tAdm)
-	scan:
-		for {
-			tenantReserved := false
-			if gated {
-				// Tenant cap before any ledger interaction: a cap miss
-				// advances the scan without consuming or stranding the
-				// window's grouped credit for other requests.
-				res, ok := snap.Acquire(tenant, w, 1)
-				if !ok {
-					if e.reject {
-						snap.NoteRejected(tenant)
-						outs[i] = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-						break scan
-					}
-					w++
-					tAdm = float64(w) * e.intervalMS
-					continue
-				}
-				tenantReserved = res
-			}
-			if credit > 0 && w == curW {
-				// Grouped fast path: the slot was reserved with the burst's
-				// one counter update for this window.
-				credit--
-			} else {
-				if credit > 0 {
-					// The scan moved to another window; stranded credit goes
-					// back before the new grouped reservation.
-					e.ledger.release(curW, credit)
-					credit = 0
-				}
-				got := e.ledger.reserveUpTo(w, n-k, limit)
-				if got == 0 {
-					// Window w is full under the snapshot limit — exactly
-					// the states the per-request tryReserve fails in.
-					if gated {
-						snap.Release(tenant, w, 1)
-						if tenantReserved {
-							snap.NoteDeficit(tenant)
-						}
-					}
-					if e.reject {
-						if gated {
-							snap.NoteRejected(tenant)
-						}
-						outs[i] = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-						break scan
-					}
-					if e.hinted {
-						e.ledger.noteFull(w + 1)
-					}
-					w++
-					tAdm = float64(w) * e.intervalMS
-					continue
-				}
-				curW = w
-				credit = got - 1
-			}
-			// Slot held in w; the guaranteed path also needs an idle
-			// available replica at tAdm. The scheduler lock is taken once
-			// per burst read run, not once per frame.
-			if !locked {
-				e.schedMu.Lock()
-				locked = true
-			}
-			tFree := math.Inf(1)
-			for _, d := range replicas {
-				if masked && mask&(1<<uint(d)) == 0 {
-					continue
-				}
-				if nf := e.sched.NextFree(d); nf < tFree {
-					tFree = nf
-				}
-			}
-			if tFree <= tAdm {
-				outs[i] = e.scheduleLocked(arrival, tAdm, replicas, mask, masked, true)
-				if tenant != 0 {
-					outs[i].Tenant = tenant
-					if gated {
-						snap.NoteAdmitted(tenant)
-					}
-				}
-				break scan
-			}
-			// No replica idle at the reserved time: give the slot back and
-			// retry at the earliest instant one frees up, marking windows
-			// proven dead by device exhaustion (same as the per-request
-			// scan; the lock is simply kept across the retry).
-			var dead int64
-			if e.hinted {
-				dead = e.deadBefore()
-			}
-			e.ledger.release(w, 1)
-			if gated {
-				snap.Release(tenant, w, 1)
-			}
-			if e.hinted {
-				e.ledger.noteDeadBefore(dead)
-			}
-			tAdm = tFree
-			w = e.window(tAdm)
-		}
-	}
-	if credit > 0 {
-		e.ledger.release(curW, credit)
-	}
-	if locked {
-		e.schedMu.Unlock()
-	}
-}
-
-// SubmitBurst admits a burst of requests that share one arrival timestamp,
-// in input order, with grouped ledger reservations and one scheduler lock
-// round trip per read run. Outcomes are bit-identical to calling
-// Submit/SubmitWrite per request in the same order. With a non-nil scratch
-// the call is allocation-free and the returned slice is valid until the
+// SubmitBurst admits a burst of requests that share one arrival timestamp
+// — the network layer drains a pipelined run of frames off one socket fill
+// and submits them together — in input order, with one grouped ledger
+// reservation per (window, burst) and one scheduler lock round trip per
+// read run instead of one of each per request. Outcomes are bit-identical
+// to calling Submit/SubmitWrite per request in the same order from one
+// goroutine (DESIGN.md §12); bursts from different goroutines interleave at
+// request granularity, and grouped reservations shrink the room concurrent
+// callers see only while the burst is in flight. With a non-nil scratch the
+// call is allocation-free and the returned slice is valid until the
 // scratch's next use.
 func (s *System) SubmitBurst(arrival float64, reqs []BurstReq, sc *BurstScratch) []Outcome {
 	outs := sc.outcomes(len(reqs))
-	s.submitBurst(arrival, reqs, nil, outs)
+	s.submitBurst(arrival, reqs, outs)
 	return outs
-}
-
-// SubmitBurst is the concurrent counterpart of System.SubmitBurst: the
-// hot-path entry point the network layer drains pipelined frame bursts
-// into. Bursts from different goroutines interleave at request granularity
-// (grouped reservations shrink room for concurrent callers only while the
-// burst is in flight).
-func (s *ConcurrentSystem) SubmitBurst(arrival float64, reqs []BurstReq, sc *BurstScratch) []Outcome {
-	outs := sc.outcomes(len(reqs))
-	s.sys.submitBurst(arrival, reqs, nil, outs)
-	return outs
-}
-
-// SubmitBurstScatter admits the sub-burst reqs[idx[0]], reqs[idx[1]], … in
-// idx order, writing each outcome to outs[idx[k]]. It exists for fan-out
-// layers (shard.Array) that partition one request slice across several
-// systems: each system walks its own index list over the shared backing
-// arrays, so the partition copies no requests and the scatter copies no
-// outcomes. len(outs) must be at least len(reqs). Outcomes are
-// bit-identical to calling Submit/SubmitWrite per request in idx order.
-func (s *ConcurrentSystem) SubmitBurstScatter(arrival float64, reqs []BurstReq, idx []int32, outs []Outcome) {
-	if idx == nil {
-		idx = []int32{} // nil means "whole slice" internally; scatter of none is none
-	}
-	s.sys.submitBurst(arrival, reqs, idx, outs)
 }
 
 // BatchScratch is per-caller reusable state for SubmitBatch — the joint

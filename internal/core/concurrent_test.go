@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,9 @@ import (
 	"flashqos/internal/trace"
 )
 
-func newConcurrent(t testing.TB, cfg Config) *ConcurrentSystem {
+// newConcurrent builds a System (paper (9,3,1) design unless cfg names one)
+// for the tests that submit from several goroutines at once.
+func newConcurrent(t testing.TB, cfg Config) *System {
 	t.Helper()
 	if cfg.Design == nil && cfg.N == 0 {
 		cfg.Design = design.Paper931()
@@ -24,10 +25,10 @@ func newConcurrent(t testing.TB, cfg Config) *ConcurrentSystem {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewConcurrent(sys)
+	return sys
 }
 
-// TestConcurrentSubmitStress floods a ConcurrentSystem from many
+// TestConcurrentSubmitStress floods a System from many
 // goroutines at ~5× the admission capacity S/T and asserts the paper's
 // core invariant survives the concurrency: every request is admitted
 // (Delay policy), no window ever exceeds S admissions, and the guaranteed
@@ -73,8 +74,8 @@ func TestConcurrentSubmitStress(t *testing.T) {
 			if math.Abs(out.Start-out.Admitted) > 1e-9 {
 				t.Fatalf("guaranteed path violated: start %.9f != admitted %.9f", out.Start, out.Admitted)
 			}
-			if r := out.Response(); math.Abs(r-cs.System().cfg.ServiceMS) > 1e-9 {
-				t.Fatalf("response %.9f != service time %.9f", r, cs.System().cfg.ServiceMS)
+			if r := out.Response(); math.Abs(r-cs.cfg.ServiceMS) > 1e-9 {
+				t.Fatalf("response %.9f != service time %.9f", r, cs.cfg.ServiceMS)
 			}
 			perWindow[cs.Window(out.Admitted)]++
 		}
@@ -97,7 +98,7 @@ func TestConcurrentSubmitStress(t *testing.T) {
 // reads(w) + c·writes(w) ≤ S.
 func TestConcurrentMixedReadWriteStress(t *testing.T) {
 	cs := newConcurrent(t, Config{})
-	c := cs.System().Design().C
+	c := cs.Design().C
 	const (
 		goroutines = 12
 		perG       = 120
@@ -193,42 +194,6 @@ func TestConcurrentRejectPolicy(t *testing.T) {
 	}
 }
 
-// TestConcurrentMatchesSequential drives identical request sequences
-// through a sequential System and a single-goroutine ConcurrentSystem and
-// requires bit-identical outcomes: the concurrent admission algorithm is
-// a parallelization of the sequential one, not a different policy.
-func TestConcurrentMatchesSequential(t *testing.T) {
-	for _, policy := range []admission.Policy{admission.Delay, admission.Reject} {
-		seq, err := New(Config{Design: design.Paper931(), Policy: policy})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := newConcurrent(t, Config{Policy: policy})
-
-		rng := rand.New(rand.NewSource(7))
-		const n = 2000
-		arrivals := make([]float64, n)
-		for i := range arrivals {
-			arrivals[i] = rng.Float64() * 20 // ms; dense enough to overflow windows
-		}
-		sort.Float64s(arrivals)
-		for i, arr := range arrivals {
-			block := int64(rng.Intn(3000))
-			write := rng.Intn(8) == 0
-			var a, b Outcome
-			if write {
-				a, b = seq.SubmitWrite(arr, block), cs.SubmitWrite(arr, block)
-			} else {
-				a, b = seq.Submit(arr, block), cs.Submit(arr, block)
-			}
-			if a != b {
-				t.Fatalf("policy %v, request %d (arr=%.6f block=%d write=%v):\nsequential %+v\nconcurrent %+v",
-					policy, i, arr, block, write, a, b)
-			}
-		}
-	}
-}
-
 // TestConcurrentStatisticalStress floods the ε > 0 path — now lock-free
 // admission against a published Q snapshot, with closed windows merged
 // into the estimator behind a short gate lock — from many goroutines.
@@ -263,7 +228,7 @@ func TestConcurrentStatisticalStress(t *testing.T) {
 	if q := cs.Q(); q < 0 || q > 1 {
 		t.Errorf("Q = %g, want a probability", q)
 	}
-	gate := cs.System().stat
+	gate := cs.stat
 	last := gate.lastClosed.Load()
 	if nt := gate.intervals(); nt != last+1 {
 		t.Errorf("estimator folded %d intervals, lastClosed=%d: every closed window must merge exactly once", nt, last)
@@ -329,7 +294,7 @@ func TestConcurrentStatisticalMergeStress(t *testing.T) {
 	subWg.Wait()
 	close(stopRefresh)
 	refWg.Wait()
-	gate := cs.System().stat
+	gate := cs.stat
 	last := gate.lastClosed.Load()
 	if nt := gate.intervals(); nt != last+1 {
 		t.Errorf("estimator folded %d intervals, lastClosed=%d: exactly-once merge violated", nt, last)
@@ -342,7 +307,7 @@ func TestConcurrentStatisticalMergeStress(t *testing.T) {
 // TestStatisticalViolationBoundConcurrent reruns the statistical QoS
 // contract test (TestStatisticalViolationBound in core_test.go) with the
 // same trace, table and epsilon, but with 8 goroutines pulling records off
-// a shared index and submitting through the ConcurrentSystem — the
+// a shared index and submitting through one System — the
 // lock-free snapshot path, not the old serialized one. The contract must
 // survive the parallelism: the controller's Q stays below epsilon (each
 // over-admission was approved against a snapshot that satisfied the bound,
@@ -411,7 +376,7 @@ func TestStatisticalViolationBoundConcurrent(t *testing.T) {
 	if len(violWindows) == 0 {
 		t.Error("expected some over-admissions at this epsilon (tradeoff should engage)")
 	}
-	gate := cs.System().stat
+	gate := cs.stat
 	if nt := gate.intervals(); nt != gate.lastClosed.Load()+1 {
 		t.Errorf("estimator folded %d intervals, lastClosed=%d", nt, gate.lastClosed.Load())
 	}
@@ -485,7 +450,7 @@ func TestRefreshTableLifecycle(t *testing.T) {
 		// a different seed should move the estimate at least in the last bits.
 		t.Logf("Q unchanged across refresh (%g); table likely converged", q)
 	}
-	gate := cs.System().stat
+	gate := cs.stat
 	if nt := gate.intervals(); nt != gate.lastClosed.Load()+1 {
 		t.Errorf("fold invariant broken by refresh: nt=%d lastClosed=%d", nt, gate.lastClosed.Load())
 	}
@@ -505,22 +470,19 @@ func TestRefreshTableLifecycle(t *testing.T) {
 	}
 }
 
-// TestConcurrentAccessors sanity-checks the read-only delegates the
+// TestConcurrentAccessors sanity-checks the read-only accessors the
 // network layer relies on.
 func TestConcurrentAccessors(t *testing.T) {
 	cs := newConcurrent(t, Config{})
-	if cs.S() != cs.System().S() {
-		t.Errorf("S mismatch: %d vs %d", cs.S(), cs.System().S())
+	if want := cs.Design().S(1); cs.S() != want {
+		t.Errorf("S = %d, want %d", cs.S(), want)
 	}
-	if cs.IntervalMS() != cs.System().cfg.IntervalMS {
+	if cs.IntervalMS() != cs.cfg.IntervalMS {
 		t.Errorf("IntervalMS mismatch")
 	}
-	if got, want := cs.DesignBlock(100), cs.System().Mapper().DesignBlock(100); got != want {
-		t.Errorf("DesignBlock(100) = %d, want %d", got, want)
-	}
 	reps := cs.Replicas(100)
-	if len(reps) != cs.System().Design().C {
-		t.Errorf("Replicas(100) = %v, want %d devices", reps, cs.System().Design().C)
+	if len(reps) != cs.Design().C {
+		t.Errorf("Replicas(100) = %v, want %d devices", reps, cs.Design().C)
 	}
 	if q := cs.Q(); q != 0 {
 		t.Errorf("deterministic Q = %g, want 0", q)
@@ -535,7 +497,7 @@ func TestConcurrentAccessors(t *testing.T) {
 // dropped while the invariant still holds for live ones.
 func TestWindowShardPruning(t *testing.T) {
 	cs := newConcurrent(t, Config{})
-	led := cs.System().ledger.(*shardedLedger)
+	led := cs.ledger
 	// Touch many distinct chunks that all land on shard 0: stepping the
 	// window by windowShardCount*chunkSize advances the chunk index by
 	// windowShardCount, which keeps chunk&(windowShardCount-1) fixed.

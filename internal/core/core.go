@@ -13,16 +13,17 @@
 //   - a pluggable storage Backend provides device latencies and raw-trace
 //     service (flashsim by default; see backend.go).
 //
-// One admission/retrieval engine implements the submit paths (engine.go);
-// System and ConcurrentSystem are facades over it that differ only in the
-// interval ledger and locking they plug in (ledger.go). The System type
-// exposes the per-request online API used by the examples; ReplayTrace
-// drives a whole trace through the pipeline and produces the per-interval
-// report behind the paper's Figs 8–12.
+// One admission/retrieval engine implements the submit paths (engine.go)
+// in one configuration; System is its public face. Submit, SubmitWrite,
+// SubmitBatch and SubmitBurst are the online API the examples and the
+// network layer use; ReplayTrace drives a whole trace through the pipeline
+// and produces the per-interval report behind the paper's Figs 8–12.
 package core
 
 import (
 	"fmt"
+	"sync"
+	"time"
 
 	"flashqos/internal/admission"
 	"flashqos/internal/blockmap"
@@ -159,13 +160,29 @@ type Outcome struct {
 // paper's QoS lines plot (flat at the service time when guarantees hold).
 func (o Outcome) Response() float64 { return o.Finish - o.Admitted }
 
-// System is a running QoS instance: the sequential facade over the shared
-// admission/retrieval engine, using the plain-map ledger and no locking.
-// Requests must be submitted in non-decreasing arrival order from a single
-// goroutine; wrap with NewConcurrent for multi-goroutine submission.
+// System is a running QoS instance. The submission verbs (Submit,
+// SubmitTenant, SubmitWrite, SubmitWriteTenant, SubmitBatch, SubmitBurst),
+// SetTenants, RefreshTable and every read-only accessor are safe to call
+// from any goroutine at once; Remap, Reset, AttachHealth and ReplayTrace
+// are single-caller and must not run while requests are in flight (replica
+// lookup is lock-free, so a remap under load would tear it).
+//
+// Arrivals need not be ordered across goroutines: callers submit with
+// whatever timestamps they observed. The deterministic path tolerates
+// out-of-order arrivals because window reservation is commutative; the
+// statistical path tolerates them because a window merged before a
+// straggler lands simply misses that straggler in its recorded size — the
+// bounded staleness the estimator already prices in (DESIGN.md §10).
+// Submitted in non-decreasing arrival order from one goroutine, outcomes
+// are deterministic; the golden transcripts pin them byte for byte.
 type System struct {
 	*engine
 }
+
+// Deprecated: the separate concurrent facade is gone — every System is safe
+// for concurrent submission. This alias survives only because the read-only
+// benchmark module (bench/layers.go) names the type.
+type ConcurrentSystem = System
 
 // New builds a system from the config.
 func New(cfg Config) (*System, error) {
@@ -189,6 +206,9 @@ func (s *System) Design() *design.Design { return s.alloc.Design() }
 // (Config.DeviceBase): the offset outcomes report devices at.
 func (s *System) DeviceBase() int { return s.cfg.DeviceBase }
 
+// IntervalMS returns the QoS interval T in milliseconds.
+func (s *System) IntervalMS() float64 { return s.cfg.IntervalMS }
+
 // Mapper exposes the data-block mapper (for inspection).
 func (s *System) Mapper() *blockmap.Mapper { return s.mapper }
 
@@ -208,11 +228,10 @@ func (s *System) Remap(prev []trace.Record) int {
 	return len(pairs)
 }
 
-// Submit runs one block request through admission control and online
-// retrieval. Requests must be submitted in non-decreasing arrival order.
-// With a health monitor attached, retrieval skips unavailable devices and
-// admission enforces the degraded limit S' instead of S (the availability
-// snapshot is taken once per call).
+// Submit runs one block read through admission control and online
+// retrieval. With a health monitor attached, retrieval skips unavailable
+// devices and admission enforces the degraded limit S' instead of S (the
+// availability snapshot is taken once per call).
 func (s *System) Submit(arrival float64, dataBlock int64) Outcome {
 	return s.submit(arrival, dataBlock, 0)
 }
@@ -232,17 +251,11 @@ func (s *System) SubmitTenant(arrival float64, dataBlock int64, tenant int32) Ou
 // (remapping included). Up to the window's remaining capacity is admitted
 // and scheduled with the optimal joint assignment; overflow falls back to
 // the per-request path (delayed or rejected per policy). Outcomes are in
-// input order.
-func (s *System) SubmitBatch(arrival float64, blocks []int64) []Outcome {
-	return s.submitBatch(arrival, blocks, 0, nil)
-}
-
-// SubmitBatchTenant is SubmitBatch with a tenant identity for the whole
-// batch. Under an active tenant policy the batch takes the per-request
-// gated path (per-tenant window caps fragment the joint assignment);
-// tenant 0 behaves exactly like SubmitBatch.
-func (s *System) SubmitBatchTenant(arrival float64, blocks []int64, tenant int32) []Outcome {
-	return s.submitBatch(arrival, blocks, tenant, nil)
+// input order. With a non-nil per-caller scratch the steady state is
+// allocation-free and the returned slice is valid until the scratch's next
+// use; a nil scratch allocates fresh buffers.
+func (s *System) SubmitBatch(arrival float64, blocks []int64, sc *BatchScratch) []Outcome {
+	return s.submitBatch(arrival, blocks, sc)
 }
 
 // SubmitWrite schedules a block write — an extension beyond the paper's
@@ -303,6 +316,72 @@ func (s *System) Q() float64 {
 	return s.stat.q()
 }
 
+// StatIntervals returns the number of T-windows folded into the
+// statistical estimator so far (0 for deterministic systems).
+func (s *System) StatIntervals() int64 {
+	if s.stat == nil {
+		return 0
+	}
+	return s.stat.intervals()
+}
+
+// RefreshTable re-estimates the statistical controller's sampled P_k table
+// with `trials` Monte-Carlo trials (parallelized across workers, each
+// owning a preallocated maxflow.Solver) and installs it atomically. Safe
+// to call while requests are in flight: admissions keep reading the
+// snapshot they loaded until the refreshed one is published. Errors for
+// deterministic systems.
+func (s *System) RefreshTable(trials int, seed int64) error {
+	return s.refreshTable(trials, seed)
+}
+
+// StartTableRefresh launches a background goroutine that re-estimates the
+// P_k table every `every` (seed advances per round so precision compounds
+// rather than repeating one estimate). The returned stop function halts
+// the loop and waits for an in-flight refresh to finish. Errors for
+// deterministic systems; refresh errors after start are silently dropped
+// (the previous table simply stays in force).
+func (s *System) StartTableRefresh(every time.Duration, trials int, seed int64) (stop func(), err error) {
+	if s.stat == nil {
+		return nil, s.refreshTable(trials, seed) // returns the "no table" error
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tick := time.NewTicker(every)
+		defer tick.Stop()
+		round := int64(0)
+		for {
+			select {
+			case <-done:
+				return
+			case <-tick.C:
+				round++
+				_ = s.refreshTable(trials, seed+round)
+			}
+		}
+	}()
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		wg.Wait()
+	}, nil
+}
+
+// Window returns the T-window index of a time.
+func (s *System) Window(t float64) int64 { return s.window(t) }
+
+// WindowCount reports the admitted count currently recorded for window w
+// (test hook).
+func (s *System) WindowCount(w int64) int { return s.ledger.count(w) }
+
+// MaxWindowCount returns the largest admitted count recorded for any
+// tracked window — after quiescence it must never exceed S in
+// deterministic mode (test hook; statistical mode over-admits by design).
+func (s *System) MaxWindowCount() int { return s.ledger.maxCount() }
+
 // Reset clears all scheduling and admission state (the mapper is kept).
 func (s *System) Reset() {
 	s.sched.Reset()
@@ -355,7 +434,7 @@ type Report struct {
 // (§V-D: "we use the trace one previous than the current interval for
 // mining"); every read request then passes admission and retrieval.
 func (s *System) ReplayTrace(tr *trace.Trace) *Report {
-	tr.Sort() // Submit requires non-decreasing arrivals
+	tr.Sort() // replay is deterministic in arrival order
 	rep := &Report{Name: tr.Name}
 	var respAll, delayAll stats.Summary
 	delayedTotal := 0

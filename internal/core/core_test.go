@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"flashqos/internal/admission"
 	"flashqos/internal/design"
@@ -100,6 +101,37 @@ func TestSubmitDelaysOverCapacity(t *testing.T) {
 	}
 	if delayed != 3 {
 		t.Errorf("delayed %d of 8 requests, want 3 (S=5)", delayed)
+	}
+}
+
+// TestSubmitSustainedOverload is the reason there is one engine
+// configuration: 200 k reads arriving at ≈ 20× capacity on a plain New
+// system must stay O(1) each. The sequential configuration this replaced
+// walked the whole backlog of full windows per request (no frontier hint)
+// and never pruned its window map, so the same run was quadratic — tens of
+// seconds — and is what this bound would catch coming back. The guarantee
+// must hold throughout: no window over S, every response one service time.
+func TestSubmitSustainedOverload(t *testing.T) {
+	s := detSystem(t)
+	const (
+		n    = 200_000
+		step = 0.005 // ms between arrivals: 26.6 per 0.133 ms window vs S = 5
+	)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		out := s.Submit(float64(i)*step, int64(i))
+		if out.Rejected {
+			t.Fatalf("request %d rejected under Delay policy", i)
+		}
+		if r := out.Response(); math.Abs(r-s.cfg.ServiceMS) > 1e-9 {
+			t.Fatalf("request %d response %.9f != service time %.9f", i, r, s.cfg.ServiceMS)
+		}
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("%d overloaded submissions took %v, want < 2s (per-request cost must not grow with the backlog)", n, d)
+	}
+	if got := s.MaxWindowCount(); got > s.S() {
+		t.Errorf("a window holds %d admissions, S = %d", got, s.S())
 	}
 }
 
@@ -524,7 +556,7 @@ func TestSubmitBatchJointOptimal(t *testing.T) {
 	// Five blocks whose first copies all collide on device 0: the joint
 	// batch must remap to one access (per-request OLR might not).
 	blocks := []int64{0, 3, 6, 9, 27} // design rows with first copy 0 under modulo
-	outs := s.SubmitBatch(0, blocks)
+	outs := s.SubmitBatch(0, blocks, nil)
 	if len(outs) != 5 {
 		t.Fatalf("got %d outcomes", len(outs))
 	}
@@ -544,7 +576,7 @@ func TestSubmitBatchOverflow(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = int64(i)
 	}
-	outs := s.SubmitBatch(0, blocks)
+	outs := s.SubmitBatch(0, blocks, nil)
 	delayed := 0
 	for _, o := range outs {
 		if o.Delayed {
@@ -554,7 +586,7 @@ func TestSubmitBatchOverflow(t *testing.T) {
 	if delayed != 3 {
 		t.Errorf("batch of 8 on S=5: %d delayed, want 3", delayed)
 	}
-	if s.SubmitBatch(0, nil) != nil {
+	if s.SubmitBatch(0, nil, nil) != nil {
 		t.Error("empty batch should return nil")
 	}
 }
@@ -600,7 +632,7 @@ func TestQuickCoreInvariants(t *testing.T) {
 				for j := range blocks {
 					blocks[j] = rng.Int63n(500)
 				}
-				for _, out := range s.SubmitBatch(tNow, blocks) {
+				for _, out := range s.SubmitBatch(tNow, blocks, nil) {
 					if out.Rejected {
 						return false
 					}

@@ -14,21 +14,18 @@ import (
 	"flashqos/internal/sampling"
 )
 
-// engine is the one admission/retrieval implementation behind both System
-// and ConcurrentSystem. The facades differ only in the parts they plug in:
+// engine is the one admission/retrieval implementation, in the one
+// configuration every System runs: per-window admission counts in the
+// sharded CAS ledger with its frontier hint (ledger.go), a short mutex
+// around the device scheduler, lock-free statistical decisions against a
+// published snapshot (statgate.go). There used to be a second, sequential
+// configuration (plain map ledger, no lock, no hint); it was slower on one
+// goroutine and O(backlog) per request under sustained overload, so it was
+// deleted rather than kept as an option (DESIGN.md §9).
 //
-//   - ledger: seqLedger (plain map) vs shardedLedger (CAS counters + hint);
-//   - schedMu: noLock vs a real mutex around the device scheduler;
-//   - hinted: whether the frontier hint is consulted and maintained.
-//
-// The submit paths themselves — window scan, mask snapshot, reserve,
-// idle-replica check, statistical over-admission, write slot accounting —
-// are written once here, reserve-first: a slot is claimed in the ledger
+// The submit paths are reserve-first: a slot is claimed in the ledger
 // before the scheduler is consulted and released again when no replica is
-// usable at the reserved time. Single-threaded this is outcome-equivalent
-// to the historical check-first loop (counts only differ transiently
-// within one call), which is what keeps System and ConcurrentSystem
-// bit-identical to their pre-refactor outputs (see TestEngineGolden).
+// usable at the reserved time.
 type engine struct {
 	// The admission scan reads these on every request; they are packed
 	// first so a shard's per-request engine state spans as few cache
@@ -36,31 +33,24 @@ type engine struct {
 	alloc      *decluster.DesignTheoretic
 	mapper     *blockmap.Mapper
 	sched      *retrieval.Online
-	ledger     intervalLedger
+	ledger     *shardedLedger
 	invT       float64 // 1/IntervalMS, hoisted off the admission hot loop
 	intervalMS float64 // cfg.IntervalMS, hoisted likewise
 	deviceBase int     // cfg.DeviceBase, hoisted likewise
 	s          int     // admission limit S(M)
 	reject     bool    // cfg.Policy == admission.Reject, hoisted likewise
-	hinted     bool    // ledger tracks a frontier and stat == nil
 
-	stat    *statGate        // nil for deterministic (see statgate.go)
-	health  *health.Monitor  // nil unless AttachHealth was called
+	stat    *statGate         // nil for deterministic (see statgate.go)
+	health  *health.Monitor   // nil unless AttachHealth was called
 	tenants *admission.MClock // per-tenant gate; snapshot nil until configured
-	schedMu sync.Locker      // guards sched; noLock for single-caller systems
+	// schedMu guards sched. Device state (per-device next-free times) is
+	// the one genuinely global resource: picking the earliest-finishing
+	// replica and marking it busy must be atomic across devices.
+	schedMu sync.Mutex
 	cfg     Config
 }
 
-// noLock is the no-op Locker the sequential facade plugs in: the zero-size
-// value adds no allocation and the calls compile to nothing but the
-// interface dispatch.
-type noLock struct{}
-
-func (noLock) Lock()   {}
-func (noLock) Unlock() {}
-
-// newEngine builds the engine from the config with the sequential ledger
-// and no scheduler lock; NewConcurrent swaps those for the lock-free parts.
+// newEngine builds the engine from the config.
 func newEngine(cfg Config) (*engine, error) {
 	cfg.applyDefaults()
 	if cfg.DeviceBase < 0 {
@@ -107,8 +97,7 @@ func newEngine(cfg Config) (*engine, error) {
 		mapper:     mapper,
 		sched:      retrieval.NewOnline(d.N, cfg.ServiceMS),
 		s:          d.S(cfg.M),
-		ledger:     newSeqLedger(),
-		schedMu:    noLock{},
+		ledger:     new(shardedLedger),
 	}
 	// The tenant gate partitions windows of the design capacity S; it
 	// stays off (nil snapshot, one untaken branch per tenanted request)
@@ -185,8 +174,8 @@ const windowEps = 1e-6
 // under Delay the scan provably converges to the same admit time either
 // way. Under Reject the outcome depends on which window the scan samples
 // first (a full window rejects immediately), so the scan must start at the
-// arrival exactly like the hintless path; it is O(1) there anyway, because
-// no branch of the Reject scan walks windows.
+// arrival; it is O(1) there anyway, because no branch of the Reject scan
+// walks windows.
 //
 // Deterministic mode uses the ledger frontier ("full at the limit" is
 // final). Statistical mode may admit past the deterministic limit, which
@@ -199,14 +188,9 @@ func (e *engine) startFrom(arrival float64) float64 {
 	if e.reject {
 		return arrival
 	}
-	var h int64
-	switch {
-	case e.hinted:
-		h = e.ledger.frontier()
-	case e.stat != nil:
+	h := e.ledger.frontier()
+	if e.stat != nil {
 		h = e.stat.frontier()
-	default:
-		return arrival
 	}
 	if h > e.window(arrival) {
 		if t := float64(h) * e.intervalMS; t > arrival {
@@ -231,61 +215,190 @@ func (e *engine) deadBefore() int64 {
 	return e.window(minAll)
 }
 
-// gate loads the tenant-policy snapshot a tenanted submission decides
-// against and runs the arrival-side checks: unknown tenants and tenants
-// over their per-window arrival limit are finished immediately (done =
-// true, out filled in) without touching the ledger. Untenanted requests
-// (tenant == 0) and requests under a nil snapshot (gate off) pass
-// through with a nil snap — that path costs one predictable branch, and
-// for tenant == 0 not even the atomic snapshot load.
-func (e *engine) gate(arrival float64, tenant int32) (snap *admission.MCSnap, out Outcome, done bool) {
-	if tenant == 0 {
-		return nil, Outcome{}, false
-	}
-	snap = e.tenants.Snapshot()
+// hinted reports whether the ledger's frontier hint is consulted and
+// maintained: in deterministic mode only, where "full at the limit" is
+// final (statistical mode keeps its own frontier in the gate; see
+// startFrom).
+func (e *engine) hinted() bool { return e.stat == nil }
+
+// gate runs the arrival-side tenant checks against the policy snapshot a
+// submission decides under: unknown tenants and tenants over their
+// per-window arrival limit are finished immediately (done = true) without
+// touching the ledger. A nil snap — untenanted request, or no policy
+// installed — passes through at the cost of one predictable branch.
+func (e *engine) gate(snap *admission.MCSnap, arrival float64, tenant int32) (out Outcome, done bool) {
 	if snap == nil {
-		return nil, Outcome{}, false
+		return Outcome{}, false
 	}
 	switch snap.NoteArrival(tenant, e.window(arrival)) {
 	case admission.Unknown:
 		// The slot was deleted between wire validation and submission;
 		// reject defensively rather than fall back to untenanted service.
-		return nil, Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}, true
+		return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}, true
 	case admission.OverLimit:
-		return nil, Outcome{Rejected: true, OverLimit: true, Admitted: arrival, Tenant: tenant}, true
+		return Outcome{Rejected: true, OverLimit: true, Admitted: arrival, Tenant: tenant}, true
 	}
-	return snap, Outcome{}, false
+	return Outcome{}, false
+}
+
+// tenantSlot claims n slots of the tenant's window cap in the first window
+// at or after w that has them — under Reject, in w or not at all (ok =
+// false). A cap miss advances to the next window without consuming ledger
+// credit or moving the global frontier (the window may still have room for
+// other tenants), so under sustained tenant overload this walk is where a
+// request spends its time (60 % of qosd's CPU on the benchmark's
+// admit_stat_tenant workload): it is its own tight loop rather than a
+// `continue` through the scan's outer loop, which cost that workload about
+// a tenth of its ops_s.
+func (e *engine) tenantSlot(snap *admission.MCSnap, tenant int32, w int64, n int32) (at int64, reserved, ok bool) {
+	for {
+		if reserved, ok = snap.Acquire(tenant, w, n); ok || e.reject {
+			return w, reserved, ok
+		}
+		w++
+	}
+}
+
+// burst is what one submission call carries across its requests —
+// simultaneous arrivals sharing one timestamp — so that a run of reads pays
+// one availability snapshot, one tenant-policy snapshot, one grouped ledger
+// reservation per window and one scheduler lock round trip instead of one
+// of each per request. A single Submit is a burst of one. None of it is
+// visible in the outcomes (DESIGN.md §12, golden_burst_seed42.txt):
+//
+//   - The scan never reads a window's count in deterministic mode, only
+//     reserve/release deltas, so unconsumed credit held in a window is
+//     invisible to it: credit is capped so consumed+credit never exceeds
+//     the limit, meaning a credit hit succeeds in exactly the states a
+//     one-slot reservation would, and reserveUpTo returns 0 in exactly the
+//     states it would fail.
+//   - Statistical mode does read counts (wouldAdmit against the live
+//     window count), so it reserves one slot at a time: credit stays 0.
+//     It also gives the scheduler lock back after every device check, as
+//     statistical submissions always have: between two checks the scan
+//     evaluates the Q snapshot (a histogram walk) and may fold closed
+//     windows — too long to sit inside the one lock every connection of
+//     the shard needs.
+//   - One availability snapshot per burst: single-threaded this is
+//     indistinguishable from per-request snapshots; under concurrency a
+//     mask flip or TENANT SET lands on a burst boundary instead of a
+//     request boundary.
+type burst struct {
+	mask   uint64
+	limit  int  // S, or S' under a degraded mask
+	masked bool // a health monitor is attached
+
+	// snap is the tenant policy, loaded at the first tenanted request so
+	// tenant-less bursts pay no atomic load.
+	snap       *admission.MCSnap
+	snapLoaded bool
+
+	curW   int64 // window holding unconsumed credit
+	credit int   // reserved-but-unconsumed slots in curW
+	locked bool  // schedMu held (deterministic mode: across the read run)
+	left   int   // requests not yet admitted, the current one included
+}
+
+// begin opens a burst of n requests.
+func (e *engine) begin(n int) burst {
+	mask, limit, masked := e.maskLimit()
+	return burst{mask: mask, limit: limit, masked: masked, left: n}
+}
+
+// unlock drops the scheduler lock after a device check in statistical
+// mode; a deterministic burst keeps it across its read run.
+func (e *engine) unlock(b *burst) {
+	if e.stat != nil {
+		e.schedMu.Unlock()
+		b.locked = false
+	}
+}
+
+// settle returns unconsumed credit and drops the scheduler lock: what must
+// happen before anything that reads the true window count or takes its own
+// locks (a write), and when the burst ends.
+func (e *engine) settle(b *burst) {
+	if b.credit > 0 {
+		e.ledger.release(b.curW, b.credit)
+		b.credit = 0
+	}
+	if b.locked {
+		e.schedMu.Unlock()
+		b.locked = false
+	}
 }
 
 // submit runs one block read through admission control and online
-// retrieval: the shared implementation behind System.Submit and
-// ConcurrentSystem.Submit. tenant is the 1-based tenant index the
-// request carries (0 = untenanted): tenanted requests pass the mClock
-// gate — arrival limit, then a per-window cap acquisition in front of
-// every ledger reservation — before consuming any S-bound credit.
-func (e *engine) submit(arrival float64, dataBlock int64, tenant int32) Outcome {
-	replicas := e.Replicas(dataBlock)
+// retrieval. tenant is the 1-based tenant index the request carries
+// (0 = untenanted).
+func (e *engine) submit(arrival float64, dataBlock int64, tenant int32) (out Outcome) {
+	b := e.begin(1)
+	e.admitRead(&b, arrival, dataBlock, tenant, &out)
+	e.settle(&b)
+	return out
+}
+
+// submitBurst admits reqs — simultaneous arrivals sharing one timestamp —
+// in input order, writing outcome i into outs[i] (len(outs) == len(reqs)).
+// Writes drop the burst's credit and lock first: a c-slot reservation must
+// see the true window count, and submitWrite takes its own snapshots and
+// locks.
+func (e *engine) submitBurst(arrival float64, reqs []BurstReq, outs []Outcome) {
+	b := e.begin(len(reqs))
+	for i := range reqs {
+		if r := &reqs[i]; r.Write {
+			e.settle(&b)
+			outs[i] = e.submitWrite(arrival, r.Block, r.Tenant)
+		} else {
+			e.admitRead(&b, arrival, r.Block, r.Tenant, &outs[i])
+		}
+		b.left--
+	}
+	e.settle(&b)
+}
+
+// admitRead is the read-admission scan — the only one. Tenanted requests
+// pass the mClock gate (arrival limit, then a per-window cap acquisition
+// in front of every ledger reservation) before consuming any S-bound
+// credit; then a slot is reserved in the first window with room, and the
+// request is served when one of its available replicas is idle at the
+// reserved time, or moved to the instant one frees up. Statistical mode
+// may over-admit at both points (§III-B). The outcome is written in place
+// (out may hold anything on entry): a burst fills its result slice with no
+// copy per request.
+func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant int32, out *Outcome) {
 	if e.stat != nil {
 		e.stat.closeUpTo(e.window(arrival), e.ledger)
 	}
-	snap, gout, done := e.gate(arrival, tenant)
-	if done {
-		return gout
+	var snap *admission.MCSnap
+	if tenant != 0 {
+		if !b.snapLoaded {
+			b.snap, b.snapLoaded = e.tenants.Snapshot(), true
+		}
+		snap = b.snap
 	}
-	// One availability snapshot per request: a FAIL/RECOVER racing with
-	// this submission lands on either side of the snapshot, never halfway.
-	mask, limit, masked := e.maskLimit()
-	if masked && aliveReplicas(replicas, mask) == 0 {
+	if gout, done := e.gate(snap, arrival, tenant); done {
+		*out = gout
+		return
+	}
+	replicas := e.Replicas(dataBlock)
+	if b.masked && aliveReplicas(replicas, b.mask) == 0 {
 		if snap != nil {
 			snap.NoteRejected(tenant)
 		}
-		return Outcome{Rejected: true, Unavailable: true, Admitted: arrival, Tenant: tenant}
+		*out = Outcome{Rejected: true, Unavailable: true, Admitted: arrival, Tenant: tenant}
+		return
 	}
 	if snap != nil && snap.Cap(tenant) < 1 {
 		// A zero-cap tenant can never acquire a slot in any window; reject
 		// rather than walk windows forever under the Delay policy.
 		snap.NoteRejected(tenant)
-		return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
+		*out = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
+		return
+	}
+	group := b.left
+	if e.stat != nil {
+		group = 1
 	}
 	tAdm := e.startFrom(arrival)
 	// w tracks window(tAdm) across the scan: advancing to the next window
@@ -294,66 +407,80 @@ func (e *engine) submit(arrival float64, dataBlock int64, tenant int32) Outcome 
 	w := e.window(tAdm)
 	for {
 		// Tenant cap first: a tenant over its window share consumes no
-		// ledger credit, and under Delay it advances to the next window
-		// without moving the global frontier (the window may still have
-		// room for other tenants).
+		// ledger credit (and strands none of the burst's).
 		tenantReserved := false
 		if snap != nil {
-			res, ok := snap.Acquire(tenant, w, 1)
+			at, res, ok := e.tenantSlot(snap, tenant, w, 1)
 			if !ok {
-				if e.reject {
-					snap.NoteRejected(tenant)
-					return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-				}
-				w++
-				tAdm = float64(w) * e.intervalMS
-				continue
+				snap.NoteRejected(tenant)
+				*out = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
+				return
+			}
+			if at != w {
+				w, tAdm = at, float64(at)*e.intervalMS
 			}
 			tenantReserved = res
 		}
-		if !e.ledger.tryReserve(w, 1, limit) {
-			// Window w is full under the snapshot limit.
-			if e.stat != nil {
-				if cnt := e.ledger.count(w); e.stat.wouldAdmit(cnt + 1) {
-					// Statistical path: admit past the deterministic limit;
-					// the request may queue behind busy replicas (§III-B).
-					e.ledger.add(w, 1)
-					out := e.schedule(arrival, tAdm, replicas, mask, masked, false)
-					return e.noteAdmitted(snap, tenant, out)
-				} else if !e.reject {
-					// Full and refused by the published snapshot: closed
-					// for good, later scans skip it (statGate).
-					e.stat.noteDead(w)
-				}
+		if b.credit > 0 && w == b.curW {
+			// The slot was reserved with the burst's one counter update for
+			// this window.
+			b.credit--
+		} else {
+			if b.credit > 0 {
+				// The scan moved to another window; stranded credit goes
+				// back before the new grouped reservation.
+				e.ledger.release(b.curW, b.credit)
+				b.credit = 0
 			}
-			if snap != nil {
-				// Give the tenant slot back; a reserved slot the global
-				// ledger would not honor is a reservation deficit.
-				snap.Release(tenant, w, 1)
-				if tenantReserved {
-					snap.NoteDeficit(tenant)
+			got := e.ledger.reserveUpTo(w, group, b.limit)
+			if got == 0 {
+				// Window w is full under the snapshot limit.
+				if e.stat != nil {
+					if e.stat.wouldAdmit(e.ledger.count(w) + 1) {
+						// Statistical path: admit past the deterministic limit;
+						// the request may queue behind busy replicas (§III-B).
+						e.ledger.add(w, 1)
+						e.place(b, snap, arrival, tAdm, replicas, tenant, false, out)
+						return
+					} else if !e.reject {
+						// Full and refused by the published snapshot: closed
+						// for good, later scans skip it (statGate).
+						e.stat.noteDead(w)
+					}
 				}
-			}
-			if e.reject {
 				if snap != nil {
-					snap.NoteRejected(tenant)
+					// Give the tenant slot back; a reserved slot the global
+					// ledger would not honor is a reservation deficit.
+					snap.Release(tenant, w, 1)
+					if tenantReserved {
+						snap.NoteDeficit(tenant)
+					}
 				}
-				return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
+				if e.reject {
+					if snap != nil {
+						snap.NoteRejected(tenant)
+					}
+					*out = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
+					return
+				}
+				if e.hinted() {
+					e.ledger.noteFull(w + 1)
+				}
+				w++
+				tAdm = float64(w) * e.intervalMS // next window
+				continue
 			}
-			if e.hinted {
-				e.ledger.noteFull(w + 1)
-			}
-			w++
-			tAdm = float64(w) * e.intervalMS // next window
-			continue
+			b.curW, b.credit = w, got-1
 		}
-		// Slot reserved in w. The guaranteed path also needs an idle
-		// available replica at tAdm so the response stays at the service
-		// time.
-		e.schedMu.Lock()
+		// Slot held in w. The guaranteed path also needs an idle available
+		// replica at tAdm so the response stays at the service time.
+		if !b.locked {
+			e.schedMu.Lock()
+			b.locked = true
+		}
 		tFree := math.Inf(1)
 		for _, d := range replicas {
-			if masked && mask&(1<<uint(d)) == 0 {
+			if b.masked && b.mask&(1<<uint(d)) == 0 {
 				continue
 			}
 			if nf := e.sched.NextFree(d); nf < tFree {
@@ -361,73 +488,54 @@ func (e *engine) submit(arrival float64, dataBlock int64, tenant int32) Outcome 
 			}
 		}
 		if tFree <= tAdm {
-			out := e.scheduleLocked(arrival, tAdm, replicas, mask, masked, true)
-			e.schedMu.Unlock()
-			return e.noteAdmitted(snap, tenant, out)
+			e.place(b, snap, arrival, tAdm, replicas, tenant, true, out)
+			return
 		}
 		if e.stat != nil && e.stat.wouldAdmit(e.ledger.count(w)) {
 			// Statistical path with the reservation kept: every replica is
 			// busy, but the estimator accepts the risk and the request
 			// queues. count(w) already includes this request's slot.
-			out := e.scheduleLocked(arrival, tAdm, replicas, mask, masked, false)
-			e.schedMu.Unlock()
-			return e.noteAdmitted(snap, tenant, out)
+			e.place(b, snap, arrival, tAdm, replicas, tenant, false, out)
+			return
 		}
-		var dead int64
-		if e.hinted {
-			dead = e.deadBefore()
-		}
-		e.schedMu.Unlock()
-		// No replica idle at the reserved time: give the slot back and
+		// No replica idle at the reserved time: give the slot back (and
+		// the tenant slot with it — no deficit, nothing was refused) and
 		// retry at the earliest instant one frees up (strictly later, so
 		// the loop always progresses). Windows proven dead by device
 		// exhaustion are excluded from future scans so sustained overload
 		// stays O(1) per request instead of crawling the backlog.
 		e.ledger.release(w, 1)
 		if snap != nil {
-			// The request moves to a later window, so the tenant slot in w
-			// goes back too (no deficit: nothing was refused).
 			snap.Release(tenant, w, 1)
 		}
-		if e.hinted {
-			e.ledger.noteDeadBefore(dead)
+		if e.hinted() {
+			e.ledger.noteDeadBefore(e.deadBefore())
 		}
+		e.unlock(b)
 		tAdm = tFree
 		w = e.window(tAdm)
 	}
 }
 
-// noteAdmitted stamps the tenant tag on an admitted outcome and bumps
-// the tenant's admitted gauge when the gate is on.
-func (e *engine) noteAdmitted(snap *admission.MCSnap, tenant int32, out Outcome) Outcome {
-	if snap != nil {
-		snap.NoteAdmitted(tenant)
+// place schedules a request whose admission slot is already charged to the
+// ledger on its best available replica at tAdm — taking the scheduler lock
+// for the burst if the scan has not yet — and fills in the outcome, tenant
+// tag included (bumping the tenant's admitted gauge when the gate is on).
+func (e *engine) place(b *burst, snap *admission.MCSnap, arrival, tAdm float64, replicas []int, tenant int32, requireIdle bool, out *Outcome) {
+	if !b.locked {
+		e.schedMu.Lock()
+		b.locked = true
 	}
-	out.Tenant = tenant
-	return out
-}
-
-// schedule wraps scheduleLocked in the scheduler lock.
-func (e *engine) schedule(arrival, tAdm float64, replicas []int, mask uint64, masked, requireIdle bool) Outcome {
-	e.schedMu.Lock()
-	out := e.scheduleLocked(arrival, tAdm, replicas, mask, masked, requireIdle)
-	e.schedMu.Unlock()
-	return out
-}
-
-// scheduleLocked places the admitted request on the best available replica
-// at time tAdm. Must be called with schedMu held; the admission slot has
-// already been charged to the ledger.
-func (e *engine) scheduleLocked(arrival, tAdm float64, replicas []int, mask uint64, masked, requireIdle bool) Outcome {
 	var c retrieval.Completion
-	if masked {
+	if b.masked {
 		var ok bool
-		if c, ok = e.sched.SubmitMasked(tAdm, replicas, mask); !ok {
+		if c, ok = e.sched.SubmitMasked(tAdm, replicas, b.mask); !ok {
 			panic("core: admit with no available replica") // caller checked
 		}
 	} else {
 		c = e.sched.Submit(tAdm, replicas)
 	}
+	e.unlock(b)
 	if requireIdle && c.Start > tAdm+delayTol {
 		panic("core: guaranteed-path request had to queue") // invariant
 	}
@@ -435,29 +543,36 @@ func (e *engine) scheduleLocked(arrival, tAdm float64, replicas []int, mask uint
 	if delay < 0 {
 		delay = 0
 	}
-	return Outcome{
+	if snap != nil {
+		snap.NoteAdmitted(tenant)
+	}
+	*out = Outcome{
 		Admitted: tAdm,
 		Device:   e.deviceBase + c.Device,
 		Start:    c.Start,
 		Finish:   c.Finish,
 		Delay:    delay,
 		Delayed:  delay > delayTol,
+		Tenant:   tenant,
 	}
 }
 
 // submitWrite schedules a block write: c admission slots in one window and
-// every available replica device idle simultaneously. Shared implementation
-// behind System.SubmitWrite and ConcurrentSystem.SubmitWrite. A tenanted
-// write charges one arrival against the tenant's limit and c usage slots
+// every available replica device idle simultaneously — a different
+// algorithm from the read scan, not a variant of it. A tenanted write
+// charges one arrival against the tenant's limit and c usage slots
 // (all-or-nothing) against its window cap.
 func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Outcome {
 	replicas := e.Replicas(dataBlock)
 	if e.stat != nil {
 		e.stat.closeUpTo(e.window(arrival), e.ledger)
 	}
-	snap, gout, done := e.gate(arrival, tenant)
-	if done {
-		return gout
+	var snap *admission.MCSnap
+	if tenant != 0 {
+		snap = e.tenants.Snapshot()
+	}
+	if out, done := e.gate(snap, arrival, tenant); done {
+		return out
 	}
 	mask, limit, masked := e.maskLimit()
 	c := len(replicas)
@@ -480,15 +595,13 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 	for {
 		tenantReserved := false
 		if snap != nil {
-			res, ok := snap.Acquire(tenant, w, int32(c))
+			at, res, ok := e.tenantSlot(snap, tenant, w, int32(c))
 			if !ok {
-				if e.reject {
-					snap.NoteRejected(tenant)
-					return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-				}
-				w++
-				tAdm = float64(w) * e.intervalMS
-				continue
+				snap.NoteRejected(tenant)
+				return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
+			}
+			if at != w {
+				w, tAdm = at, float64(at)*e.intervalMS
 			}
 			tenantReserved = res
 		}
@@ -542,17 +655,21 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 			if delay < 0 {
 				delay = 0
 			}
-			return e.noteAdmitted(snap, tenant, Outcome{
+			if snap != nil {
+				snap.NoteAdmitted(tenant)
+			}
+			return Outcome{
 				Admitted: tAdm,
 				Device:   e.deviceBase + firstDev,
 				Start:    tAdm,
 				Finish:   finish,
 				Delay:    delay,
 				Delayed:  delay > delayTol,
-			})
+				Tenant:   tenant,
+			}
 		}
 		var dead int64
-		if e.hinted {
+		if e.hinted() {
 			dead = e.deadBefore()
 		}
 		e.schedMu.Unlock()
@@ -560,7 +677,7 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 		if snap != nil {
 			snap.Release(tenant, w, int32(c))
 		}
-		if e.hinted {
+		if e.hinted() {
 			e.ledger.noteDeadBefore(dead)
 		}
 		tAdm = tAllFree
@@ -569,51 +686,26 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 }
 
 // submitBatch admits a set of simultaneous block requests jointly — the
-// §III interval model. Shared implementation behind System.SubmitBatch and
-// ConcurrentSystem.SubmitBatch. A nil scratch allocates fresh result and
-// working buffers (safe to retain); a non-nil scratch makes the steady
-// state allocation-free, with the returned slice valid until its next use.
-func (e *engine) submitBatch(arrival float64, blocks []int64, tenant int32, sc *BatchScratch) []Outcome {
+// §III interval model, the paper's optimal joint retrieval rather than the
+// FCFS-online scan. Batches are untenanted: per-tenant window caps would
+// fragment the one-window joint assignment. A nil scratch allocates fresh
+// result and working buffers (safe to retain); a non-nil scratch makes the
+// steady state allocation-free, with the returned slice valid until its
+// next use.
+func (e *engine) submitBatch(arrival float64, blocks []int64, sc *BatchScratch) []Outcome {
 	if len(blocks) == 0 {
 		return nil
 	}
 	if sc == nil {
 		sc = &BatchScratch{}
 	}
-	if tenant != 0 && e.tenants.Snapshot() != nil {
-		// The joint assignment admits the whole batch into one window;
-		// per-tenant window caps fragment that, so tenanted batches under
-		// an active policy take the per-request path (each request runs
-		// the full gate + scan; outcomes stay in input order).
-		out := sc.outcomes(len(blocks))
-		for i, b := range blocks {
-			out[i] = e.submit(arrival, b, tenant)
-		}
-		return out
-	}
 	if e.stat != nil {
 		e.stat.closeUpTo(e.window(arrival), e.ledger)
 	}
 	mask, limit, masked := e.maskLimit()
 	w := e.window(arrival)
-	// Reserve up to the window's remaining capacity. Under concurrent
-	// submission another caller can shrink the room between the read and
-	// the reserve, so retry with the smaller room until a reservation
-	// sticks (single-threaded the first attempt always does).
-	var take int
-	for {
-		room := limit - e.ledger.count(w)
-		if room < 0 {
-			room = 0
-		}
-		take = len(blocks)
-		if take > room {
-			take = room
-		}
-		if take == 0 || e.ledger.tryReserve(w, take, limit) {
-			break
-		}
-	}
+	// Reserve up to the window's remaining capacity.
+	take := e.ledger.reserveUpTo(w, len(blocks), limit)
 	out := sc.outcomes(len(blocks))
 	if take > 0 {
 		replicas := sc.replicaBuf(take)
@@ -686,14 +778,7 @@ func (e *engine) submitBatch(arrival float64, blocks []int64, tenant int32, sc *
 	}
 	// Overflow: per-request path (next windows).
 	for i := take; i < len(blocks); i++ {
-		out[i] = e.submit(arrival, blocks[i], tenant)
-	}
-	if tenant != 0 {
-		// Gate off (nil snapshot) but the batch was tagged: the tag still
-		// flows through to the outcomes.
-		for i := range out {
-			out[i].Tenant = tenant
-		}
+		out[i] = e.submit(arrival, blocks[i], 0)
 	}
 	return out
 }

@@ -33,8 +33,8 @@ import (
 // AttachHealth wires a device-health monitor into the system: admission
 // recomputes the effective guarantee S' from the monitor's mask and
 // retrieval skips unavailable devices. The monitor must cover exactly the
-// system's devices. Attach before serving; the System (or a wrapping
-// ConcurrentSystem) reads the monitor's snapshots from then on.
+// system's devices. Attach before serving; submissions read the monitor's
+// snapshots from then on.
 //
 // Statistical mode (Epsilon > 0) keeps its full-array probability table —
 // the sampled P_k distribution is not recomputed for the degraded array —

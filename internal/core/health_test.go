@@ -200,7 +200,7 @@ func TestUnavailableOutcome(t *testing.T) {
 		}
 		return false
 	})
-	outs := sys.SubmitBatch(0, []int64{0, live})
+	outs := sys.SubmitBatch(0, []int64{0, live}, nil)
 	if !outs[0].Unavailable {
 		t.Errorf("batch entry for dead block: %+v, want Unavailable", outs[0])
 	}
@@ -212,14 +212,13 @@ func TestUnavailableOutcome(t *testing.T) {
 	}
 }
 
-// TestConcurrentMaskFlipRace hammers ConcurrentSystem.Submit from many
+// TestConcurrentMaskFlipRace hammers Submit from many
 // goroutines while an admin goroutine flips devices in and out of service.
 // Run under -race. Invariants: no window ever exceeds S, no request is
 // reported Unavailable (at most c-1 devices fail, so every block keeps a
 // live replica), and every admitted request lands on one of its replicas.
 func TestConcurrentMaskFlipRace(t *testing.T) {
-	sys, mon := newHealthSystem(t, Config{})
-	cs := NewConcurrent(sys)
+	cs, mon := newHealthSystem(t, Config{})
 
 	const (
 		submitters = 8
@@ -260,8 +259,8 @@ func TestConcurrentMaskFlipRace(t *testing.T) {
 	for msg := range errs {
 		t.Fatal(msg)
 	}
-	if max := cs.MaxWindowCount(); max > sys.S() {
-		t.Errorf("window count reached %d, above S=%d", max, sys.S())
+	if max := cs.MaxWindowCount(); max > cs.S() {
+		t.Errorf("window count reached %d, above S=%d", max, cs.S())
 	}
 }
 
@@ -273,7 +272,7 @@ func degradedSteadyCfg() Config {
 	return Config{Design: design.Paper931(), M: 50, IntervalMS: 1000}
 }
 
-// TestSubmitDegradedAllocs pins the sequential degraded submit path at zero
+// TestSubmitDegradedAllocs pins the degraded submit path at zero
 // allocations in steady state: the mask read is one atomic load and the
 // per-replica availability checks are inline bit tests.
 func TestSubmitDegradedAllocs(t *testing.T) {
@@ -295,18 +294,20 @@ func TestSubmitDegradedAllocs(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitDegradedAllocs pins the concurrent degraded submit
-// path — the qosnet server's hot path — at zero allocations in steady
-// state.
+// TestConcurrentSubmitDegradedAllocs pins the degraded burst entry point
+// — the qosnet server's hot path — at zero allocations in steady state
+// with a reused scratch.
 func TestConcurrentSubmitDegradedAllocs(t *testing.T) {
 	sys, mon := newHealthSystem(t, degradedSteadyCfg())
-	cs := NewConcurrent(sys)
 	if err := mon.Fail(4); err != nil {
 		t.Fatal(err)
 	}
 	at, i := 0.0, 0
+	var sc BurstScratch
+	reqs := make([]BurstReq, 1)
 	submit := func() {
-		cs.Submit(at, int64(i%36))
+		reqs[0].Block = int64(i % 36)
+		sys.SubmitBurst(at, reqs, &sc)
 		at += 0.2
 		i++
 	}
@@ -314,6 +315,6 @@ func TestConcurrentSubmitDegradedAllocs(t *testing.T) {
 		submit()
 	}
 	if allocs := testing.AllocsPerRun(300, submit); allocs != 0 {
-		t.Errorf("degraded ConcurrentSystem.Submit allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("degraded SubmitBurst allocates %.1f objects/op, want 0", allocs)
 	}
 }

@@ -5,114 +5,6 @@ import (
 	"sync/atomic"
 )
 
-// intervalLedger is the per-T-window admission accounting behind the engine
-// (§III: at most S requests retrieved per interval). The engine treats the
-// ledger as the single source of truth for window counts; the frontier hint
-// (advice about windows that can never admit again) is part of the
-// interface so the lock-free implementation keeps overload handling O(1)
-// amortized while the sequential one ignores it entirely.
-//
-// Implementations:
-//
-//   - seqLedger: a plain map for single-caller systems. No atomics, no
-//     frontier; bit-identical to the historical System bookkeeping.
-//   - shardedLedger: sharded per-window atomic counters with CAS
-//     reservation and a monotone frontier hint; the structure behind
-//     ConcurrentSystem since PR 1.
-type intervalLedger interface {
-	// count returns the admitted slots currently recorded for window w. It
-	// must not create state for w (closeWindows walks cold windows).
-	count(w int64) int
-	// tryReserve claims n slots in window w unless that would push the
-	// count past limit (S, or the degraded S' snapshot the caller took).
-	tryReserve(w int64, n, limit int) bool
-	// reserveUpTo claims as many of n slots in window w as fit under limit
-	// and returns how many were claimed (0 means the window is full). The
-	// burst path uses it to pay one grouped counter update per (window,
-	// burst) instead of one CAS per request; unused claims must be released.
-	reserveUpTo(w int64, n, limit int) int
-	// add claims n slots unconditionally — the statistical controller may
-	// admit past the deterministic limit (§III-B over-admission).
-	add(w int64, n int)
-	// release returns n slots claimed by tryReserve/add (used when the
-	// scheduler could not serve the request at the reserved time).
-	release(w int64, n int)
-	// noteFull records that the window just below next was observed full;
-	// the frontier extends only when it already points at next (a full
-	// window far ahead of the frontier must not starve the windows between).
-	noteFull(next int64)
-	// noteDeadBefore raises the frontier to w outright — callers must
-	// guarantee no request can ever be admitted below w. The one such proof
-	// is device exhaustion (see engine.deadBefore).
-	noteDeadBefore(w int64)
-	// notePrunable tells the ledger that windows strictly below w will
-	// never be read again (the statistical gate folded them into the
-	// interval history), so their counters may be reclaimed. Advisory, like
-	// the hint: implementations keep a safety margin below the floor so
-	// concurrently in-flight stragglers still see their counts.
-	notePrunable(w int64)
-	// frontier returns the earliest window admission scans may start from.
-	frontier() int64
-	// tracksFrontier reports whether the hint methods do anything; the
-	// engine skips computing dead-window proofs when they don't.
-	tracksFrontier() bool
-	// maxCount returns the largest count recorded for any tracked window
-	// (test hook; after quiescence it must never exceed S).
-	maxCount() int
-	// reset drops all window state.
-	reset()
-}
-
-// seqLedger is the single-caller ledger: a plain window → count map, the
-// exact bookkeeping the sequential System used before the engine split.
-type seqLedger struct {
-	counts map[int64]int
-}
-
-func newSeqLedger() *seqLedger { return &seqLedger{counts: make(map[int64]int)} }
-
-func (l *seqLedger) count(w int64) int { return l.counts[w] }
-
-func (l *seqLedger) tryReserve(w int64, n, limit int) bool {
-	if l.counts[w]+n > limit {
-		return false
-	}
-	l.counts[w] += n
-	return true
-}
-
-func (l *seqLedger) reserveUpTo(w int64, n, limit int) int {
-	room := limit - l.counts[w]
-	if room <= 0 {
-		return 0
-	}
-	if n > room {
-		n = room
-	}
-	l.counts[w] += n
-	return n
-}
-
-func (l *seqLedger) add(w int64, n int)     { l.counts[w] += n }
-func (l *seqLedger) release(w int64, n int) { l.counts[w] -= n }
-func (l *seqLedger) noteFull(int64)         {}
-func (l *seqLedger) noteDeadBefore(int64)   {}
-func (l *seqLedger) notePrunable(int64)     {}
-func (l *seqLedger) frontier() int64        { return 0 }
-func (l *seqLedger) tracksFrontier() bool   { return false }
-
-func (l *seqLedger) maxCount() int {
-	max := 0
-	for _, c := range l.counts {
-		if c > max {
-			max = c
-		}
-	}
-	return max
-}
-
-func (l *seqLedger) reset() { l.counts = make(map[int64]int) }
-
 const (
 	windowShardBits  = 6
 	windowShardCount = 1 << windowShardBits
@@ -159,14 +51,16 @@ type cachedChunk struct {
 	p  *counterChunk
 }
 
-// shardedLedger is the concurrent ledger: interval-window admission counts
-// live in sharded per-window atomic counters. A request reserves a slot
-// with a CAS loop, so independent submissions — different windows, or free
-// capacity in the same window — proceed in parallel while the per-window
-// count provably never exceeds the limit (the test suite enforces this
-// under -race). A frontier hint remembers the earliest window that was
-// ever observed full, so admission under overload is O(1) amortized
-// instead of scanning full windows one by one.
+// shardedLedger is the per-T-window admission accounting behind the engine
+// (§III: at most S requests retrieved per interval) and its single source
+// of truth for window counts: they live in sharded per-window atomic
+// counters. A request reserves a slot with a CAS loop, so independent
+// submissions — different windows, or free capacity in the same window —
+// proceed in parallel while the per-window count provably never exceeds
+// the limit (the test suite enforces this under -race). A frontier hint
+// remembers the earliest window that was ever observed full, so admission
+// under overload is O(1) amortized instead of scanning full windows one by
+// one.
 type shardedLedger struct {
 	// hint is the earliest window not yet observed full; windows below it
 	// are skipped on the admission fast path. It only advances, and it is
@@ -198,8 +92,6 @@ type shardedLedger struct {
 	// hit never resurrects state the map has forgotten about a live chunk.
 	cache [counterCacheSize]atomic.Pointer[cachedChunk]
 }
-
-func newShardedLedger() *shardedLedger { return &shardedLedger{} }
 
 // counter returns the admission counter for window w, creating its chunk
 // if needed. The fast path — chunk already cached — is small enough to
@@ -253,6 +145,8 @@ func (l *shardedLedger) counterSlow(w, ck int64) *atomic.Int32 {
 	return &p.counts[w&(chunkSize-1)]
 }
 
+// count returns the admitted slots currently recorded for window w. It
+// creates no state for w (statGate.closeUpTo walks cold windows).
 func (l *shardedLedger) count(w int64) int {
 	ck := w >> chunkBits
 	if e := l.cache[uint64(ck)&(counterCacheSize-1)].Load(); e != nil && e.ck == ck {
@@ -285,8 +179,10 @@ func (l *shardedLedger) tryReserve(w int64, n, limit int) bool {
 	}
 }
 
-// reserveUpTo claims min(n, room) slots in window w with one CAS loop —
-// the grouped form of tryReserve behind the burst path. Like tryReserve,
+// reserveUpTo claims min(n, room) slots in window w with one CAS loop and
+// returns how many it claimed (0 means the window is full) — the grouped
+// form of tryReserve behind the read scan, which pays one counter update
+// per (window, burst); unused claims must be released. Like tryReserve,
 // each CAS enforces the limit its caller observed.
 func (l *shardedLedger) reserveUpTo(w int64, n, limit int) int {
 	c := l.counter(w)
@@ -306,8 +202,12 @@ func (l *shardedLedger) reserveUpTo(w int64, n, limit int) int {
 	}
 }
 
+// add claims n slots unconditionally — the statistical controller may
+// admit past the deterministic limit (§III-B over-admission).
 func (l *shardedLedger) add(w int64, n int) { l.counter(w).Add(int32(n)) }
 
+// release returns n slots claimed by tryReserve/reserveUpTo/add (the
+// scheduler could not serve the request at the reserved time).
 func (l *shardedLedger) release(w int64, n int) { l.counter(w).Add(int32(-n)) }
 
 // noteFull records that the window below next was observed full. The hint
@@ -351,9 +251,11 @@ func (l *shardedLedger) notePrunable(w int64) {
 	}
 }
 
-func (l *shardedLedger) frontier() int64      { return l.hint.Load() }
-func (l *shardedLedger) tracksFrontier() bool { return true }
+// frontier returns the earliest window admission scans may start from.
+func (l *shardedLedger) frontier() int64 { return l.hint.Load() }
 
+// maxCount returns the largest count recorded for any tracked window (test
+// hook; after quiescence it never exceeds S in deterministic mode).
 func (l *shardedLedger) maxCount() int {
 	max := 0
 	for i := range l.shards {
@@ -371,6 +273,7 @@ func (l *shardedLedger) maxCount() int {
 	return max
 }
 
+// reset drops all window state.
 func (l *shardedLedger) reset() {
 	l.front.Store(nil)
 	for i := range l.cache {

@@ -56,9 +56,8 @@ type statGate struct {
 	// monotone, so sustained overload costs O(1) amortized per request
 	// instead of rescanning an ever-growing dead backlog. Finality only
 	// ever under-admits relative to a rescanning implementation, so the
-	// ε violation bound is preserved. Both facades share this engine path,
-	// so sequential and concurrent stay bit-identical by construction (the
-	// ε > 0 golden transcripts pin it).
+	// ε violation bound is preserved (the ε > 0 golden transcripts pin the
+	// resulting decisions).
 	deadFrontier atomic.Int64
 }
 
@@ -107,7 +106,7 @@ func (g *statGate) noteDead(w int64) {
 // always), and a caller with an old arrival (w already closed) is a no-op
 // — its window's count was frozen when the merge happened, which is the
 // documented bounded-staleness of concurrent statistical mode.
-func (g *statGate) closeUpTo(w int64, led intervalLedger) {
+func (g *statGate) closeUpTo(w int64, led *shardedLedger) {
 	if f := g.deadFrontier.Load(); f > w {
 		w = f
 	}

@@ -9,10 +9,10 @@ import (
 	"flashqos/internal/design"
 )
 
-// tenantSystem builds a ConcurrentSystem over the paper (9,3,1) design with
+// tenantSystem builds a System over the paper (9,3,1) design with
 // a tenant policy installed. ServiceMS is pinned tiny so device scheduling
 // never competes with admission control and per-window counts stay exact.
-func tenantSystem(t *testing.T, cfg Config, specs ...admission.TenantSpec) *ConcurrentSystem {
+func tenantSystem(t *testing.T, cfg Config, specs ...admission.TenantSpec) *System {
 	t.Helper()
 	if cfg.Design == nil {
 		cfg.Design = design.Paper931()
@@ -20,11 +20,10 @@ func tenantSystem(t *testing.T, cfg Config, specs ...admission.TenantSpec) *Conc
 	if cfg.ServiceMS == 0 {
 		cfg.ServiceMS = 0.001
 	}
-	sys, err := New(cfg)
+	cs, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := NewConcurrent(sys)
 	if len(specs) > 0 {
 		if err := cs.SetTenants(specs); err != nil {
 			t.Fatal(err)

@@ -80,7 +80,7 @@ func AblationClosedLoop(periods int, appSizes []int, seed int64) (*ClosedLoopRes
 				owner = append(owner, a)
 			}
 		}
-		for i, out := range sys.SubmitBatch(at, blocks) {
+		for i, out := range sys.SubmitBatch(at, blocks, nil) {
 			a := owner[i]
 			a.n++
 			a.resp.Add(out.Response())

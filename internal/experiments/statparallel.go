@@ -56,8 +56,8 @@ func (r ConcurrentStatRow) String() string {
 // ConcurrentStatistical measures the parallelized statistical admission
 // path (core statGate) against the deterministic baseline under identical
 // bursty load: an exchange-like trace (reproducible from seed), submitted
-// by `goroutines` workers pulling a shared index, through a
-// ConcurrentSystem in each mode. The bursty sub-capacity shape matters:
+// by `goroutines` workers pulling a shared index, through one
+// core.System in each mode. The bursty sub-capacity shape matters:
 // the §III-B estimator prices interval-size risk, so its ε contract holds
 // in the regime where queues drain between bursts — sustained overload
 // would measure queueing collapse, not the admission tradeoff. Per-request
@@ -111,11 +111,10 @@ func ConcurrentStatistical(goroutines int, seed int64, scale, epsilon float64, t
 		if mode.eps > 0 {
 			cfg.Table = tab
 		}
-		sys, err := core.New(cfg)
+		cs, err := core.New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		cs := core.NewConcurrent(sys)
 
 		outs := make([]core.Outcome, offered)
 		var next atomic.Int64

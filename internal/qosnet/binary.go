@@ -242,7 +242,7 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 			if outs != nil {
 				outs = outs[:0]
 			}
-			for _, out := range s.submitBatch(st, blocks, &batchSc, hasHealth) {
+			for _, out := range s.submitBatch(st, blocks, &batchSc, hasHealth, arrival) {
 				outs = append(outs, toWireOutcome(out))
 			}
 			scratch = wire.AppendBatchResp(scratch[:0], outs)
@@ -256,7 +256,7 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 			i := s.arr.ShardOf(block)
 			sys := s.arr.System(i)
 			base := i * s.arr.DevicesPerShard()
-			m := wire.MapResp{DesignBlock: int32(sys.DesignBlock(block))}
+			m := wire.MapResp{DesignBlock: int32(sys.Mapper().DesignBlock(block))}
 			for _, d := range sys.Replicas(block) {
 				m.Devices = append(m.Devices, int32(base+d))
 			}

@@ -292,6 +292,75 @@ func TestBinaryPipelinedOutOfOrder(t *testing.T) {
 	}
 }
 
+// TestBinaryBatchThenReadOneArrival pipelines a BATCH and a READ in one
+// write. Frames drained from one socket fill share the fill's arrival
+// stamp; OpBatch used to take its own, later clock reading, so the READ
+// behind it was submitted with an earlier arrival after a later one — out
+// of order on its own connection. It shows on the wire: with two of block
+// X's three replicas failed, BATCH [X] occupies X's only live replica from
+// the batch's arrival for one service time, so READ X is admitted at
+// batch arrival + service time, and its delay is exactly one service time
+// iff both carried the same arrival (a later batch stamp adds the gap).
+// M = 2 keeps S' = 2, so both fit one window.
+func TestBinaryBatchThenReadOneArrival(t *testing.T) {
+	sys, err := core.New(core.Config{Design: design.Paper931(), M: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := sys.NewHealthMonitor(0, health.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 7
+	for _, d := range sys.Replicas(block)[1:] {
+		if err := mon.Fail(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := NewServer(sys)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	t.Cleanup(srv.Close)
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	buf := wire.AppendFrame(nil, wire.Header{Opcode: wire.OpBatch, ID: 1}, wire.AppendBatchReq(nil, []int64{block}))
+	buf = wire.AppendFrame(buf, wire.Header{Opcode: wire.OpSubmit, ID: 2}, wire.AppendBlock(nil, block))
+	if _, err := conn.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rd := wire.NewReader(bufio.NewReader(conn), 0)
+	h, payload, err := rd.Next()
+	if err != nil || h.ID != 1 {
+		t.Fatalf("BATCH response: header %+v err %v", h, err)
+	}
+	batch, err := wire.ParseBatchResp(payload, nil)
+	if err != nil || len(batch) != 1 || batch[0].Rejected() || batch[0].DelayMS != 0 {
+		t.Fatalf("BATCH outcomes %+v err %v, want one undelayed admission", batch, err)
+	}
+	h, payload, err = rd.Next()
+	if err != nil || h.ID != 2 {
+		t.Fatalf("READ response: header %+v err %v", h, err)
+	}
+	read, _, err := wire.ParseOutcome(payload)
+	if err != nil || read.Rejected() {
+		t.Fatalf("READ outcome %+v err %v", read, err)
+	}
+	// (t + svc) − t rounds within ~1e-13 ms of svc; two clock readings are
+	// at least tens of nanoseconds (1e-5 ms) apart.
+	if gap := read.DelayMS - read.RespMS; gap > 1e-7 || gap < -1e-7 {
+		t.Fatalf("READ behind BATCH delayed %.9f ms, want one service time %.9f ms: the two carried different arrivals (gap %.3g ms)",
+			read.DelayMS, read.RespMS, gap)
+	}
+}
+
 // TestBinaryErrorFrames speaks raw frames to check the server's error
 // surface: FlagError set, request ID echoed, connection still usable for
 // payload-level errors, closed for framing violations.

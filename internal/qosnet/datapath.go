@@ -41,7 +41,7 @@ var errNoReplica = errors.New("block not found")
 // rejected outcome reads nothing. A non-nil error means no bytes could be
 // served (every replica missed or faulted).
 func (s *Server) dataGet(st *stripe, block int64, hasHealth bool, arrival float64, dst []byte) (core.Outcome, []byte, error) {
-	out := s.submitData(st, false, block, arrival)
+	out := s.submitAt(st, false, block, 0, false, arrival) // success feed follows the real read
 	if out.Rejected {
 		return out, dst, nil
 	}
@@ -104,7 +104,7 @@ func (s *Server) dataGet(st *stripe, block int64, hasHealth bool, arrival float6
 // contract: a nil error means the payload is group-commit fsynced on at
 // least one replica and every available replica was attempted.
 func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, arrival float64) (core.Outcome, error) {
-	out := s.submitData(st, true, block, arrival)
+	out := s.submitAt(st, true, block, 0, false, arrival) // success feed follows the real writes
 	if out.Rejected {
 		return out, nil
 	}
@@ -146,27 +146,6 @@ func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, a
 	return out, nil
 }
 
-// submitData is the admission + accounting half of submitAt without its
-// health success feed: on the data path the success sample belongs to the
-// device that actually served bytes, which dataGet/dataPut only know
-// after the real I/O lands.
-func (s *Server) submitData(st *stripe, write bool, block int64, arrival float64) core.Outcome {
-	var out core.Outcome
-	if write {
-		out = s.arr.SubmitWrite(arrival, block)
-	} else {
-		out = s.arr.Submit(arrival, block)
-	}
-	bump(&st.shard[s.arr.ShardOf(block)])
-	if out.Rejected {
-		bump(&st.rejected)
-	} else if out.Delayed {
-		bump(&st.delayed)
-		st.addDelay(out.Delay)
-	}
-	return out
-}
-
 // RebuildCopy returns the rebuild callback that moves real payloads when
 // the health state machine schedules repair work — pass it to
 // shard.Array.NewHealthMonitorsWithCopy alongside Options.Store. For each
@@ -189,7 +168,7 @@ func RebuildCopy(arr *shard.Array, store BlockStore) func(sh, dev, bucket int, k
 	return func(sh, dev, bucket int, kind health.RebuildKind) {
 		sys := arr.System(sh)
 		base := sh * arr.DevicesPerShard()
-		reps := sys.System().Allocator().Replicas(bucket)
+		reps := sys.Allocator().Replicas(bucket)
 		var mask *health.Mask
 		if mon := arr.Monitor(sh); mon != nil {
 			mask = mon.Mask()
@@ -218,7 +197,7 @@ func RebuildCopy(arr *shard.Array, store BlockStore) func(sh, dev, bucket int, k
 			}
 			blocks = store.Blocks(base+src, blocks[:0])
 			for _, b := range blocks {
-				if sys.DesignBlock(b) != bucket {
+				if sys.Mapper().DesignBlock(b) != bucket {
 					continue
 				}
 				for _, t := range targets {

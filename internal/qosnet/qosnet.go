@@ -45,9 +45,10 @@
 // Connections are handled by one goroutine each and requests flow through a
 // concurrent pipeline with no global serialization:
 //
-//   - Admission runs through core.ConcurrentSystem: per-interval window
-//     counts are sharded atomic counters reserved with a CAS loop, so
-//     submissions only touch shared memory for the window they land in,
+//   - Admission runs through core.System, which is safe for concurrent
+//     submission: per-interval window counts are sharded atomic counters
+//     reserved with a CAS loop, so submissions only touch shared memory
+//     for the window they land in,
 //     and the per-window count never exceeds S. Only the device scheduler
 //     (picking the earliest-finishing replica and marking it busy) sits
 //     behind a short mutex, because device next-free times are one global
@@ -228,8 +229,7 @@ type Server struct {
 	sem    chan struct{} // MaxConns semaphore (nil = unlimited)
 }
 
-// NewServer wraps a QoS system with default Options. The system must not
-// be used concurrently elsewhere.
+// NewServer wraps a QoS system with default Options.
 func NewServer(sys *core.System) *Server {
 	return NewServerOpts(sys, Options{})
 }
@@ -244,8 +244,7 @@ func NewServerOpts(sys *core.System, opts Options) *Server {
 	return NewServerSharded(arr, opts)
 }
 
-// NewServerSharded serves a pre-built sharded array. The array (and its
-// shards' systems) must not be used concurrently elsewhere.
+// NewServerSharded serves a pre-built sharded array.
 func NewServerSharded(arr *shard.Array, opts Options) *Server {
 	if opts.MaxLineBytes <= 0 {
 		opts.MaxLineBytes = DefaultMaxLineBytes
@@ -263,9 +262,9 @@ func NewServerSharded(arr *shard.Array, opts Options) *Server {
 	return s
 }
 
-// System returns shard 0's concurrent admission front-end (for inspection
-// and tests; identical to the whole served system when unsharded).
-func (s *Server) System() *core.ConcurrentSystem { return s.arr.System(0) }
+// System returns shard 0's engine (for inspection and tests; the whole
+// served system when unsharded).
+func (s *Server) System() *core.System { return s.arr.System(0) }
 
 // Array returns the served sharded array.
 func (s *Server) Array() *shard.Array { return s.arr }
@@ -569,19 +568,36 @@ func (s *Server) handle(conn net.Conn) {
 	s.handleText(conn, r, st)
 }
 
-// submit runs one READ/WRITE through the shared dispatch core: virtual
-// arrival, shard routing, striped accounting, and the health monitor's
-// latency feed. Both protocol handlers call it. tenant is the 1-based
-// tenant index (0 = untenanted, the byte-identical legacy path).
-func (s *Server) submit(st *stripe, write bool, block int64, tenant int32, hasHealth bool) core.Outcome {
-	return s.submitAt(st, write, block, tenant, hasHealth, s.now())
+// account books one outcome into the connection's stripe — the one place
+// the rejected/delayed/delay-sum counters move — and, with feedHealth set,
+// feeds the serving device's latency detector: the simulated array served
+// the request in Response() ms on that device. The data path passes
+// feedHealth = false: there the success sample belongs to the device that
+// actually served bytes, known only after the real I/O lands.
+func (s *Server) account(st *stripe, out *core.Outcome, feedHealth bool) {
+	if out.Rejected {
+		bump(&st.rejected)
+		return
+	}
+	if out.Delayed {
+		bump(&st.delayed)
+		st.addDelay(out.Delay)
+	}
+	if feedHealth {
+		if m, local := s.monitorFor(out.Device); m != nil {
+			m.ReportSuccess(local, out.Response())
+		}
+	}
 }
 
-// submitAt is submit with the caller supplying the arrival time. The
-// binary handler stamps one arrival per socket fill — frames drained from
-// a single read genuinely arrived together — which keeps the virtual clock
-// off the per-frame path.
-func (s *Server) submitAt(st *stripe, write bool, block int64, tenant int32, hasHealth bool, arrival float64) core.Outcome {
+// submitAt runs one READ/WRITE through the shared dispatch core: shard
+// routing, striped accounting, and the health monitor's latency feed. The
+// caller supplies the virtual arrival time — the text handler reads the
+// clock per line, the binary handler stamps one arrival per socket fill
+// (frames drained from a single read genuinely arrived together), which
+// keeps the clock off the per-frame path. tenant is the 1-based tenant
+// index (0 = untenanted).
+func (s *Server) submitAt(st *stripe, write bool, block int64, tenant int32, feedHealth bool, arrival float64) core.Outcome {
 	var out core.Outcome
 	switch {
 	case tenant != 0 && write:
@@ -594,44 +610,18 @@ func (s *Server) submitAt(st *stripe, write bool, block int64, tenant int32, has
 		out = s.arr.Submit(arrival, block)
 	}
 	bump(&st.shard[s.arr.ShardOf(block)])
-	if out.Rejected {
-		bump(&st.rejected)
-	} else {
-		if out.Delayed {
-			bump(&st.delayed)
-			st.addDelay(out.Delay)
-		}
-		if hasHealth {
-			// Feed the latency detector: the simulated array served the
-			// request in Response() ms on this device.
-			if m, local := s.monitorFor(out.Device); m != nil {
-				m.ReportSuccess(local, out.Response())
-			}
-		}
-	}
+	s.account(st, &out, feedHealth)
 	return out
 }
 
 // submitBatch admits simultaneous requests jointly (shard.Array.SubmitBatch
-// semantics) with the same accounting as submit. The scratch belongs to the
-// calling connection; nil allocates.
-func (s *Server) submitBatch(st *stripe, blocks []int64, sc *shard.BatchScratch, hasHealth bool) []core.Outcome {
-	outs := s.arr.SubmitBatch(s.now(), blocks, sc)
-	for i, out := range outs {
+// semantics) with the same accounting as submitAt. The scratch belongs to
+// the calling connection; nil allocates.
+func (s *Server) submitBatch(st *stripe, blocks []int64, sc *shard.BatchScratch, feedHealth bool, arrival float64) []core.Outcome {
+	outs := s.arr.SubmitBatch(arrival, blocks, sc)
+	for i := range outs {
 		bump(&st.shard[s.arr.ShardOf(blocks[i])])
-		if out.Rejected {
-			bump(&st.rejected)
-			continue
-		}
-		if out.Delayed {
-			bump(&st.delayed)
-			st.addDelay(out.Delay)
-		}
-		if hasHealth {
-			if m, local := s.monitorFor(out.Device); m != nil {
-				m.ReportSuccess(local, out.Response())
-			}
-		}
+		s.account(st, &outs[i], feedHealth)
 	}
 	return outs
 }
@@ -642,26 +632,14 @@ func (s *Server) submitBatch(st *stripe, blocks []int64, sc *shard.BatchScratch,
 // order — per-shard admission state is independent, so shard-bucketed
 // submission preserves each shard's arrival order). The shard's request
 // counter is bumped once per (shard, burst) — the binary handler already
-// routed every block while decoding it; the rest of the accounting
-// matches submitAt. The scratch belongs to the calling connection.
-func (s *Server) submitBurstShard(st *stripe, sh int, reqs []core.BurstReq, sc *core.BurstScratch, hasHealth bool, arrival float64) []core.Outcome {
+// routed every block while decoding it. The scratch belongs to the calling
+// connection.
+func (s *Server) submitBurstShard(st *stripe, sh int, reqs []core.BurstReq, sc *core.BurstScratch, feedHealth bool, arrival float64) []core.Outcome {
 	outs := s.arr.SubmitBurstShard(sh, arrival, reqs, sc)
 	c := &st.shard[sh]
 	c.Store(c.Load() + int64(len(reqs))) // single-writer, like bump
-	for _, out := range outs {
-		if out.Rejected {
-			bump(&st.rejected)
-			continue
-		}
-		if out.Delayed {
-			bump(&st.delayed)
-			st.addDelay(out.Delay)
-		}
-		if hasHealth {
-			if m, local := s.monitorFor(out.Device); m != nil {
-				m.ReportSuccess(local, out.Response())
-			}
-		}
+	for i := range outs {
+		s.account(st, &outs[i], feedHealth)
 	}
 	return outs
 }
@@ -876,7 +854,7 @@ func (s *Server) handleText(conn net.Conn, r *bufio.Reader, st *stripe) {
 					break
 				}
 			}
-			out := s.submit(st, strings.ToUpper(fields[0]) == "WRITE", block, tenant, hasHealth)
+			out := s.submitAt(st, strings.ToUpper(fields[0]) == "WRITE", block, tenant, hasHealth, s.now())
 			if out.Rejected {
 				fmt.Fprintln(w, "REJECTED")
 			} else {
@@ -895,7 +873,7 @@ func (s *Server) handleText(conn net.Conn, r *bufio.Reader, st *stripe) {
 			}
 			i := s.arr.ShardOf(block)
 			sys := s.arr.System(i)
-			db := sys.DesignBlock(block)
+			db := sys.Mapper().DesignBlock(block)
 			reps := sys.Replicas(block)
 			base := i * s.arr.DevicesPerShard()
 			scratch = append(scratch[:0], "MAP "...)

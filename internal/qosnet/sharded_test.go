@@ -47,7 +47,7 @@ func TestShardedServerRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		own := arr.ShardOf(block)
-		if wantDB := arr.System(own).DesignBlock(block); db != wantDB {
+		if wantDB := arr.System(own).Mapper().DesignBlock(block); db != wantDB {
 			t.Errorf("MAP %d designBlock = %d, want %d", block, db, wantDB)
 		}
 		inSet := make(map[int]bool, len(devices))

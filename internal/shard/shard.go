@@ -21,18 +21,13 @@ import (
 	"flashqos/internal/health"
 )
 
-// Array fans one Submit/SubmitWrite/SubmitBatch surface out across K
-// independent concurrent QoS engines. All methods are safe for concurrent
-// use (each shard is a core.ConcurrentSystem).
+// Array fans one Submit/SubmitWrite/SubmitBatch/SubmitBurst surface out
+// across K independent QoS engines. All methods are safe for concurrent
+// use (every core.System is).
 type Array struct {
-	systems []*core.ConcurrentSystem
+	systems []*core.System
 	mons    []*health.Monitor // non-nil entries after NewHealthMonitors
 	devsPer int
-	// translate[i] is the offset the Array must still add to shard i's
-	// outcome devices: 0 when the system was built with DeviceBase i·N and
-	// already emits global ids (the shard.New fast path), i·N when it
-	// numbers from 0 (FromSystems over plain systems).
-	translate []int
 	// tenants is the canonical tenant slot table, mirrored onto every
 	// shard's admission gate (see tenant.go).
 	tenants tenantState
@@ -42,8 +37,7 @@ type Array struct {
 // The shards share the configuration (and so the design, guarantee and
 // sampled table) but no state: every shard owns its ledger, scheduler and
 // mapper. Shard i is built with DeviceBase i·N (overriding any base in
-// cfg), so outcomes carry global device ids straight out of the engine and
-// the fan-out paths skip the per-outcome translation.
+// cfg), so outcomes carry global device ids straight out of the engine.
 func New(k int, cfg core.Config) (*Array, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: need >= 1 shard, got %d", k)
@@ -68,36 +62,27 @@ func New(k int, cfg core.Config) (*Array, error) {
 	return FromSystems(systems...)
 }
 
-// FromSystems builds an Array over already-constructed systems, wrapping
-// each for concurrent submission (the systems must not be used directly
-// afterwards; see core.NewConcurrent). All systems must span the same
-// number of devices — the global device numbering depends on it. Each
-// system must number its devices either from 0 (the Array translates its
-// outcomes to the global numbering) or from its own global base i·N
-// (core.Config.DeviceBase, the shard.New fast path — no translation).
+// FromSystems builds an Array over already-constructed systems. All
+// systems must span the same number of devices — the global device
+// numbering depends on it — and system i must number its devices from its
+// own global base i·N (core.Config.DeviceBase), so its outcomes already
+// carry global ids; a single system therefore needs no base at all.
 func FromSystems(systems ...*core.System) (*Array, error) {
 	if len(systems) == 0 {
 		return nil, fmt.Errorf("shard: need >= 1 system")
 	}
 	a := &Array{
-		systems:   make([]*core.ConcurrentSystem, len(systems)),
-		mons:      make([]*health.Monitor, len(systems)),
-		devsPer:   systems[0].Design().N,
-		translate: make([]int, len(systems)),
+		systems: systems,
+		mons:    make([]*health.Monitor, len(systems)),
+		devsPer: systems[0].Design().N,
 	}
 	for i, sys := range systems {
 		if n := sys.Design().N; n != a.devsPer {
 			return nil, fmt.Errorf("shard: shard %d spans %d devices, shard 0 spans %d", i, n, a.devsPer)
 		}
-		switch base := sys.DeviceBase(); base {
-		case i * a.devsPer:
-			a.translate[i] = 0
-		case 0:
-			a.translate[i] = i * a.devsPer
-		default:
-			return nil, fmt.Errorf("shard: shard %d has DeviceBase %d, want 0 or %d", i, base, i*a.devsPer)
+		if base := sys.DeviceBase(); base != i*a.devsPer {
+			return nil, fmt.Errorf("shard: shard %d has DeviceBase %d, want %d", i, base, i*a.devsPer)
 		}
-		a.systems[i] = core.NewConcurrent(sys)
 		a.mons[i] = sys.Health()
 	}
 	return a, nil
@@ -120,7 +105,7 @@ func (a *Array) NewHealthMonitors(rebuildRate float64, over health.Config) error
 // I/O without stalling the health detectors. A nil copy matches
 // NewHealthMonitors.
 func (a *Array) NewHealthMonitorsWithCopy(rebuildRate float64, over health.Config, copy func(shard, dev, bucket int, kind health.RebuildKind)) error {
-	for i, cs := range a.systems {
+	for i, sys := range a.systems {
 		o := over
 		if copy != nil {
 			sh := i
@@ -128,7 +113,7 @@ func (a *Array) NewHealthMonitorsWithCopy(rebuildRate float64, over health.Confi
 				copy(sh, dev, bucket, kind)
 			}
 		}
-		mon, err := cs.System().NewHealthMonitor(rebuildRate, o)
+		mon, err := sys.NewHealthMonitor(rebuildRate, o)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -146,8 +131,8 @@ func (a *Array) DevicesPerShard() int { return a.devsPer }
 // Devices returns the global device count K·N.
 func (a *Array) Devices() int { return len(a.systems) * a.devsPer }
 
-// System returns shard i's concurrent engine.
-func (a *Array) System(i int) *core.ConcurrentSystem { return a.systems[i] }
+// System returns shard i's engine.
+func (a *Array) System(i int) *core.System { return a.systems[i] }
 
 // Monitor returns shard i's health monitor (nil when none is attached).
 func (a *Array) Monitor(i int) *health.Monitor { return a.mons[i] }
@@ -207,22 +192,12 @@ func (a *Array) ShardOf(block int64) int {
 // is in the global numbering. Zero allocations in steady state (the
 // pinned sharded hot path).
 func (a *Array) Submit(arrival float64, block int64) core.Outcome {
-	i := a.ShardOf(block)
-	out := a.systems[i].Submit(arrival, block)
-	if off := a.translate[i]; off != 0 && !out.Rejected {
-		out.Device += off
-	}
-	return out
+	return a.systems[a.ShardOf(block)].Submit(arrival, block)
 }
 
 // SubmitWrite routes one block write to its owning shard.
 func (a *Array) SubmitWrite(arrival float64, block int64) core.Outcome {
-	i := a.ShardOf(block)
-	out := a.systems[i].SubmitWrite(arrival, block)
-	if off := a.translate[i]; off != 0 && !out.Rejected {
-		out.Device += off
-	}
-	return out
+	return a.systems[a.ShardOf(block)].SubmitWrite(arrival, block)
 }
 
 // BatchScratch is per-caller reusable state for Array.SubmitBatch: the
@@ -287,97 +262,73 @@ func (a *Array) SubmitBatch(arrival float64, blocks []int64, sc *BatchScratch) [
 		if len(bs) == 0 {
 			continue
 		}
-		off := a.translate[i]
 		for k, o := range a.systems[i].SubmitBatch(arrival, bs, &sc.core[i]) {
-			if off != 0 && !o.Rejected {
-				o.Device += off
-			}
 			out[perIdx[i][k]] = o
 		}
 	}
 	return out
 }
 
-// BurstScratch is per-caller reusable state for Array.SubmitBurst. The
-// zero value is ready to use; a nil scratch makes SubmitBurst allocate.
-// Outcomes returned against a scratch are valid until its next use. Not
-// safe for concurrent use — hold one per caller (e.g. per connection).
+// BurstScratch is per-caller reusable state for Array.SubmitBurst: the
+// per-shard request buckets with their input positions, one
+// core.BurstScratch per shard, and the scatter buffer. The zero value is
+// ready to use; a nil scratch makes SubmitBurst allocate. Outcomes returned
+// against a scratch are valid until its next use. Not safe for concurrent
+// use — hold one per caller (e.g. per connection).
 type BurstScratch struct {
-	perIdx [][]int32
-	counts []int
-	outs   []core.Outcome
-	core   []core.BurstScratch // shard 0's scratch serves the K == 1 path
+	perReqs [][]core.BurstReq
+	perIdx  [][]int32
+	outs    []core.Outcome
+	core    []core.BurstScratch
 }
 
 func (sc *BurstScratch) ensure(k int) {
-	if cap(sc.perIdx) < k {
+	if len(sc.core) < k {
+		sc.perReqs = make([][]core.BurstReq, k)
 		sc.perIdx = make([][]int32, k)
-	}
-	sc.perIdx = sc.perIdx[:k]
-	if cap(sc.counts) < k {
-		sc.counts = make([]int, k)
-	}
-	sc.counts = sc.counts[:k]
-	if len(sc.core) < 1 {
-		sc.core = make([]core.BurstScratch, 1)
+		sc.core = make([]core.BurstScratch, k)
 	}
 	for i := 0; i < k; i++ {
+		sc.perReqs[i] = sc.perReqs[i][:0]
 		sc.perIdx[i] = sc.perIdx[i][:0]
-		sc.counts[i] = 0
 	}
 }
-
-func (sc *BurstScratch) outBuf(n int) []core.Outcome {
-	if cap(sc.outs) < n {
-		sc.outs = make([]core.Outcome, n)
-	}
-	return sc.outs[:n]
-}
-
-// PerShard returns how many of the last burst's requests were routed to
-// each shard — the per-shard counters the server bumps once per burst
-// instead of re-hashing every block. Valid until the scratch's next use.
-func (sc *BurstScratch) PerShard() []int { return sc.counts }
 
 // SubmitBurst routes a burst of simultaneous requests to their owning
-// shards — each shard's ledger stripes are touched once per burst, not
-// once per request — with outcomes in input order carrying global device
-// ids. The partition is by index only and each shard writes its outcomes
-// into the shared result slice in place (core.ConcurrentSystem.SubmitBurstScatter),
-// so the fan-out copies no requests and no outcomes. Outcomes are
-// bit-identical to routing each request through Submit/SubmitWrite in
-// input order. With a non-nil scratch the steady state is allocation-free.
+// shards: the requests are bucketed per shard, every shard admits its
+// bucket as one contiguous sub-burst (SubmitBurstShard — each shard's
+// ledger is touched once per burst, not once per request), and the
+// outcomes are scattered back into input order. Outcomes are bit-identical
+// to routing each request through Submit/SubmitWrite in input order. With
+// a non-nil scratch the steady state is allocation-free. Callers that can
+// bucket while they decode (the binary server) skip the gather and call
+// SubmitBurstShard directly.
 func (a *Array) SubmitBurst(arrival float64, reqs []core.BurstReq, sc *BurstScratch) []core.Outcome {
+	if len(reqs) == 0 {
+		return nil
+	}
 	if sc == nil {
 		sc = &BurstScratch{}
 	}
 	sc.ensure(len(a.systems))
-	if len(reqs) == 0 {
-		return nil
-	}
 	if len(a.systems) == 1 {
-		sc.counts[0] = len(reqs)
-		return a.systems[0].SubmitBurst(arrival, reqs, &sc.core[0])
+		return a.SubmitBurstShard(0, arrival, reqs, &sc.core[0])
 	}
-	perIdx := sc.perIdx
 	for j := range reqs {
 		i := a.ShardOf(reqs[j].Block)
-		perIdx[i] = append(perIdx[i], int32(j))
+		sc.perReqs[i] = append(sc.perReqs[i], reqs[j])
+		sc.perIdx[i] = append(sc.perIdx[i], int32(j))
 	}
-	sc.perIdx = perIdx // keep grown backing
-	out := sc.outBuf(len(reqs))
-	for i, idx := range perIdx {
-		sc.counts[i] = len(idx)
-		if len(idx) == 0 {
+	if cap(sc.outs) < len(reqs) {
+		sc.outs = make([]core.Outcome, len(reqs))
+	}
+	out := sc.outs[:len(reqs)]
+	for i, bucket := range sc.perReqs {
+		if len(bucket) == 0 {
 			continue
 		}
-		a.systems[i].SubmitBurstScatter(arrival, reqs, idx, out)
-		if off := a.translate[i]; off != 0 {
-			for _, j := range idx {
-				if !out[j].Rejected {
-					out[j].Device += off
-				}
-			}
+		for k, o := range a.SubmitBurstShard(i, arrival, bucket, &sc.core[i]) {
+			out[sc.perIdx[i][k]] = o
 		}
 	}
 	return out
@@ -385,21 +336,12 @@ func (a *Array) SubmitBurst(arrival float64, reqs []core.BurstReq, sc *BurstScra
 
 // SubmitBurstShard admits a burst whose requests all belong to shard sh
 // (per Route/ShardOf) — the pre-partitioned entry point for callers that
-// bucket requests by shard while decoding them, which keeps the engine's
-// inner loop free of scatter indirection. Outcomes are in input order
-// with global device ids, bit-identical to the same subsequence routed
-// through SubmitBurst. The scratch belongs to the caller (one per
+// bucket requests by shard while decoding them. Outcomes are in input
+// order with global device ids, bit-identical to the same subsequence
+// routed through SubmitBurst. The scratch belongs to the caller (one per
 // (connection, shard)); nil allocates.
 func (a *Array) SubmitBurstShard(sh int, arrival float64, reqs []core.BurstReq, sc *core.BurstScratch) []core.Outcome {
-	outs := a.systems[sh].SubmitBurst(arrival, reqs, sc)
-	if off := a.translate[sh]; off != 0 {
-		for i := range outs {
-			if !outs[i].Rejected {
-				outs[i].Device += off
-			}
-		}
-	}
-	return outs
+	return a.systems[sh].SubmitBurst(arrival, reqs, sc)
 }
 
 // S returns the aggregate admission limit: K·S(M) guaranteed requests per

@@ -235,6 +235,9 @@ func TestShardConstructors(t *testing.T) {
 	if _, err := FromSystems(s9, s7); err == nil {
 		t.Error("mismatched device counts accepted")
 	}
+	if _, err := FromSystems(s9, s9); err == nil {
+		t.Error("second system numbering its devices from 0 accepted")
+	}
 
 	one := newArray(t, 1, core.Config{})
 	if one.ShardOf(12345) != 0 {

@@ -245,23 +245,13 @@ func (a *Array) sumCounters(name string) admission.Counters {
 }
 
 // SubmitTenant routes one tenant-tagged block read to its owning shard
-// (see core.ConcurrentSystem.SubmitTenant; tenant 0 behaves like Submit).
+// (see core.System.SubmitTenant; tenant 0 behaves like Submit).
 func (a *Array) SubmitTenant(arrival float64, block int64, tenant int32) core.Outcome {
-	i := a.ShardOf(block)
-	out := a.systems[i].SubmitTenant(arrival, block, tenant)
-	if off := a.translate[i]; off != 0 && !out.Rejected {
-		out.Device += off
-	}
-	return out
+	return a.systems[a.ShardOf(block)].SubmitTenant(arrival, block, tenant)
 }
 
 // SubmitWriteTenant routes one tenant-tagged block write to its owning
 // shard.
 func (a *Array) SubmitWriteTenant(arrival float64, block int64, tenant int32) core.Outcome {
-	i := a.ShardOf(block)
-	out := a.systems[i].SubmitWriteTenant(arrival, block, tenant)
-	if off := a.translate[i]; off != 0 && !out.Rejected {
-		out.Device += off
-	}
-	return out
+	return a.systems[a.ShardOf(block)].SubmitWriteTenant(arrival, block, tenant)
 }
