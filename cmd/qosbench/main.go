@@ -557,7 +557,7 @@ func printStatParallel(w io.Writer, seed int64, scale float64) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "parallel statistical admission, 8 submitters on a bursty exchange-like trace:")
+	fmt.Fprintln(w, "parallel statistical admission, 8 ticket-ordered submitters on a bursty exchange-like trace:")
 	for _, r := range rows {
 		fmt.Fprintf(w, "  %s\n", r)
 	}

@@ -1,7 +1,9 @@
 // Command qosd serves a replication-based QoS flash array over TCP — the
 // storage-cloud deployment the paper motivates. Clients submit block reads
-// with a line protocol (see internal/qosnet) and receive admission
-// outcomes and guaranteed response times. Requests from concurrent
+// and receive admission outcomes and guaranteed response times. Programs
+// speak the framed binary protocol (qosnet.DialBinary, or qosproxy in
+// front); a human can type the line protocol, which the server translates
+// into the same frames (see internal/qosnet). Requests from concurrent
 // connections flow through the lock-free admission pipeline
 // (core.System); see the qosnet package docs for the concurrency
 // model and robustness controls.

@@ -17,7 +17,8 @@ import (
 )
 
 // TestEndToEnd builds the qosd binary, starts it on an ephemeral port,
-// drives READ/MAP/STATS/METRICS/QUIT through the qosnet client, then
+// replays the package doc's nc session over a raw socket (the text front
+// end), drives READ/MAP/STATS/METRICS through the binary client, then
 // sends SIGINT and checks the shutdown drains cleanly with exit code 0.
 func TestEndToEnd(t *testing.T) {
 	if testing.Short() {
@@ -67,7 +68,24 @@ func TestEndToEnd(t *testing.T) {
 		}
 	}()
 
-	c, err := qosnet.Dial(addr)
+	// printf 'READ 42\nSTATS\nQUIT\n' | nc <addr>
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	io.WriteString(nc, "READ 42\nSTATS\nQUIT\n")
+	reply, err := io.ReadAll(nc) // QUIT closes the connection
+	nc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(reply), "\n")
+	if len(lines) != 3 || !strings.HasPrefix(lines[0], "OK ") || lines[1] != "STATS 1 0 0 0.000000" || lines[2] != "" {
+		t.Errorf("nc session answered %q, want an OK line, then STATS 1 0 0 0.000000", reply)
+	}
+
+	c, err := qosnet.DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,19 +110,19 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reqs != 1 || rejected != 0 {
-		t.Errorf("STATS = %d requests / %d rejected, want 1 / 0", reqs, rejected)
+	if reqs != 2 || rejected != 0 {
+		t.Errorf("STATS = %d requests / %d rejected, want 2 / 0", reqs, rejected)
 	}
 	m, err := c.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"flashqos_requests_total 1", "flashqos_admission_limit 5"} {
+	for _, want := range []string{"flashqos_requests_total 2", "flashqos_admission_limit 5"} {
 		if !strings.Contains(m, want) {
 			t.Errorf("METRICS missing %q:\n%s", want, m)
 		}
 	}
-	c.Close() // sends QUIT so the drain has nothing left to wait for
+	c.Close() // sends OpQuit so the drain has nothing left to wait for
 
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
@@ -174,7 +192,7 @@ func TestEndToEndBusy(t *testing.T) {
 	addr := strings.TrimSpace(banner[i+len("listening on "):])
 	go io.Copy(io.Discard, stdout)
 
-	first, err := qosnet.Dial(addr)
+	first, err := qosnet.DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

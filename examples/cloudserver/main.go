@@ -44,7 +44,7 @@ func main() {
 		wg.Add(1)
 		go func(ti int) {
 			defer wg.Done()
-			c, err := qosnet.Dial(addr.String())
+			c, err := qosnet.DialBinary(addr.String())
 			if err != nil {
 				log.Println(err)
 				return
@@ -72,7 +72,7 @@ func main() {
 		fmt.Printf("tenant %d: %d ok, %d delayed, worst response %.6f ms (guarantee %.6f)\n",
 			ti, r.ok, r.delayed, r.maxResp, 0.132507)
 	}
-	c, err := qosnet.Dial(addr.String())
+	c, err := qosnet.DialBinary(addr.String())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"flashqos/internal/health"
 	"flashqos/internal/qosnet"
 	"flashqos/internal/retrieval"
+	"flashqos/internal/wire"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func runLive(victim int, rebuildRate float64) {
 	defer srv.Close()
 	fmt.Printf("server: (9,3,1) design, S=%d, health on, rebuild %g copies/s, %s\n\n", sys.S(), rebuildRate, addr)
 
-	c, err := qosnet.Dial(addr.String())
+	c, err := qosnet.DialBinary(addr.String())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func runLive(victim int, rebuildRate float64) {
 		}
 		fmt.Printf("%s: 36 reads, %d served by device %d\n", label, onVictim, victim)
 	}
-	showHealth := func() qosnet.HealthStatus {
+	showHealth := func() wire.Health {
 		h, err := c.Health()
 		if err != nil {
 			log.Fatal(err)

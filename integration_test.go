@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"flashqos/internal/blockmap"
@@ -96,7 +98,7 @@ func TestPipelineServer(t *testing.T) {
 	go srv.Serve()
 	defer srv.Close()
 
-	c, err := qosnet.Dial(addr.String())
+	c, err := qosnet.DialBinary(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +129,36 @@ func TestPipelineServer(t *testing.T) {
 	}
 	if delayed != delayedSeen {
 		t.Errorf("server counted %d delayed, client saw %d", delayed, delayedSeen)
+	}
+}
+
+// TestExamplesOverTheWire builds and runs the two examples that drive a
+// live server through the binary client, and checks each exits cleanly
+// with its closing line.
+func TestExamplesOverTheWire(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs example binaries")
+	}
+	for _, ex := range []struct {
+		pkg  string
+		args []string
+		last string
+	}{
+		{"cloudserver", []string{"-tenants", "2", "-requests", "20"}, "every admitted request met the fixed response-time guarantee"},
+		{"degraded", nil, "recovered array"},
+	} {
+		bin := filepath.Join(t.TempDir(), ex.pkg)
+		if out, err := exec.Command("go", "build", "-o", bin, "./examples/"+ex.pkg).CombinedOutput(); err != nil {
+			t.Fatalf("go build %s: %v\n%s", ex.pkg, err, out)
+		}
+		out, err := exec.Command(bin, ex.args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s exited with %v:\n%s", ex.pkg, err, out)
+		}
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		if last := lines[len(lines)-1]; !strings.Contains(last, ex.last) {
+			t.Errorf("%s closing line %q, want it to contain %q", ex.pkg, last, ex.last)
+		}
 	}
 }
 

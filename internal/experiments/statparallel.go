@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flashqos/internal/core"
@@ -31,10 +31,10 @@ type ConcurrentStatRow struct {
 
 	// Violation accounting over T-windows of the horizon: a window is
 	// violated when any of its admitted requests finished past the
-	// deterministic guarantee. The paper's §III-B contract is that the
-	// violated fraction stays bounded near ε (plus sampling slack) — here
-	// verified with 8 submitters racing the lock-free snapshot path, not
-	// the serial controller.
+	// deterministic guarantee. Submission is ticket-ordered, so the
+	// violated set is the one a single submitter produces, whatever the
+	// goroutine count.
+	Violated    []int64 // violated windows, ascending
 	ViolWindows int
 	Windows     int
 	ViolRate    float64
@@ -56,18 +56,15 @@ func (r ConcurrentStatRow) String() string {
 // ConcurrentStatistical measures the parallelized statistical admission
 // path (core statGate) against the deterministic baseline under identical
 // bursty load: an exchange-like trace (reproducible from seed), submitted
-// by `goroutines` workers pulling a shared index, through one
-// core.System in each mode. The bursty sub-capacity shape matters:
-// the §III-B estimator prices interval-size risk, so its ε contract holds
-// in the regime where queues drain between bursts — sustained overload
-// would measure queueing collapse, not the admission tradeoff. Per-request
-// arrivals come from the trace, so the workload is reproducible even
-// though goroutine interleaving — and therefore the exact admission split
-// — is not; the experiment's claims are the inequalities the mechanism
-// guarantees, not exact counts: the deterministic baseline stays
-// violation-free, the statistical mode over-admits (some violated windows
-// exist), and its violated-window fraction stays the same order of
-// magnitude as ε.
+// through one core.System in each mode by `goroutines` workers in ticket
+// order — record i is submitted only after record i-1's Submit returned,
+// so the engine sees arrivals in arrival order while consecutive
+// submissions run on different goroutines. Every row is therefore
+// reproducible and equal to a one-submitter run's; the goroutine count only
+// moves WallOpsPerSec. The bursty sub-capacity shape matters: the §III-B
+// estimator prices interval-size risk, so its ε contract holds in the
+// regime where queues drain between bursts — sustained overload would
+// measure queueing collapse, not the admission tradeoff.
 func ConcurrentStatistical(goroutines int, seed int64, scale, epsilon float64, trials int) ([]ConcurrentStatRow, error) {
 	if goroutines < 1 {
 		return nil, fmt.Errorf("statparallel: need at least one submitter, got %d", goroutines)
@@ -117,22 +114,25 @@ func ConcurrentStatistical(goroutines int, seed int64, scale, epsilon float64, t
 		}
 
 		outs := make([]core.Outcome, offered)
-		var next atomic.Int64
+		// One token circulates the ring: worker g submits records g,
+		// g+goroutines, ... and passes the turn on when each Submit returns.
+		turn := make([]chan struct{}, goroutines)
+		for g := range turn {
+			turn[g] = make(chan struct{}, 1)
+		}
+		turn[0] <- struct{}{}
 		var wg sync.WaitGroup
 		start := time.Now()
 		for g := 0; g < goroutines; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(offered) {
-						return
-					}
-					r := tr.Records[i]
-					outs[i] = cs.Submit(r.Arrival, r.Block)
+				for i := g; i < offered; i += goroutines {
+					<-turn[g]
+					outs[i] = cs.Submit(tr.Records[i].Arrival, tr.Records[i].Block)
+					turn[(g+1)%goroutines] <- struct{}{}
 				}
-			}()
+			}(g)
 		}
 		wg.Wait()
 		wall := time.Since(start)
@@ -156,6 +156,11 @@ func ConcurrentStatistical(goroutines int, seed int64, scale, epsilon float64, t
 			}
 		}
 		windows := int(lastWindow) + 1
+		violated := make([]int64, 0, len(viol))
+		for w := range viol {
+			violated = append(violated, w)
+		}
+		slices.Sort(violated)
 		rows = append(rows, ConcurrentStatRow{
 			Mode:              mode.name,
 			Epsilon:           mode.eps,
@@ -163,6 +168,7 @@ func ConcurrentStatistical(goroutines int, seed int64, scale, epsilon float64, t
 			Offered:           offered,
 			HorizonMS:         horizon,
 			AdmittedInHorizon: admitted,
+			Violated:          violated,
 			ViolWindows:       len(viol),
 			Windows:           windows,
 			ViolRate:          float64(len(viol)) / float64(windows),

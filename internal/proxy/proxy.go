@@ -142,7 +142,7 @@ func New(addrs []string, opts Options) (*Proxy, error) {
 			p.closeBackends()
 			return nil, fmt.Errorf("proxy: backend %s health probe: %w", addr, err)
 		}
-		b.devices = h.Devices
+		b.devices = int(h.Devices)
 		b.up.Store(true)
 		offset += b.devices
 		p.backends = append(p.backends, b)
@@ -408,7 +408,7 @@ func call(c *qosnet.BinaryClient, op uint8, payload, dst []byte) ([]byte, error)
 		err error
 	}
 	ch := make(chan result, 1)
-	c.Call(op, payload, func(h wire.Header, p []byte, err error) {
+	c.CallFlags(op, 0, payload, func(h wire.Header, p []byte, err error) {
 		if err == nil && h.Flags&wire.FlagError != 0 {
 			err = errors.New(string(p))
 			p = nil
@@ -775,7 +775,7 @@ func (p *Proxy) forwardAdmin(w *connWriter, h wire.Header, payload []byte) {
 // count as unreachable devices, so the summary degrades instead of lying.
 func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpHealth, ID: h.ID}
-	reports := make([]*qosnet.HealthStatus, len(p.backends))
+	reports := make([]*wire.Health, len(p.backends))
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var ferr error
@@ -813,17 +813,14 @@ func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
 			}
 			continue
 		}
-		agg.Alive += int32(r.Alive)
-		agg.EffectiveS += int32(r.EffectiveS)
-		agg.FullS += int32(r.FullS)
-		agg.RebuildPending += int32(r.RebuildPending)
+		agg.Alive += r.Alive
+		agg.EffectiveS += r.EffectiveS
+		agg.FullS += r.FullS
+		agg.RebuildPending += r.RebuildPending
 		agg.RebuildDone += r.RebuildDone
 		for _, d := range r.States {
-			agg.States = append(agg.States, wire.DeviceHealth{
-				Device: int32(b.offset + d.Device),
-				EWMAMS: d.EWMAMS,
-				State:  d.State,
-			})
+			d.Device += int32(b.offset)
+			agg.States = append(agg.States, d)
 		}
 	}
 	w.writeFrame(resp, wire.AppendHealth(nil, agg))

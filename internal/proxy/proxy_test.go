@@ -143,7 +143,7 @@ func TestProxyBatchAndAggregation(t *testing.T) {
 			h.Devices, h.Alive, len(h.States))
 	}
 	for i, d := range h.States {
-		if d.Device != i {
+		if int(d.Device) != i {
 			t.Errorf("HEALTH state %d has device %d, want global ids in order", i, d.Device)
 		}
 	}

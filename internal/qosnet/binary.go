@@ -68,6 +68,329 @@ func toWireOutcome(out core.Outcome) wire.Outcome {
 	return o
 }
 
+// session is one connection's dispatch state, whichever wire format the
+// connection speaks: the pending submit burst, the reply scratch, and the
+// arrival stamp of the current socket fill. serve is the one verb table;
+// handleBinary feeds it frames off the socket, handleText feeds it frames
+// translated from request lines.
+type session struct {
+	s         *Server
+	st        *stripe
+	hasHealth bool    // monitors attach before serving
+	arrival   float64 // virtual arrival stamp of the current socket fill; < 0 until stamped
+	out       []byte  // encoded response frames not yet written
+
+	// The pending burst of READ/WRITE frames, bucketed by owning shard.
+	shIDs     [][]uint64
+	shReqs    [][]core.BurstReq
+	shSc      []core.BurstScratch
+	collected int // requests in the pending burst, all buckets
+
+	scratch []byte // response payload scratch
+	blocks  []int64
+	outs    []wire.Outcome
+	gauges  []wire.ShardGauge
+	devs    []wire.DeviceHealth
+	batchSc shard.BatchScratch
+	dataBuf []byte // OpGet payload scratch
+}
+
+func (s *Server) newSession(st *stripe) *session {
+	n := s.arr.Shards()
+	return &session{
+		s:         s,
+		st:        st,
+		hasHealth: s.anyHealth(),
+		arrival:   -1,
+		shIDs:     make([][]uint64, n),
+		shReqs:    make([][]core.BurstReq, n),
+		shSc:      make([]core.BurstScratch, n),
+	}
+}
+
+// stamp reads the virtual clock once per socket fill: every request drained
+// from one read genuinely arrived together, and the clock stays off the
+// per-request path. The connection loops reset arrival to -1 whenever the
+// next read may block.
+func (c *session) stamp() {
+	if c.arrival < 0 {
+		c.arrival = c.s.now()
+	}
+}
+
+// fail appends an error frame: the request's opcode and ID, FlagError, and
+// msg as payload.
+func (c *session) fail(h wire.Header, msg string) {
+	h.Flags |= wire.FlagError
+	h.Len = uint32(len(msg))
+	c.out = append(wire.AppendHeader(c.out, h), msg...)
+}
+
+// flushBurst admits the collected burst shard by shard and appends its
+// outcome frames to c.out, grouped by shard. Each shard's slice keeps its
+// arrival order (core.BurstReq semantics: outcomes bit-identical to
+// per-request submission in input order), and the shard's request counter
+// is bumped once per (shard, burst).
+func (c *session) flushBurst() {
+	if c.collected == 0 {
+		return
+	}
+	c.collected = 0
+	for sh, reqs := range c.shReqs {
+		if len(reqs) == 0 {
+			continue
+		}
+		outs := c.s.arr.SubmitBurstShard(sh, c.arrival, reqs, &c.shSc[sh])
+		n := &c.st.shard[sh]
+		n.Store(n.Load() + int64(len(reqs))) // single-writer, like bump
+		ids := c.shIDs[sh]
+		for i := range outs {
+			c.s.account(c.st, &outs[i], c.hasHealth)
+			op := uint8(wire.OpSubmit)
+			if reqs[i].Write {
+				op = wire.OpWrite
+			}
+			c.out = wire.AppendOutcomeFrame(c.out, wire.Header{Opcode: op, ID: ids[i]}, toWireOutcome(outs[i]))
+		}
+		c.shIDs[sh], c.shReqs[sh] = ids[:0], reqs[:0]
+	}
+}
+
+// serve is the verb table: it answers one request frame by appending its
+// response frame, or an error frame, to c.out, and reports whether the
+// frame was OpQuit. A READ/WRITE frame joins the pending burst instead
+// (the connection loop decides when the burst is admitted); every other
+// opcode settles that burst first, so its requests — which arrived earlier
+// — are answered earlier.
+func (c *session) serve(h wire.Header, payload []byte) (quit bool) {
+	s := c.s
+	resp := wire.Header{Opcode: h.Opcode, ID: h.ID}
+	if h.Opcode == wire.OpSubmit || h.Opcode == wire.OpWrite {
+		var (
+			block  int64
+			tenant int32
+			err    error
+		)
+		if h.Flags&wire.FlagTenant != 0 {
+			// Tenant-tagged request: the payload carries a trailing uvarint
+			// index, validated lock-free against the active-slot table. An
+			// unknown index gets a uniform error frame — never a silent fall
+			// back to the untenanted path.
+			block, tenant, err = wire.ParseTenantBlock(payload)
+			if err == nil && !s.arr.TenantActive(tenant) {
+				err = errUnknownTenant
+			}
+		} else {
+			block, err = wire.ParseBlock(payload)
+		}
+		if err != nil {
+			// The burst collected so far answers first so responses stay
+			// in request order.
+			c.flushBurst()
+			msg := "bad block payload"
+			if err == errUnknownTenant {
+				msg = err.Error()
+			}
+			c.fail(resp, msg)
+			return false
+		}
+		sh := 0
+		if len(c.shReqs) > 1 {
+			sh = shard.Route(block, len(c.shReqs))
+		}
+		c.shIDs[sh] = append(c.shIDs[sh], h.ID)
+		c.shReqs[sh] = append(c.shReqs[sh], core.BurstReq{Block: block, Tenant: tenant, Write: h.Opcode == wire.OpWrite})
+		c.collected++
+		return false
+	}
+	c.flushBurst()
+	var (
+		p   []byte // response payload
+		msg string // error message; non-empty answers an error frame
+	)
+	switch h.Opcode {
+	case wire.OpQuit:
+		return true
+	case wire.OpBatch:
+		var err error
+		if c.blocks, err = wire.ParseBatchReq(payload, c.blocks); err != nil || len(c.blocks) > maxBatchBlocks {
+			msg = "bad batch payload"
+			break
+		}
+		c.outs = c.outs[:0]
+		for i, out := range s.arr.SubmitBatch(c.arrival, c.blocks, &c.batchSc) {
+			bump(&c.st.shard[s.arr.ShardOf(c.blocks[i])])
+			s.account(c.st, &out, c.hasHealth)
+			c.outs = append(c.outs, toWireOutcome(out))
+		}
+		p = wire.AppendBatchResp(c.scratch[:0], c.outs)
+	case wire.OpMap:
+		block, err := wire.ParseBlock(payload)
+		if err != nil {
+			msg = "bad block payload"
+			break
+		}
+		i := s.arr.ShardOf(block)
+		sys := s.arr.System(i)
+		base := i * s.arr.DevicesPerShard()
+		m := wire.MapResp{DesignBlock: int32(sys.Mapper().DesignBlock(block))}
+		for _, d := range sys.Replicas(block) {
+			m.Devices = append(m.Devices, int32(base+d))
+		}
+		p = wire.AppendMapResp(c.scratch[:0], m)
+	case wire.OpStats:
+		req, del, rej, sum := s.totals()
+		avg := 0.0
+		if del > 0 {
+			avg = sum / float64(del)
+		}
+		p = wire.AppendStats(c.scratch[:0], wire.Stats{Requests: req, Delayed: del, Rejected: rej, AvgDelayMS: avg})
+	case wire.OpMetrics:
+		p = s.appendMetrics(c.scratch[:0], c.hasHealth)
+	case wire.OpFail, wire.OpRecover, wire.OpHealth:
+		dev, err := wire.ParseDevice(payload)
+		switch {
+		case h.Opcode != wire.OpHealth && err != nil:
+			msg = "bad device payload"
+		case !c.hasHealth:
+			msg = "no health monitor"
+		case h.Opcode == wire.OpHealth:
+			p = c.health()
+		case int(dev) >= s.arr.Devices():
+			msg = "bad device " + strconv.Itoa(int(dev))
+		default:
+			state, effS, err := s.adminFailRecover(h.Opcode == wire.OpFail, int(dev))
+			if err != nil {
+				msg = err.Error()
+				break
+			}
+			p = wire.AppendAdminResp(c.scratch[:0], wire.AdminResp{EffectiveS: int32(effS), State: state})
+		}
+	case wire.OpShardStats:
+		c.gauges = s.shardGauges(c.gauges)
+		p = wire.AppendShardStats(c.scratch[:0], c.gauges)
+	case wire.OpGet:
+		block, err := wire.ParseBlock(payload)
+		if err != nil {
+			msg = "bad block payload"
+			break
+		}
+		if s.opts.Store == nil {
+			msg = "no data store"
+			break
+		}
+		out, b, err := s.dataGet(c.st, block, c.hasHealth, c.arrival, c.dataBuf[:0])
+		if cap(b) > cap(c.dataBuf) {
+			c.dataBuf = b // keep the grown buffer for the connection
+		}
+		if err != nil {
+			msg = err.Error()
+			break
+		}
+		p = wire.AppendGetResp(c.scratch[:0], toWireOutcome(out), b)
+	case wire.OpPut:
+		block, data, err := wire.ParsePutReq(payload)
+		if err != nil {
+			msg = "bad put payload"
+			break
+		}
+		if s.opts.Store == nil {
+			msg = "no data store"
+			break
+		}
+		out, err := s.dataPut(c.st, block, data, c.hasHealth, c.arrival)
+		if err != nil {
+			msg = err.Error()
+			break
+		}
+		p = wire.AppendOutcome(c.scratch[:0], toWireOutcome(out))
+	case wire.OpTenantHello:
+		names, err := wire.ParseTenantHelloReq(payload)
+		if err != nil {
+			msg = "bad tenant hello payload"
+			break
+		}
+		idx := make([]int32, len(names))
+		for i, n := range names {
+			idx[i] = s.arr.TenantIndex(n)
+		}
+		p = wire.AppendTenantHelloResp(c.scratch[:0], idx)
+	case wire.OpTenant:
+		cmd, spec, err := wire.ParseTenantReq(payload)
+		if err != nil {
+			msg = "bad tenant payload"
+			break
+		}
+		switch cmd {
+		case wire.TenantCmdSet:
+			idx, err := s.arr.TenantSet(admission.TenantSpec{
+				Name:    spec.Name,
+				Reserve: int(spec.Reserve),
+				Limit:   int(spec.Limit),
+				Weight:  spec.Weight,
+			})
+			if err != nil {
+				msg = err.Error()
+				break
+			}
+			p = wire.AppendInt32(c.scratch[:0], idx)
+		case wire.TenantCmdGet:
+			tc, ok := s.arr.TenantGet(spec.Name)
+			if !ok {
+				msg = errUnknownTenant.Error()
+				break
+			}
+			p = wire.AppendTenantStats(c.scratch[:0], []wire.TenantEntry{tenantEntry(tc)})
+		case wire.TenantCmdDel:
+			if err := s.arr.TenantDel(spec.Name); err != nil {
+				msg = err.Error()
+			}
+		}
+	case wire.OpTenantStats:
+		var entries []wire.TenantEntry
+		for _, tc := range s.arr.TenantStats() {
+			entries = append(entries, tenantEntry(tc))
+		}
+		p = wire.AppendTenantStats(c.scratch[:0], entries)
+	default:
+		msg = "unknown opcode " + strconv.Itoa(int(h.Opcode))
+	}
+	if cap(p) > cap(c.scratch) {
+		c.scratch = p[:0] // keep the grown buffer for the connection
+	}
+	if msg != "" {
+		c.fail(resp, msg)
+	} else {
+		c.out = wire.AppendFrame(c.out, resp, p)
+	}
+	return false
+}
+
+// health builds the HEALTH report: the aggregate counters plus one entry
+// per global device ("unmonitored" for a shard without a monitor).
+func (c *session) health() []byte {
+	s := c.s
+	alive, pending, done := s.healthTotals()
+	h := wire.Health{
+		Devices:        int32(s.arr.Devices()),
+		Alive:          int32(alive),
+		EffectiveS:     int32(s.arr.EffectiveS()),
+		FullS:          int32(s.arr.S()),
+		RebuildPending: int32(pending),
+		RebuildDone:    done,
+		States:         c.devs[:0],
+	}
+	for g := 0; g < s.arr.Devices(); g++ {
+		d := wire.DeviceHealth{Device: int32(g), State: "unmonitored"}
+		if mon, local := s.monitorFor(g); mon != nil {
+			d.EWMAMS, d.State = mon.EWMA(local), mon.State(local).String()
+		}
+		h.States = append(h.States, d)
+	}
+	c.devs = h.States
+	return wire.AppendHealth(c.scratch[:0], h)
+}
+
 // handleBinary serves one framed connection. Requests are processed in
 // arrival order (admission is fast enough that per-connection concurrency
 // would only buy reordering); the request ID is echoed on every response,
@@ -81,67 +404,12 @@ func toWireOutcome(out core.Outcome) wire.Outcome {
 // per-shard bucket, so every shard admits one contiguous sub-burst with
 // no scatter indirection and its ledger stripes are touched once per
 // burst. Outcomes are bit-identical to per-frame submission; response
-// frames encode append-style into one scratch buffer flushed with a
-// single write, grouped by shard — request IDs are echoed on every
-// response, so the protocol permits the reordering (BinaryClient demuxes
-// by ID). Other opcodes settle the pending burst first.
+// frames encode append-style into one buffer written with a single
+// syscall, grouped by shard — request IDs are echoed on every response,
+// so the protocol permits the reordering (BinaryClient demuxes by ID).
 func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 	rd := wire.NewReader(r, s.opts.MaxPayloadBytes)
-	bw := bufio.NewWriterSize(conn, connReadBuf)
-	wr := wire.NewWriter(bw)
-	scratch := make([]byte, 0, 256)
-	var blocks []int64      // OpBatch request scratch
-	var outs []wire.Outcome // OpBatch response scratch
-	var gauges []wire.ShardGauge
-	nshards := s.arr.Shards()
-	var (
-		shIDs     = make([][]uint64, nshards)        // request IDs, bucketed by shard
-		shReqs    = make([][]core.BurstReq, nshards) // the collected burst, bucketed by shard
-		shSc      = make([]core.BurstScratch, nshards)
-		collected int    // requests in the pending burst, all buckets
-		burstResp []byte // encoded outcome frames for one burst
-		batchSc   shard.BatchScratch
-		dataBuf   []byte // OpGet payload scratch
-	)
-	hasHealth := s.anyHealth()
-	arrival := -1.0 // virtual arrival stamp, renewed per socket fill
-
-	// flushBurst admits the collected burst shard by shard and writes its
-	// outcome frames: straight to the socket in one write when nothing
-	// earlier sits in the bufio buffer (the common case — one syscall for
-	// the whole burst), through the buffer otherwise so error responses
-	// keep their place in the stream.
-	flushBurst := func() error {
-		if collected == 0 {
-			return nil
-		}
-		collected = 0
-		burstResp = burstResp[:0]
-		for sh := 0; sh < nshards; sh++ {
-			reqs := shReqs[sh]
-			if len(reqs) == 0 {
-				continue
-			}
-			bouts := s.submitBurstShard(st, sh, reqs, &shSc[sh], hasHealth, arrival)
-			ids := shIDs[sh]
-			for i := range bouts {
-				op := uint8(wire.OpSubmit)
-				if reqs[i].Write {
-					op = wire.OpWrite
-				}
-				burstResp = wire.AppendOutcomeFrame(burstResp,
-					wire.Header{Opcode: op, ID: ids[i]}, toWireOutcome(bouts[i]))
-			}
-			shIDs[sh], shReqs[sh] = ids[:0], reqs[:0]
-		}
-		if bw.Buffered() == 0 {
-			_, err := conn.Write(burstResp)
-			return err
-		}
-		_, err := bw.Write(burstResp)
-		return err
-	}
-
+	c := s.newSession(st)
 	for {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
@@ -150,304 +418,44 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 		if err != nil {
 			// A burst can be pending here — More counts a buffered
 			// malformed header as a frame — and its requests were already
-			// well-formed: answer them before reporting the error.
-			if flushBurst() != nil {
-				return
-			}
-			// A framing violation (bad magic/version, oversized length,
+			// well-formed: answer them before reporting the error. A
+			// framing violation (bad magic/version, oversized length,
 			// truncated frame) cannot be resynchronized: best-effort error
 			// frame, then close. Clean EOF just closes.
+			c.flushBurst()
 			if !errors.Is(err, io.EOF) {
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
-				wr.WriteError(wire.Header{}, err.Error())
-				bw.Flush()
+				c.fail(wire.Header{}, err.Error())
+			}
+			if len(c.out) > 0 {
+				conn.Write(c.out)
 			}
 			return
 		}
-		if arrival < 0 {
-			arrival = s.now()
+		c.stamp()
+		quit := c.serve(h, payload)
+		// Keep draining while the read buffer holds further complete
+		// frames — they arrived together and admit as one burst. The cap
+		// bounds latency and scratch growth under a stream that never
+		// drains. Write only when the next Next may block on the network
+		// (a buffered malformed header counts as "more": Next fails on it
+		// without blocking and that error path writes), so a pipelined
+		// burst costs one write syscall.
+		more := rd.More() && !quit
+		if !more || c.collected >= maxBurstFrames {
+			c.flushBurst()
 		}
-		resp := wire.Header{Opcode: h.Opcode, ID: h.ID}
-		if h.Opcode == wire.OpSubmit || h.Opcode == wire.OpWrite {
-			var (
-				block  int64
-				tenant int32
-				perr   error
-			)
-			if h.Flags&wire.FlagTenant != 0 {
-				// Tenant-tagged request: the payload carries a trailing
-				// uvarint index, validated lock-free against the active-slot
-				// table. An unknown index gets a uniform error frame — never
-				// a silent fall back to the untenanted path.
-				block, tenant, perr = wire.ParseTenantBlock(payload)
-				if perr == nil && !s.arr.TenantActive(tenant) {
-					perr = errUnknownTenant
-				}
-			} else {
-				block, perr = wire.ParseBlock(payload)
-			}
-			if perr != nil {
-				// The burst collected so far answers first so responses
-				// stay in request order.
-				if flushBurst() != nil {
-					return
-				}
-				msg := "bad block payload"
-				if perr == errUnknownTenant {
-					msg = perr.Error()
-				}
-				if wr.WriteError(resp, msg) != nil {
-					return
-				}
-			} else {
-				sh := 0
-				if nshards > 1 {
-					sh = shard.Route(block, nshards)
-				}
-				shIDs[sh] = append(shIDs[sh], h.ID)
-				shReqs[sh] = append(shReqs[sh], core.BurstReq{Block: block, Tenant: tenant, Write: h.Opcode == wire.OpWrite})
-				collected++
-				// Keep draining while the read buffer holds further
-				// complete frames — they arrived together and admit as one
-				// burst. The cap bounds latency and scratch growth under a
-				// stream that never drains.
-				if rd.More() && collected < maxBurstFrames {
-					continue
-				}
-				if flushBurst() != nil {
-					return
-				}
-			}
-			if !rd.More() {
-				if bw.Flush() != nil {
-					return
-				}
-				arrival = -1 // next frame comes off a fresh fill
-			}
-			continue
-		}
-		// Every other opcode settles the pending burst first: its requests
-		// arrived earlier and their responses go out earlier.
-		if flushBurst() != nil {
-			return
-		}
-		switch h.Opcode {
-		case wire.OpBatch:
-			var perr error
-			blocks, perr = wire.ParseBatchReq(payload, blocks)
-			if perr != nil || len(blocks) > maxBatchBlocks {
-				err = wr.WriteError(resp, "bad batch payload")
-				break
-			}
-			if outs != nil {
-				outs = outs[:0]
-			}
-			for _, out := range s.submitBatch(st, blocks, &batchSc, hasHealth, arrival) {
-				outs = append(outs, toWireOutcome(out))
-			}
-			scratch = wire.AppendBatchResp(scratch[:0], outs)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpMap:
-			block, perr := wire.ParseBlock(payload)
-			if perr != nil {
-				err = wr.WriteError(resp, "bad block payload")
-				break
-			}
-			i := s.arr.ShardOf(block)
-			sys := s.arr.System(i)
-			base := i * s.arr.DevicesPerShard()
-			m := wire.MapResp{DesignBlock: int32(sys.Mapper().DesignBlock(block))}
-			for _, d := range sys.Replicas(block) {
-				m.Devices = append(m.Devices, int32(base+d))
-			}
-			scratch = wire.AppendMapResp(scratch[:0], m)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpStats:
-			req, del, rej, sum := s.totals()
-			avg := 0.0
-			if del > 0 {
-				avg = sum / float64(del)
-			}
-			scratch = wire.AppendStats(scratch[:0], wire.Stats{
-				Requests: req, Delayed: del, Rejected: rej, AvgDelayMS: avg,
-			})
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpMetrics:
-			scratch = s.appendMetrics(scratch[:0], hasHealth)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpFail, wire.OpRecover:
-			dev, perr := wire.ParseDevice(payload)
-			if perr != nil {
-				err = wr.WriteError(resp, "bad device payload")
-				break
-			}
-			if !hasHealth {
-				err = wr.WriteError(resp, "no health monitor")
-				break
-			}
-			if int(dev) >= s.arr.Devices() {
-				err = wr.WriteError(resp, "bad device "+strconv.Itoa(int(dev)))
-				break
-			}
-			state, effS, aerr := s.adminFailRecover(h.Opcode == wire.OpFail, int(dev))
-			if aerr != nil {
-				err = wr.WriteError(resp, aerr.Error())
-				break
-			}
-			scratch = wire.AppendAdminResp(scratch[:0], wire.AdminResp{
-				EffectiveS: int32(effS), State: state,
-			})
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpHealth:
-			if !hasHealth {
-				err = wr.WriteError(resp, "no health monitor")
-				break
-			}
-			alive, pending, done := s.healthTotals()
-			hrep := wire.Health{
-				Devices:        int32(s.arr.Devices()),
-				Alive:          int32(alive),
-				EffectiveS:     int32(s.arr.EffectiveS()),
-				FullS:          int32(s.arr.S()),
-				RebuildPending: int32(pending),
-				RebuildDone:    done,
-			}
-			scratch = scratch[:0]
-			scratch = wire.AppendInt32(scratch, hrep.Devices)
-			scratch = wire.AppendInt32(scratch, hrep.Alive)
-			scratch = wire.AppendInt32(scratch, hrep.EffectiveS)
-			scratch = wire.AppendInt32(scratch, hrep.FullS)
-			scratch = wire.AppendInt32(scratch, hrep.RebuildPending)
-			scratch = wire.AppendInt64(scratch, hrep.RebuildDone)
-			scratch = wire.AppendUint32(scratch, uint32(s.arr.Devices()))
-			for g := 0; g < s.arr.Devices(); g++ {
-				scratch = wire.AppendInt32(scratch, int32(g))
-				mon, local := s.monitorFor(g)
-				if mon == nil {
-					scratch = wire.AppendFloat64(scratch, 0)
-					scratch = append(scratch, byte(len("unmonitored")))
-					scratch = append(scratch, "unmonitored"...)
-					continue
-				}
-				scratch = wire.AppendFloat64(scratch, mon.EWMA(local))
-				state := mon.State(local).String()
-				scratch = append(scratch, byte(len(state)))
-				scratch = append(scratch, state...)
-			}
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpShardStats:
-			gauges = s.shardGauges(gauges)
-			scratch = wire.AppendShardStats(scratch[:0], gauges)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpGet:
-			block, perr := wire.ParseBlock(payload)
-			if perr != nil {
-				err = wr.WriteError(resp, "bad block payload")
-				break
-			}
-			if s.opts.Store == nil {
-				err = wr.WriteError(resp, "no data store")
-				break
-			}
-			out, b, gerr := s.dataGet(st, block, hasHealth, arrival, dataBuf[:0])
-			if cap(b) > cap(dataBuf) {
-				dataBuf = b // keep the grown buffer for the connection
-			}
-			if gerr != nil {
-				err = wr.WriteError(resp, gerr.Error())
-				break
-			}
-			scratch = wire.AppendGetResp(scratch[:0], toWireOutcome(out), b)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpPut:
-			block, data, perr := wire.ParsePutReq(payload)
-			if perr != nil {
-				err = wr.WriteError(resp, "bad put payload")
-				break
-			}
-			if s.opts.Store == nil {
-				err = wr.WriteError(resp, "no data store")
-				break
-			}
-			out, werr := s.dataPut(st, block, data, hasHealth, arrival)
-			if werr != nil {
-				err = wr.WriteError(resp, werr.Error())
-				break
-			}
-			err = wr.WriteOutcome(resp, toWireOutcome(out))
-		case wire.OpTenantHello:
-			names, perr := wire.ParseTenantHelloReq(payload)
-			if perr != nil {
-				err = wr.WriteError(resp, "bad tenant hello payload")
-				break
-			}
-			idx := make([]int32, len(names))
-			for i, n := range names {
-				idx[i] = s.arr.TenantIndex(n)
-			}
-			scratch = wire.AppendTenantHelloResp(scratch[:0], idx)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpTenant:
-			cmd, spec, perr := wire.ParseTenantReq(payload)
-			if perr != nil {
-				err = wr.WriteError(resp, "bad tenant payload")
-				break
-			}
-			switch cmd {
-			case wire.TenantCmdSet:
-				idx, terr := s.arr.TenantSet(admission.TenantSpec{
-					Name:    spec.Name,
-					Reserve: int(spec.Reserve),
-					Limit:   int(spec.Limit),
-					Weight:  spec.Weight,
-				})
-				if terr != nil {
-					err = wr.WriteError(resp, terr.Error())
-					break
-				}
-				scratch = wire.AppendInt32(scratch[:0], idx)
-				err = wr.WriteFrame(resp, scratch)
-			case wire.TenantCmdGet:
-				tc, ok := s.arr.TenantGet(spec.Name)
-				if !ok {
-					err = wr.WriteError(resp, errUnknownTenant.Error())
-					break
-				}
-				scratch = wire.AppendTenantStats(scratch[:0], []wire.TenantEntry{tenantEntry(tc)})
-				err = wr.WriteFrame(resp, scratch)
-			case wire.TenantCmdDel:
-				if terr := s.arr.TenantDel(spec.Name); terr != nil {
-					err = wr.WriteError(resp, terr.Error())
-					break
-				}
-				err = wr.WriteFrame(resp, nil)
-			}
-		case wire.OpTenantStats:
-			var entries []wire.TenantEntry
-			for _, tc := range s.arr.TenantStats() {
-				entries = append(entries, tenantEntry(tc))
-			}
-			scratch = wire.AppendTenantStats(scratch[:0], entries)
-			err = wr.WriteFrame(resp, scratch)
-		case wire.OpQuit:
-			bw.Flush()
-			return
-		default:
-			err = wr.WriteError(resp, "unknown opcode "+strconv.Itoa(int(h.Opcode)))
-		}
-		if err != nil {
-			return
-		}
-		// Flush only when no further complete frame is buffered — i.e. when
-		// the next Next call may block on the network. A pipelined burst
-		// thus costs one write syscall. A buffered malformed header counts
-		// as "more": Next fails on it without blocking and that error path
-		// flushes.
-		if !rd.More() {
-			if bw.Flush() != nil {
+		if !more || len(c.out) >= connReadBuf {
+			if _, err := conn.Write(c.out); err != nil {
 				return
 			}
-			arrival = -1 // next frame comes off a fresh fill
+			c.out = c.out[:0]
+		}
+		if quit {
+			return
+		}
+		if !more {
+			c.arrival = -1 // next frame comes off a fresh fill
 		}
 	}
 }

@@ -3,7 +3,9 @@ package qosnet
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,59 +62,43 @@ func TestBinaryReadWriteRoundTrip(t *testing.T) {
 // placement, STATS totals, and a byte-identical METRICS page.
 func TestBinaryMatchesText(t *testing.T) {
 	_, addr := startShardedServer(t, 4)
-	tc := dialT(t, addr)
+	tc := dialText(t, addr)
 	bc := dialBinT(t, addr)
 
 	for block := int64(-3); block < 40; block += 7 {
-		tdb, tdevs, err := tc.Map(block)
+		db, devs, err := bc.Map(block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bdb, bdevs, err := bc.Map(block)
-		if err != nil {
-			t.Fatal(err)
+		want := fmt.Sprint("MAP ", db)
+		for _, d := range devs {
+			want += fmt.Sprint(" ", d)
 		}
-		if tdb != bdb {
-			t.Errorf("MAP %d designBlock: text %d, binary %d", block, tdb, bdb)
-		}
-		if len(tdevs) != len(bdevs) {
-			t.Fatalf("MAP %d devices: text %v, binary %v", block, tdevs, bdevs)
-		}
-		for i := range tdevs {
-			if tdevs[i] != bdevs[i] {
-				t.Errorf("MAP %d device[%d]: text %d, binary %d", block, i, tdevs[i], bdevs[i])
-			}
+		if got := tc.do(fmt.Sprint("MAP ", block)); got != want {
+			t.Errorf("MAP %d: text %q, binary %q", block, got, want)
 		}
 	}
 
 	if _, err := bc.Read(7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.Read(8); err != nil {
-		t.Fatal(err)
+	if got := tc.do("READ 8"); !strings.HasPrefix(got, "OK ") {
+		t.Fatalf("READ 8 answered %q", got)
 	}
-	treq, tdel, trej, tavg, err := tc.Stats()
+	req, del, rej, avg, err := bc.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	breq, bdel, brej, bavg, err := bc.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if treq != breq || tdel != bdel || trej != brej || tavg != bavg {
-		t.Errorf("STATS text (%d %d %d %g) != binary (%d %d %d %g)",
-			treq, tdel, trej, tavg, breq, bdel, brej, bavg)
+	if got, want := tc.do("STATS"), fmt.Sprintf("STATS %d %d %d %.6f", req, del, rej, avg); got != want {
+		t.Errorf("STATS text %q != binary %q", got, want)
 	}
 
-	tpage, err := tc.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tpage := tc.send("METRICS\n")
 	bpage, err := bc.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tpage != bpage {
+	if tpage != bpage+"\n" {
 		t.Errorf("METRICS pages differ:\ntext:\n%s\nbinary:\n%s", tpage, bpage)
 	}
 
@@ -130,8 +116,8 @@ func TestBinaryMatchesText(t *testing.T) {
 		}
 		total += g.Requests
 	}
-	if total != breq {
-		t.Errorf("shard requests sum %d != STATS total %d", total, breq)
+	if total != req {
+		t.Errorf("shard requests sum %d != STATS total %d", total, req)
 	}
 }
 
@@ -230,12 +216,13 @@ func TestBinaryFailRecoverHealth(t *testing.T) {
 	if h.States[2].State != "failed" {
 		t.Errorf("device 2 state %q, want failed", h.States[2].State)
 	}
-	th, err := dialT(t, addr).Health()
-	if err != nil {
-		t.Fatal(err)
+	want := fmt.Sprintf("HEALTH devices=%d alive=%d s=%d s_full=%d rebuild_pending=%d rebuild_done=%d\n",
+		h.Devices, h.Alive, h.EffectiveS, h.FullS, h.RebuildPending, h.RebuildDone)
+	for _, d := range h.States {
+		want += fmt.Sprintf("DEV %d %s %.6f\n", d.Device, d.State, d.EWMAMS)
 	}
-	if th.Alive != h.Alive || th.EffectiveS != h.EffectiveS || len(th.States) != len(h.States) {
-		t.Errorf("text HEALTH %+v != binary %+v", th, h)
+	if got := dialText(t, addr).send("HEALTH\n"); got != want+"\n" {
+		t.Errorf("text HEALTH:\n%s\nbinary:\n%s", got, want)
 	}
 
 	if state, effS, err = c.Recover(2); err != nil {
@@ -464,9 +451,8 @@ func TestProtoGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Text verbs work on the text-only server.
-	tc := dialT(t, textAddr)
-	if _, err := tc.Read(1); err != nil {
-		t.Fatal(err)
+	if got := dialText(t, textAddr).do("READ 1"); !strings.HasPrefix(got, "OK ") {
+		t.Fatalf("text-only server answered READ 1 with %q", got)
 	}
 }
 
@@ -485,17 +471,8 @@ func TestMixedProtocolStress(t *testing.T) {
 		wg.Add(2)
 		go func(seed int64) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
+			if err := textReads(addr, seed*1000, each); err != nil {
 				errc <- err
-				return
-			}
-			defer c.Close()
-			for j := 0; j < each; j++ {
-				if _, err := c.Read(seed*1000 + int64(j)); err != nil {
-					errc <- err
-					return
-				}
 			}
 		}(int64(i))
 		go func(seed int64) {

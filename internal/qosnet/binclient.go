@@ -12,6 +12,18 @@ import (
 	"flashqos/internal/wire"
 )
 
+// ReadResult is the outcome of a READ/WRITE (or GET/PUT) request.
+type ReadResult struct {
+	Device   int
+	DelayMS  float64
+	RespMS   float64
+	Delayed  bool
+	Rejected bool
+	// OverLimit marks a rejection by the tenant gate's per-window arrival
+	// limit (the text REJECTED line does not distinguish it).
+	OverLimit bool
+}
+
 // SubmitResult is one asynchronous READ/WRITE completion delivered by a
 // BinaryClient. ID is the request ID the completion answered — under deep
 // pipelining (and behind a proxy) completions arrive out of order.
@@ -148,53 +160,42 @@ func (c *BinaryClient) kickFlush() {
 	}
 }
 
-// register installs a completion callback for id unless the client has
-// already failed, in which case the terminal error is returned.
-func (c *BinaryClient) register(id uint64, cb func(wire.Header, []byte, error)) error {
+// call registers cb for request id and frames the request; the payload
+// bytes are copied into the write buffer before call returns. cb runs
+// exactly once: on the demultiplexer goroutine with the response header
+// and payload (valid only for the duration of the call), or on the
+// caller's with the error when the request could not be enqueued.
+func (c *BinaryClient) call(id uint64, op, flags uint8, payload []byte, cb func(h wire.Header, payload []byte, err error)) {
 	c.pmu.Lock()
-	if c.failed != nil {
-		err := c.failed
-		c.pmu.Unlock()
-		return err
-	}
-	c.pending[id] = cb
-	c.pmu.Unlock()
-	return nil
-}
-
-func (c *BinaryClient) unregister(id uint64) {
-	c.pmu.Lock()
-	if c.pending != nil {
-		delete(c.pending, id)
+	err := c.failed
+	if err == nil {
+		c.pending[id] = cb
 	}
 	c.pmu.Unlock()
-}
-
-// send frames one request. The payload bytes are copied into the write
-// buffer before send returns.
-func (c *BinaryClient) send(op uint8, id uint64, payload []byte) error {
-	return c.sendFlags(op, 0, id, payload)
-}
-
-// sendFlags is send with explicit header flags (FlagTenant marks a
-// tenant-tagged submission payload).
-func (c *BinaryClient) sendFlags(op, flags uint8, id uint64, payload []byte) error {
-	c.wmu.Lock()
-	if c.werr != nil {
-		err := c.werr
-		c.wmu.Unlock()
-		return err
-	}
-	err := c.wr.WriteFrame(wire.Header{Opcode: op, Flags: flags, ID: id}, payload)
 	if err != nil {
-		c.werr = err
+		cb(wire.Header{}, nil, err)
+		return
+	}
+	c.wmu.Lock()
+	if err = c.werr; err == nil {
+		if err = c.wr.WriteFrame(wire.Header{Opcode: op, Flags: flags, ID: id}, payload); err != nil {
+			c.werr = err
+		}
 	}
 	c.wmu.Unlock()
-	if err != nil {
-		return err
+	if err == nil {
+		c.kickFlush()
+		return
 	}
-	c.kickFlush()
-	return nil
+	// Withdraw the registration — unless a failing demultiplexer has
+	// already completed it.
+	c.pmu.Lock()
+	_, pending := c.pending[id]
+	delete(c.pending, id)
+	c.pmu.Unlock()
+	if pending {
+		cb(wire.Header{}, nil, err)
+	}
 }
 
 // Close sends OpQuit and closes the connection. In-flight requests
@@ -228,28 +229,24 @@ func fromWireOutcome(o wire.Outcome) ReadResult {
 // (capacity 1) delivers exactly one completion; it never blocks the
 // demultiplexer.
 func (c *BinaryClient) SubmitAsync(block int64) <-chan SubmitResult {
-	return c.submitAsync(wire.OpSubmit, block)
+	return c.submitBlock(wire.OpSubmit, block, 0)
 }
 
 // WriteAsync enqueues a pipelined block write.
 func (c *BinaryClient) WriteAsync(block int64) <-chan SubmitResult {
-	return c.submitAsync(wire.OpWrite, block)
-}
-
-func (c *BinaryClient) submitAsync(op uint8, block int64) <-chan SubmitResult {
-	return c.submitTenantAsync(op, block, 0)
+	return c.submitBlock(wire.OpWrite, block, 0)
 }
 
 // SubmitTenantAsync enqueues a pipelined block read under a tenant index
 // (1-based, negotiated via TenantHello). The server answers an unknown
 // index with an error frame, never a silent untenanted admission.
 func (c *BinaryClient) SubmitTenantAsync(block int64, tenant int32) <-chan SubmitResult {
-	return c.submitTenantAsync(wire.OpSubmit, block, tenant)
+	return c.submitBlock(wire.OpSubmit, block, tenant)
 }
 
 // WriteTenantAsync enqueues a pipelined block write under a tenant index.
 func (c *BinaryClient) WriteTenantAsync(block int64, tenant int32) <-chan SubmitResult {
-	return c.submitTenantAsync(wire.OpWrite, block, tenant)
+	return c.submitBlock(wire.OpWrite, block, tenant)
 }
 
 // ReadTenant submits a tenant-tagged block read and waits for the outcome.
@@ -264,105 +261,63 @@ func (c *BinaryClient) WriteTenant(block int64, tenant int32) (ReadResult, error
 	return res.ReadResult, res.Err
 }
 
-func (c *BinaryClient) submitTenantAsync(op uint8, block int64, tenant int32) <-chan SubmitResult {
-	ch := make(chan SubmitResult, 1)
-	id := c.nextID.Add(1)
-	cb := func(h wire.Header, payload []byte, err error) {
-		if err != nil {
-			ch <- SubmitResult{ID: id, Err: err}
-			return
-		}
-		if h.Flags&wire.FlagError != 0 {
-			ch <- SubmitResult{ID: id, Err: errorFrame(payload)}
-			return
-		}
-		o, _, perr := wire.ParseOutcome(payload)
-		if perr != nil {
-			ch <- SubmitResult{ID: id, Err: perr}
-			return
-		}
-		ch <- SubmitResult{ID: id, ReadResult: fromWireOutcome(o)}
-	}
-	if err := c.register(id, cb); err != nil {
-		ch <- SubmitResult{ID: id, Err: err}
-		return ch
-	}
+func (c *BinaryClient) submitBlock(op uint8, block int64, tenant int32) <-chan SubmitResult {
 	// The tenant tag adds a flag bit and a trailing uvarint; untenanted
 	// requests keep the exact 8-byte payload and zero flags.
 	var payload [13]byte
-	var p []byte
-	var flags uint8
 	if tenant != 0 {
-		p = wire.AppendTenantBlock(payload[:0], block, tenant)
-		flags = wire.FlagTenant
-	} else {
-		p = wire.AppendBlock(payload[:0], block)
+		return c.submitAsync(op, wire.FlagTenant, wire.AppendTenantBlock(payload[:0], block, tenant))
 	}
-	if err := c.sendFlags(op, flags, id, p); err != nil {
-		c.unregister(id)
-		ch <- SubmitResult{ID: id, Err: err}
-	}
+	return c.submitAsync(op, 0, wire.AppendBlock(payload[:0], block))
+}
+
+// submitAsync frames one request answered by an outcome frame (READ, WRITE,
+// PUT) and returns a channel (capacity 1, so it never blocks the
+// demultiplexer) that delivers exactly one completion.
+func (c *BinaryClient) submitAsync(op, flags uint8, payload []byte) <-chan SubmitResult {
+	ch := make(chan SubmitResult, 1)
+	id := c.nextID.Add(1)
+	c.call(id, op, flags, payload, func(h wire.Header, p []byte, err error) {
+		if err == nil && h.Flags&wire.FlagError != 0 {
+			err = errorFrame(p)
+		}
+		var o wire.Outcome
+		if err == nil {
+			o, _, err = wire.ParseOutcome(p)
+		}
+		ch <- SubmitResult{ID: id, ReadResult: fromWireOutcome(o), Err: err}
+	})
 	return ch
 }
 
-// Call enqueues one framed request and invokes cb exactly once with the
-// response header and payload (the payload is valid only for the duration
-// of the call) or a terminal error. cb normally runs on the demultiplexer
-// goroutine; on enqueue failure it runs on the caller's. This is the
-// building block the proxy tier forwards frames with — no per-request
-// round-trip serialization.
-func (c *BinaryClient) Call(op uint8, payload []byte, cb func(h wire.Header, payload []byte, err error)) {
-	c.CallFlags(op, 0, payload, cb)
-}
-
-// CallFlags is Call with explicit request header flags — the proxy uses it
-// to forward tenant-tagged frames (FlagTenant) without re-encoding them.
+// CallFlags enqueues one framed request with the given header flags and
+// invokes cb exactly once with the response header and payload (the
+// payload is valid only for the duration of the call) or a terminal error.
+// cb normally runs on the demultiplexer goroutine; on enqueue failure it
+// runs on the caller's. This is the building block the proxy tier forwards
+// frames with — no per-request round-trip serialization, and tenant-tagged
+// frames (FlagTenant) pass through without re-encoding.
 func (c *BinaryClient) CallFlags(op, flags uint8, payload []byte, cb func(h wire.Header, payload []byte, err error)) {
-	id := c.nextID.Add(1)
-	if err := c.register(id, cb); err != nil {
-		cb(wire.Header{}, nil, err)
-		return
-	}
-	if err := c.sendFlags(op, flags, id, payload); err != nil {
-		c.unregister(id)
-		cb(wire.Header{}, nil, err)
-	}
+	c.call(c.nextID.Add(1), op, flags, payload, cb)
 }
 
 // do frames one synchronous request and waits for its completion,
-// returning a copy of the response payload.
-func (c *BinaryClient) do(op uint8, payload []byte) (wire.Header, []byte, error) {
+// returning a copy of the response payload; an error frame comes back as
+// the error.
+func (c *BinaryClient) do(op uint8, payload []byte) ([]byte, error) {
 	type result struct {
-		h       wire.Header
 		payload []byte
 		err     error
 	}
 	ch := make(chan result, 1)
-	id := c.nextID.Add(1)
-	cb := func(h wire.Header, p []byte, err error) {
-		if err != nil {
-			ch <- result{err: err}
-			return
+	c.call(c.nextID.Add(1), op, 0, payload, func(h wire.Header, p []byte, err error) {
+		if err == nil && h.Flags&wire.FlagError != 0 {
+			err = errorFrame(p)
 		}
-		cp := make([]byte, len(p))
-		copy(cp, p)
-		ch <- result{h: h, payload: cp}
-	}
-	if err := c.register(id, cb); err != nil {
-		return wire.Header{}, nil, err
-	}
-	if err := c.send(op, id, payload); err != nil {
-		c.unregister(id)
-		return wire.Header{}, nil, err
-	}
+		ch <- result{append([]byte(nil), p...), err}
+	})
 	res := <-ch
-	if res.err != nil {
-		return wire.Header{}, nil, res.err
-	}
-	if res.h.Flags&wire.FlagError != 0 {
-		return res.h, nil, errorFrame(res.payload)
-	}
-	return res.h, res.payload, nil
+	return res.payload, res.err
 }
 
 // Put stores payload bytes under block and waits for the outcome: QoS
@@ -373,19 +328,8 @@ func (c *BinaryClient) do(op uint8, payload []byte) (wire.Header, []byte, error)
 // check r.Rejected before treating the payload as durable. Requires a
 // server running with a data store (-backend pack).
 func (c *BinaryClient) Put(block int64, payload []byte) (ReadResult, error) {
-	buf := wire.GetBuffer()
-	p := wire.AppendPutReq((*buf)[:0], block, payload)
-	*buf = p[:0]
-	_, resp, err := c.do(wire.OpPut, p)
-	wire.PutBuffer(buf)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	o, _, perr := wire.ParseOutcome(resp)
-	if perr != nil {
-		return ReadResult{}, perr
-	}
-	return fromWireOutcome(o), nil
+	res := <-c.PutAsync(block, payload)
+	return res.ReadResult, res.Err
 }
 
 // PutAsync enqueues a pipelined payload write; the returned channel
@@ -394,37 +338,11 @@ func (c *BinaryClient) Put(block int64, payload []byte) (ReadResult, error) {
 // contract; a rejected admission also completes with a nil Err, so check
 // Rejected before counting the write as stored.
 func (c *BinaryClient) PutAsync(block int64, payload []byte) <-chan SubmitResult {
-	ch := make(chan SubmitResult, 1)
-	id := c.nextID.Add(1)
-	cb := func(h wire.Header, p []byte, err error) {
-		if err != nil {
-			ch <- SubmitResult{ID: id, Err: err}
-			return
-		}
-		if h.Flags&wire.FlagError != 0 {
-			ch <- SubmitResult{ID: id, Err: errorFrame(p)}
-			return
-		}
-		o, _, perr := wire.ParseOutcome(p)
-		if perr != nil {
-			ch <- SubmitResult{ID: id, Err: perr}
-			return
-		}
-		ch <- SubmitResult{ID: id, ReadResult: fromWireOutcome(o)}
-	}
-	if err := c.register(id, cb); err != nil {
-		ch <- SubmitResult{ID: id, Err: err}
-		return ch
-	}
 	buf := wire.GetBuffer()
 	p := wire.AppendPutReq((*buf)[:0], block, payload)
 	*buf = p[:0]
-	err := c.send(wire.OpPut, id, p)
+	ch := c.submitAsync(wire.OpPut, 0, p)
 	wire.PutBuffer(buf)
-	if err != nil {
-		c.unregister(id)
-		ch <- SubmitResult{ID: id, Err: err}
-	}
 	return ch
 }
 
@@ -432,7 +350,7 @@ func (c *BinaryClient) PutAsync(block int64, payload []byte) <-chan SubmitResult
 // nil when admission rejected the request (r.Rejected); a missing block
 // or an all-replicas-faulted read comes back as an error.
 func (c *BinaryClient) Get(block int64) (r ReadResult, data []byte, err error) {
-	_, resp, err := c.do(wire.OpGet, wire.AppendBlock(nil, block))
+	resp, err := c.do(wire.OpGet, wire.AppendBlock(nil, block))
 	if err != nil {
 		return ReadResult{}, nil, err
 	}
@@ -463,7 +381,7 @@ func (c *BinaryClient) Write(block int64) (ReadResult, error) {
 // Batch submits simultaneous reads for joint admission and returns the
 // outcomes in input order.
 func (c *BinaryClient) Batch(blocks []int64) ([]ReadResult, error) {
-	_, payload, err := c.do(wire.OpBatch, wire.AppendBatchReq(nil, blocks))
+	payload, err := c.do(wire.OpBatch, wire.AppendBatchReq(nil, blocks))
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +398,7 @@ func (c *BinaryClient) Batch(blocks []int64) ([]ReadResult, error) {
 
 // Map asks where a data block lives.
 func (c *BinaryClient) Map(block int64) (designBlock int, devices []int, err error) {
-	_, payload, err := c.do(wire.OpMap, wire.AppendBlock(nil, block))
+	payload, err := c.do(wire.OpMap, wire.AppendBlock(nil, block))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -497,7 +415,7 @@ func (c *BinaryClient) Map(block int64) (designBlock int, devices []int, err err
 
 // Stats fetches the server counters.
 func (c *BinaryClient) Stats() (requests, delayed, rejected int64, avgDelayMS float64, err error) {
-	_, payload, err := c.do(wire.OpStats, nil)
+	payload, err := c.do(wire.OpStats, nil)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
@@ -510,7 +428,7 @@ func (c *BinaryClient) Stats() (requests, delayed, rejected int64, avgDelayMS fl
 
 // Metrics fetches the Prometheus-style exposition text.
 func (c *BinaryClient) Metrics() (string, error) {
-	_, payload, err := c.do(wire.OpMetrics, nil)
+	payload, err := c.do(wire.OpMetrics, nil)
 	if err != nil {
 		return "", err
 	}
@@ -531,7 +449,7 @@ func (c *BinaryClient) admin(op uint8, device int) (string, int, error) {
 	if device < 0 {
 		return "", 0, fmt.Errorf("qosnet: bad device %d", device)
 	}
-	_, payload, err := c.do(op, wire.AppendDevice(nil, uint32(device)))
+	payload, err := c.do(op, wire.AppendDevice(nil, uint32(device)))
 	if err != nil {
 		return "", 0, err
 	}
@@ -543,36 +461,17 @@ func (c *BinaryClient) admin(op uint8, device int) (string, int, error) {
 }
 
 // Health fetches the device-health report.
-func (c *BinaryClient) Health() (HealthStatus, error) {
-	_, payload, err := c.do(wire.OpHealth, nil)
+func (c *BinaryClient) Health() (wire.Health, error) {
+	payload, err := c.do(wire.OpHealth, nil)
 	if err != nil {
-		return HealthStatus{}, err
+		return wire.Health{}, err
 	}
-	h, err := wire.ParseHealth(payload)
-	if err != nil {
-		return HealthStatus{}, err
-	}
-	hs := HealthStatus{
-		Devices:        int(h.Devices),
-		Alive:          int(h.Alive),
-		EffectiveS:     int(h.EffectiveS),
-		FullS:          int(h.FullS),
-		RebuildPending: int(h.RebuildPending),
-		RebuildDone:    h.RebuildDone,
-	}
-	for _, d := range h.States {
-		hs.States = append(hs.States, DeviceHealth{
-			Device: int(d.Device),
-			State:  d.State,
-			EWMAMS: d.EWMAMS,
-		})
-	}
-	return hs, nil
+	return wire.ParseHealth(payload)
 }
 
 // ShardStats fetches the per-shard admission gauges.
 func (c *BinaryClient) ShardStats() ([]wire.ShardGauge, error) {
-	_, payload, err := c.do(wire.OpShardStats, nil)
+	payload, err := c.do(wire.OpShardStats, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -584,7 +483,7 @@ func (c *BinaryClient) ShardStats() ([]wire.ShardGauge, error) {
 // the per-request hot path (SubmitTenantAsync), so clients hello once per
 // connection and cache the mapping.
 func (c *BinaryClient) TenantHello(names []string) ([]int32, error) {
-	_, payload, err := c.do(wire.OpTenantHello, wire.AppendTenantHelloReq(nil, names))
+	payload, err := c.do(wire.OpTenantHello, wire.AppendTenantHelloReq(nil, names))
 	if err != nil {
 		return nil, err
 	}
@@ -601,7 +500,7 @@ func (c *BinaryClient) TenantHello(names []string) ([]int32, error) {
 // TenantSet installs or updates one tenant's QoS policy live (admin) and
 // returns its stable 1-based index.
 func (c *BinaryClient) TenantSet(spec wire.TenantSpec) (int32, error) {
-	_, payload, err := c.do(wire.OpTenant, wire.AppendTenantReq(nil, wire.TenantCmdSet, spec))
+	payload, err := c.do(wire.OpTenant, wire.AppendTenantReq(nil, wire.TenantCmdSet, spec))
 	if err != nil {
 		return 0, err
 	}
@@ -617,7 +516,7 @@ func (c *BinaryClient) TenantSet(spec wire.TenantSpec) (int32, error) {
 
 // TenantGet fetches one tenant's policy and cross-shard gauges (admin).
 func (c *BinaryClient) TenantGet(name string) (wire.TenantEntry, error) {
-	_, payload, err := c.do(wire.OpTenant, wire.AppendTenantReq(nil, wire.TenantCmdGet, wire.TenantSpec{Name: name}))
+	payload, err := c.do(wire.OpTenant, wire.AppendTenantReq(nil, wire.TenantCmdGet, wire.TenantSpec{Name: name}))
 	if err != nil {
 		return wire.TenantEntry{}, err
 	}
@@ -633,13 +532,13 @@ func (c *BinaryClient) TenantGet(name string) (wire.TenantEntry, error) {
 
 // TenantDel deactivates a tenant (admin); its index stays reserved.
 func (c *BinaryClient) TenantDel(name string) error {
-	_, _, err := c.do(wire.OpTenant, wire.AppendTenantReq(nil, wire.TenantCmdDel, wire.TenantSpec{Name: name}))
+	_, err := c.do(wire.OpTenant, wire.AppendTenantReq(nil, wire.TenantCmdDel, wire.TenantSpec{Name: name}))
 	return err
 }
 
 // TenantStats fetches every active tenant's policy and gauges.
 func (c *BinaryClient) TenantStats() ([]wire.TenantEntry, error) {
-	_, payload, err := c.do(wire.OpTenantStats, nil)
+	payload, err := c.do(wire.OpTenantStats, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -48,22 +48,10 @@ func TestConcurrentClientsStress(t *testing.T) {
 		wg.Add(1)
 		go func(base int64) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for j := int64(0); j < perClient; j++ {
-				res, err := c.Read(base*1_000_000 + j)
-				if err != nil {
-					errs <- fmt.Errorf("client %d read %d: %w", base, j, err)
-					return
-				}
-				if res.Rejected {
-					errs <- fmt.Errorf("client %d read %d rejected under Delay policy", base, j)
-					return
-				}
+			// An admitted "OK" reply is required: nothing may be rejected
+			// under the Delay policy.
+			if err := textReads(addr, base*1_000_000, perClient); err != nil {
+				errs <- fmt.Errorf("client %d: %w", base, err)
 			}
 		}(int64(i))
 	}
@@ -73,12 +61,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	reqs, delayed, rejected, avg, err := c.Stats()
+	reqs, delayed, rejected, avg, err := dialBinT(t, addr).Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +163,7 @@ func TestReadTimeout(t *testing.T) {
 func TestMaxConns(t *testing.T) {
 	_, addr := startServerOpts(t, Options{MaxConns: 1})
 
-	first, err := Dial(addr)
+	first, err := DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +189,7 @@ func TestMaxConns(t *testing.T) {
 	// The slot frees asynchronously as the handler unwinds; retry briefly.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		c, err := Dial(addr)
+		c, err := DialBinary(addr)
 		if err == nil {
 			if _, err := c.Read(2); err == nil {
 				c.Close()
@@ -225,7 +208,7 @@ func TestMaxConns(t *testing.T) {
 // finish within the drain window.
 func TestShutdownDrainClean(t *testing.T) {
 	srv, addr := startServerOpts(t, Options{})
-	c, err := Dial(addr)
+	c, err := DialBinary(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,22 @@ type BlockStore interface {
 // errNoReplica answers a GET for a block no available replica holds.
 var errNoReplica = errors.New("block not found")
 
+// submitAt admits one data-path GET (write false) or PUT at the given
+// arrival with the server's striped accounting. The health success sample
+// is left to the caller: it belongs to the device that actually served
+// bytes, known only after the real I/O lands.
+func (s *Server) submitAt(st *stripe, write bool, block int64, arrival float64) core.Outcome {
+	var out core.Outcome
+	if write {
+		out = s.arr.SubmitWrite(arrival, block)
+	} else {
+		out = s.arr.Submit(arrival, block)
+	}
+	bump(&st.shard[s.arr.ShardOf(block)])
+	s.account(st, &out, false)
+	return out
+}
+
 // dataGet runs one payload read: QoS admission decides the device and the
 // timing outcome exactly as a timing-only READ would, then the payload is
 // served from the store — from the chosen device when it holds the block,
@@ -41,7 +57,7 @@ var errNoReplica = errors.New("block not found")
 // rejected outcome reads nothing. A non-nil error means no bytes could be
 // served (every replica missed or faulted).
 func (s *Server) dataGet(st *stripe, block int64, hasHealth bool, arrival float64, dst []byte) (core.Outcome, []byte, error) {
-	out := s.submitAt(st, false, block, 0, false, arrival) // success feed follows the real read
+	out := s.submitAt(st, false, block, arrival)
 	if out.Rejected {
 		return out, dst, nil
 	}
@@ -104,7 +120,7 @@ func (s *Server) dataGet(st *stripe, block int64, hasHealth bool, arrival float6
 // contract: a nil error means the payload is group-commit fsynced on at
 // least one replica and every available replica was attempted.
 func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, arrival float64) (core.Outcome, error) {
-	out := s.submitAt(st, true, block, 0, false, arrival) // success feed follows the real writes
+	out := s.submitAt(st, true, block, arrival)
 	if out.Rejected {
 		return out, nil
 	}

@@ -62,6 +62,13 @@ func FuzzHandle(f *testing.F) {
 		"READ 5 ghost\nWRITE 5 ghost\n",
 		"TENANT\nTENANT SET\nTENANT SET a x y z\nTENANT GET ghost\nTENANT DEL ghost\nTENANT BOGUS a\n",
 		"TENANT SET big 99 0 1\nTENANT SET a 2 -1 0\n",
+		// Translator edges: a tenant name on a server with no policy, extra
+		// arguments, CRLF-terminated verbs.
+		"write 3 alpha\n",
+		"TENANT SET a 1 0 1 extra\n",
+		"HEALTH x\n",
+		"READ 1\r\nMAP 2\r\nSTATS\r\nFAIL 0\r\nRECOVER 0\r\nTENANT GET a\r\n",
+		"TENANT SET " + strings.Repeat("n", 300) + " 1 0 1\nTENANT DEL x y\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -152,6 +159,8 @@ func FuzzHandleStat(f *testing.F) {
 		"BOGUS\n\x00\xff METRICS\n",
 		"READ " + strings.Repeat("9", 400) + "\nMETRICS\n",
 		"QUIT\nMETRICS\n",
+		"READ 5 alpha\r\nwrite 3 alpha\nHEALTH x\n", // no tenant policy installed
+		"TENANT SET a 1 0 1 extra\nREAD 7\r\nMETRICS\r\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -370,44 +379,5 @@ func FuzzHandleTenant(f *testing.F) {
 		}
 		client.Close()
 		<-respDone
-	})
-}
-
-// FuzzParseShardQ throws arbitrary exposition text at the strict per-shard
-// Q parser: it must never panic, and anything it accepts must be internally
-// consistent — shard-indexed probabilities with no gaps or duplicates.
-func FuzzParseShardQ(f *testing.F) {
-	seeds := []string{
-		"flashqos_shard_q_estimate{shard=\"0\"} 0.001\n",
-		"flashqos_shard_q_estimate{shard=\"0\"} 0\nflashqos_shard_q_estimate{shard=\"1\"} 1\n",
-		"# TYPE flashqos_shard_q_estimate gauge\nflashqos_shard_q_estimate{shard=\"1\"} 0.5\nflashqos_shard_q_estimate{shard=\"0\"} 0.25\n",
-		"flashqos_shard_q_estimate{shard=\"0\"} 0.1\nflashqos_shard_q_estimate{shard=\"0\"} 0.2\n",
-		"flashqos_shard_q_estimate{shard=\"2\"} 0.1\n",
-		"flashqos_shard_q_estimate{shard=\"-1\"} 0.1\n",
-		"flashqos_shard_q_estimate{shard=\"x\"} 0.1\n",
-		"flashqos_shard_q_estimate{shard=\"0\"} NaN\n",
-		"flashqos_shard_q_estimate{shard=\"0\"} 2e308\n",
-		"flashqos_shard_q_estimate{shard=\"0\"} 0.1 trailing\n",
-		"flashqos_shard_q_estimate{shard=\"00000000000000000000\"} 0.1\n",
-		"flashqos_q_estimate 0.5\nflashqos_shards 4\n",
-		"",
-		"\x00\xff{shard=\"0\"}\n",
-	}
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, metrics string) {
-		qs, err := parseShardQ(metrics)
-		if err != nil {
-			return
-		}
-		if len(qs) == 0 {
-			t.Error("accepted a page with zero shard series")
-		}
-		for i, q := range qs {
-			if q < 0 || q > 1 || q != q {
-				t.Errorf("accepted out-of-range Q[%d] = %g from %q", i, q, metrics)
-			}
-		}
 	})
 }

@@ -1,8 +1,6 @@
 package qosnet
 
 import (
-	"bufio"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -33,83 +31,20 @@ func startHealthServer(t *testing.T, rebuildRate float64) (*Server, string) {
 	return srv, addr.String()
 }
 
-func dialT(t *testing.T, addr string) *Client {
-	t.Helper()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
-}
-
-// fakeServer answers every request line with the canned response and is
-// used to exercise client-side parsing strictness.
-func fakeServer(t *testing.T, response string) string {
-	t.Helper()
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lis.Close() })
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				for {
-					if _, err := r.ReadString('\n'); err != nil {
-						return
-					}
-					if _, err := conn.Write([]byte(response)); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return lis.Addr().String()
-}
-
-// TestStatsRejectsTrailingGarbage: Client.Stats must fail on malformed
-// STATS lines instead of silently accepting them — the old fmt.Sscanf
-// parser ignored anything after the last number.
-func TestStatsRejectsTrailingGarbage(t *testing.T) {
-	for _, bad := range []string{
-		"STATS 1 2 3 0.5 junk\n", // the regression: trailing garbage
-		"STATS 1 2 3\n",
-		"STATS 1 2 3 0.5 6\n",
-		"STATS one 2 3 0.5\n",
-		"STATS 1 2 3 x\n",
-		"BOGUS 1 2 3 0.5\n",
-	} {
-		c := dialT(t, fakeServer(t, bad))
-		if _, _, _, _, err := c.Stats(); err == nil {
-			t.Errorf("Stats accepted malformed response %q", strings.TrimSpace(bad))
-		}
-	}
-	c := dialT(t, fakeServer(t, "STATS 10 2 1 0.250000\n"))
-	req, del, rej, avg, err := c.Stats()
-	if err != nil {
-		t.Fatalf("well-formed STATS rejected: %v", err)
-	}
-	if req != 10 || del != 2 || rej != 1 || avg != 0.25 {
-		t.Errorf("Stats = %d %d %d %g, want 10 2 1 0.25", req, del, rej, avg)
-	}
-}
-
 func TestHealthVerbsWithoutMonitor(t *testing.T) {
 	_, addr := startServer(t) // plain server, no monitor
-	c := dialT(t, addr)
-	if _, _, err := c.Fail(0); err == nil || !strings.Contains(err.Error(), "no health monitor") {
-		t.Errorf("Fail without monitor: err = %v, want 'no health monitor'", err)
+	c := dialText(t, addr)
+	for _, line := range []string{"FAIL 0", "RECOVER 0", "HEALTH"} {
+		if got := c.do(line); got != "ERR no health monitor" {
+			t.Errorf("%s without monitor = %q, want ERR no health monitor", line, got)
+		}
 	}
-	if _, err := c.Health(); err == nil || !strings.Contains(err.Error(), "no health monitor") {
-		t.Errorf("Health without monitor: err = %v, want 'no health monitor'", err)
+	bc := dialBinT(t, addr)
+	if _, _, err := bc.Fail(0); err == nil || !strings.Contains(err.Error(), "no health monitor") {
+		t.Errorf("binary Fail without monitor: err = %v, want 'no health monitor'", err)
+	}
+	if _, err := bc.Health(); err == nil || !strings.Contains(err.Error(), "no health monitor") {
+		t.Errorf("binary Health without monitor: err = %v, want 'no health monitor'", err)
 	}
 }
 
@@ -119,7 +54,7 @@ func TestHealthVerbsWithoutMonitor(t *testing.T) {
 // guarantee S comes back.
 func TestDegradedServerEndToEnd(t *testing.T) {
 	_, addr := startHealthServer(t, 2000)
-	c := dialT(t, addr)
+	c := dialBinT(t, addr)
 
 	h, err := c.Health()
 	if err != nil {
@@ -225,7 +160,7 @@ func TestDegradedServerEndToEnd(t *testing.T) {
 // would take a bucket's last replica out of service.
 func TestMaxUnavailableGuardOverWire(t *testing.T) {
 	_, addr := startHealthServer(t, 0)
-	c := dialT(t, addr)
+	c := dialBinT(t, addr)
 	if _, s, err := c.Fail(0); err != nil || s != 3 {
 		t.Fatalf("FAIL 0: s=%d err=%v", s, err)
 	}

@@ -1,7 +1,8 @@
-// Package qosnet exposes a QoS system over TCP with a line-based text
-// protocol, modelling the storage-cloud deployment the paper motivates
-// (§I): tenants submit block reads to a shared flash array and receive the
-// admission outcome and guaranteed response time.
+// Package qosnet exposes a QoS system over TCP, modelling the storage-cloud
+// deployment the paper motivates (§I): tenants submit block reads to a
+// shared flash array and receive the admission outcome and guaranteed
+// response time. Programs speak the framed binary protocol (DialBinary);
+// the line protocol below is for people with nc.
 //
 // Protocol (one request per line, space-separated):
 //
@@ -37,8 +38,24 @@
 // qosd attaches one by default.
 //
 // Arrival times are virtual: milliseconds since the server started, read
-// from a monotonic clock, so the simulated array timeline matches real
+// from a monotonic clock once per socket fill — every request drained from
+// one read arrived together — so the simulated array timeline matches real
 // request interleaving.
+//
+// # One verb table, two wire formats
+//
+// The binary protocol (internal/wire) is a length-prefixed framing: a
+// 16-byte header carrying a request ID lets one connection multiplex many
+// in-flight requests with out-of-order completion. Every verb is
+// implemented once, as the binary opcode table (session.serve). The line
+// protocol is a format adapter in front of it: a request line is
+// translated into the frame the binary protocol carries for the same
+// request, served by the same table, and the response frame is rendered
+// back into the reply line above. The protocol is auto-detected per
+// connection from the first byte (the frame magic 0xFB is not a byte any
+// text verb starts with); Options.Proto restricts the server to one
+// protocol. Text and binary connections interleave freely against one
+// server. See DESIGN.md §11 for the frame layout.
 //
 // # Concurrency model
 //
@@ -58,8 +75,8 @@
 //   - Server counters (requests/delayed/rejected/delay-sum) and the
 //     virtual clock watermark are lock-free atomics; STATS and METRICS
 //     read them without blocking request handlers.
-//   - Each connection owns its bufio reader/writer and response scratch
-//     buffer, so connections never contend on I/O state.
+//   - Each connection owns its read buffer, its reply buffer and its
+//     dispatch scratch, so connections never contend on I/O state.
 //
 // Robustness controls (Options): a cap on concurrent connections (excess
 // connections receive "ERR server busy" and are closed), a per-line read
@@ -77,25 +94,12 @@
 // a flashqos_shards gauge plus per-shard series labelled {shard="i"}.
 // NewServer wraps a single system as a one-shard array, so a standalone
 // deployment behaves exactly as before.
-//
-// # Binary protocol
-//
-// Alongside the text protocol the server speaks a length-prefixed binary
-// framing (internal/wire): a 16-byte header carrying a request ID lets one
-// connection multiplex many in-flight requests with out-of-order
-// completion, and every text verb has a binary opcode (OpSubmit/OpWrite/
-// OpBatch/OpMap/OpStats/OpMetrics/OpFail/OpRecover/OpHealth/OpShardStats).
-// The protocol is auto-detected per connection from the first byte (the
-// frame magic 0xFB is not a byte any text verb starts with); Options.Proto
-// restricts the server to one protocol. Both handlers share a single
-// dispatch core — admission accounting, metrics rendering and admin logic
-// are the same code — so text and binary connections can interleave freely
-// against one server. See DESIGN.md §11 for the frame layout.
 package qosnet
 
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -107,7 +111,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"flashqos/internal/admission"
 	"flashqos/internal/core"
 	"flashqos/internal/health"
 	"flashqos/internal/shard"
@@ -560,9 +563,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	if s.opts.Proto == ProtoBinary {
 		conn.SetWriteDeadline(time.Now().Add(time.Second))
-		wr := wire.NewWriter(bufio.NewWriter(conn))
-		wr.WriteError(wire.Header{}, "text protocol disabled")
-		wr.Flush()
+		conn.Write(wire.AppendFrame(nil, wire.Header{Flags: wire.FlagError}, []byte("text protocol disabled")))
 		return
 	}
 	s.handleText(conn, r, st)
@@ -588,60 +589,6 @@ func (s *Server) account(st *stripe, out *core.Outcome, feedHealth bool) {
 			m.ReportSuccess(local, out.Response())
 		}
 	}
-}
-
-// submitAt runs one READ/WRITE through the shared dispatch core: shard
-// routing, striped accounting, and the health monitor's latency feed. The
-// caller supplies the virtual arrival time — the text handler reads the
-// clock per line, the binary handler stamps one arrival per socket fill
-// (frames drained from a single read genuinely arrived together), which
-// keeps the clock off the per-frame path. tenant is the 1-based tenant
-// index (0 = untenanted).
-func (s *Server) submitAt(st *stripe, write bool, block int64, tenant int32, feedHealth bool, arrival float64) core.Outcome {
-	var out core.Outcome
-	switch {
-	case tenant != 0 && write:
-		out = s.arr.SubmitWriteTenant(arrival, block, tenant)
-	case tenant != 0:
-		out = s.arr.SubmitTenant(arrival, block, tenant)
-	case write:
-		out = s.arr.SubmitWrite(arrival, block)
-	default:
-		out = s.arr.Submit(arrival, block)
-	}
-	bump(&st.shard[s.arr.ShardOf(block)])
-	s.account(st, &out, feedHealth)
-	return out
-}
-
-// submitBatch admits simultaneous requests jointly (shard.Array.SubmitBatch
-// semantics) with the same accounting as submitAt. The scratch belongs to
-// the calling connection; nil allocates.
-func (s *Server) submitBatch(st *stripe, blocks []int64, sc *shard.BatchScratch, feedHealth bool, arrival float64) []core.Outcome {
-	outs := s.arr.SubmitBatch(arrival, blocks, sc)
-	for i := range outs {
-		bump(&st.shard[s.arr.ShardOf(blocks[i])])
-		s.account(st, &outs[i], feedHealth)
-	}
-	return outs
-}
-
-// submitBurstShard admits one shard's slice of a drained burst of
-// pipelined READ/WRITE frames sharing one arrival stamp (core.BurstReq
-// semantics: outcomes bit-identical to per-frame submitAt calls in input
-// order — per-shard admission state is independent, so shard-bucketed
-// submission preserves each shard's arrival order). The shard's request
-// counter is bumped once per (shard, burst) — the binary handler already
-// routed every block while decoding it. The scratch belongs to the calling
-// connection.
-func (s *Server) submitBurstShard(st *stripe, sh int, reqs []core.BurstReq, sc *core.BurstScratch, feedHealth bool, arrival float64) []core.Outcome {
-	outs := s.arr.SubmitBurstShard(sh, arrival, reqs, sc)
-	c := &st.shard[sh]
-	c.Store(c.Load() + int64(len(reqs))) // single-writer, like bump
-	for i := range outs {
-		s.account(st, &outs[i], feedHealth)
-	}
-	return outs
 }
 
 // adminFailRecover applies a FAIL/RECOVER admin verb to a valid global
@@ -809,210 +756,218 @@ func (s *Server) appendMetrics(buf []byte, hasHealth bool) []byte {
 	return buf
 }
 
+// handleText serves one line-protocol connection as a format adapter in
+// front of the verb table: each request line is translated into the frame
+// the binary protocol carries for the same request (translateLine), served
+// by session.serve — a READ/WRITE as a burst of one — and the response
+// frame is rendered back into the documented reply (appendReply). Replies
+// keep line order, and arrival follows the binary rule: one clock reading
+// per socket fill.
 func (s *Server) handleText(conn net.Conn, r *bufio.Reader, st *stripe) {
-	w := bufio.NewWriterSize(conn, connReadBuf)
-	scratch := make([]byte, 0, 128) // per-connection response buffer
-	hasHealth := s.anyHealth()      // monitors attach before serving
+	c := s.newSession(st)
+	req := make([]byte, 0, 64) // request payload scratch
+	var text []byte            // rendered replies not yet written
 	for {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
 		raw, tooLong, err := readLine(r, s.opts.MaxLineBytes)
-		if tooLong {
-			fmt.Fprintln(w, "ERR line too long")
-			if w.Flush() != nil || err != nil {
+		switch f := strings.Fields(string(raw)); {
+		case tooLong:
+			text = append(text, "ERR line too long\n"...)
+		case err != nil:
+			return
+		case len(f) > 0:
+			c.stamp()
+			h, payload, terr := c.translateLine(f, req[:0])
+			switch {
+			case terr != nil:
+				c.fail(h, terr.Error())
+			case c.serve(h, payload):
+				conn.Write(text)
 				return
 			}
-			continue
+			c.flushBurst()
+			text = appendReply(text, c.out)
+			c.out = c.out[:0]
 		}
-		if err != nil {
-			return
-		}
-		line := strings.TrimSpace(string(raw))
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(line)
-		switch strings.ToUpper(fields[0]) {
-		case "READ", "WRITE":
-			if len(fields) != 2 && len(fields) != 3 {
-				fmt.Fprintf(w, "ERR usage: %s <block> [tenant]\n", strings.ToUpper(fields[0]))
-				break
-			}
-			block, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				fmt.Fprintf(w, "ERR bad block: %v\n", err)
-				break
-			}
-			var tenant int32
-			if len(fields) == 3 {
-				// Text clients tag by name; resolution is a cold-path
-				// registry lookup. An unknown name is the same uniform
-				// refusal the binary protocol gives an unknown index.
-				if tenant = s.arr.TenantIndex(fields[2]); tenant == 0 {
-					fmt.Fprintf(w, "ERR %s\n", errUnknownTenant)
-					break
-				}
-			}
-			out := s.submitAt(st, strings.ToUpper(fields[0]) == "WRITE", block, tenant, hasHealth, s.now())
-			if out.Rejected {
-				fmt.Fprintln(w, "REJECTED")
-			} else {
-				scratch = appendOutcome(scratch[:0], out)
-				w.Write(scratch)
-			}
-		case "MAP":
-			if len(fields) != 2 {
-				fmt.Fprintln(w, "ERR usage: MAP <block>")
-				break
-			}
-			block, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				fmt.Fprintf(w, "ERR bad block: %v\n", err)
-				break
-			}
-			i := s.arr.ShardOf(block)
-			sys := s.arr.System(i)
-			db := sys.Mapper().DesignBlock(block)
-			reps := sys.Replicas(block)
-			base := i * s.arr.DevicesPerShard()
-			scratch = append(scratch[:0], "MAP "...)
-			scratch = strconv.AppendInt(scratch, int64(db), 10)
-			for _, d := range reps {
-				scratch = append(scratch, ' ')
-				scratch = strconv.AppendInt(scratch, int64(base+d), 10)
-			}
-			scratch = append(scratch, '\n')
-			w.Write(scratch)
-		case "STATS":
-			req, del, rej, sum := s.totals()
-			avg := 0.0
-			if del > 0 {
-				avg = sum / float64(del)
-			}
-			fmt.Fprintf(w, "STATS %d %d %d %.6f\n", req, del, rej, avg)
-		case "METRICS":
-			// One scratch build, one write: the scrape path stays off fmt
-			// and allocates nothing once the scratch has grown to the page
-			// size.
-			scratch = s.appendMetrics(scratch[:0], hasHealth)
-			scratch = append(scratch, '\n') // blank-line terminator
-			w.Write(scratch)
-		case "FAIL", "RECOVER":
-			verb := strings.ToUpper(fields[0])
-			if len(fields) != 2 {
-				fmt.Fprintf(w, "ERR usage: %s <device>\n", verb)
-				break
-			}
-			if !hasHealth {
-				fmt.Fprintln(w, "ERR no health monitor")
-				break
-			}
-			dev, err := strconv.Atoi(fields[1])
-			if err != nil || dev < 0 || dev >= s.arr.Devices() {
-				fmt.Fprintf(w, "ERR bad device %q\n", fields[1])
-				break
-			}
-			state, effS, aerr := s.adminFailRecover(verb == "FAIL", dev)
-			if aerr != nil {
-				fmt.Fprintf(w, "ERR %v\n", aerr)
-				break
-			}
-			fmt.Fprintf(w, "OK %s %d\n", state, effS)
-		case "HEALTH":
-			if !hasHealth {
-				fmt.Fprintln(w, "ERR no health monitor")
-				break
-			}
-			alive, pending, done := s.healthTotals()
-			fmt.Fprintf(w, "HEALTH devices=%d alive=%d s=%d s_full=%d rebuild_pending=%d rebuild_done=%d\n",
-				s.arr.Devices(), alive, s.arr.EffectiveS(), s.arr.S(), pending, done)
-			for g := 0; g < s.arr.Devices(); g++ {
-				mon, local := s.monitorFor(g)
-				if mon == nil {
-					fmt.Fprintf(w, "DEV %d unmonitored 0.000000\n", g)
-					continue
-				}
-				fmt.Fprintf(w, "DEV %d %s %.6f\n", g, mon.State(local), mon.EWMA(local))
-			}
-			fmt.Fprintln(w)
-		case "TENANT":
-			s.handleTenantText(w, fields)
-		case "QUIT":
-			w.Flush()
-			return
-		default:
-			fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
-		}
-		// Batch responses to pipelined clients: only pay the write
-		// syscall when the read buffer holds no further complete request,
-		// so a deep pipeline costs one flush per burst instead of one per
-		// request.
-		if !moreRequestsBuffered(r) {
-			if err := w.Flush(); err != nil {
+		// Batch replies to pipelined clients: write only when the read
+		// buffer holds no further complete request — the next read may
+		// block — so a deep pipeline costs one write per socket fill.
+		more := err == nil && moreRequestsBuffered(r)
+		if len(text) > 0 && (!more || len(text) >= connReadBuf) {
+			if _, werr := conn.Write(text); werr != nil || err != nil {
 				return
 			}
+			text = text[:0]
+		}
+		if !more {
+			c.arrival = -1 // next line comes off a fresh fill
 		}
 	}
 }
 
-// handleTenantText serves the TENANT admin verb: SET installs or updates
-// one tenant with no engine pause (the gate swaps an atomic snapshot), GET
-// reports the spec plus cross-shard aggregated gauges, DEL deactivates the
-// slot. Reconfiguration is a cold path; fmt is fine here.
-func (s *Server) handleTenantText(w io.Writer, fields []string) {
-	if len(fields) < 3 {
-		fmt.Fprintln(w, "ERR usage: TENANT SET <name> <reserve> <limit> <weight> | GET <name> | DEL <name>")
-		return
-	}
-	name := fields[2]
-	switch strings.ToUpper(fields[1]) {
-	case "SET":
-		if len(fields) != 6 {
-			fmt.Fprintln(w, "ERR usage: TENANT SET <name> <reserve> <limit> <weight>")
-			return
+// translateLine translates one request line, split into fields, into the
+// header and payload (appended to req) of the frame the binary protocol
+// carries for the same request. A line the text grammar rejects returns
+// the error its ERR reply carries; refusals that depend on server state —
+// a tenant deleted since its name resolved, a device the monitor will not
+// fail, a tenant policy the gate rejects — are the verb table's.
+func (c *session) translateLine(f []string, req []byte) (wire.Header, []byte, error) {
+	verb := strings.ToUpper(f[0])
+	switch verb {
+	case "READ", "WRITE":
+		if len(f) != 2 && len(f) != 3 {
+			return wire.Header{}, nil, fmt.Errorf("usage: %s <block> [tenant]", verb)
 		}
-		reserve, err1 := strconv.Atoi(fields[3])
-		limit, err2 := strconv.Atoi(fields[4])
-		weight, err3 := strconv.ParseFloat(fields[5], 64)
-		if err1 != nil || err2 != nil || err3 != nil {
-			fmt.Fprintln(w, "ERR bad TENANT SET arguments")
-			return
-		}
-		idx, err := s.arr.TenantSet(admission.TenantSpec{
-			Name: name, Reserve: reserve, Limit: limit, Weight: weight,
-		})
+		block, err := strconv.ParseInt(f[1], 10, 64)
 		if err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
+			return wire.Header{}, nil, fmt.Errorf("bad block: %v", err)
 		}
-		fmt.Fprintf(w, "OK %d\n", idx)
-	case "GET":
-		if len(fields) != 3 {
-			fmt.Fprintln(w, "ERR usage: TENANT GET <name>")
-			return
+		h := wire.Header{Opcode: wire.OpSubmit}
+		if verb == "WRITE" {
+			h.Opcode = wire.OpWrite
 		}
-		tc, ok := s.arr.TenantGet(name)
-		if !ok {
-			fmt.Fprintf(w, "ERR %s\n", errUnknownTenant)
-			return
+		if len(f) == 2 {
+			return h, wire.AppendBlock(req, block), nil
 		}
-		fmt.Fprintf(w, "TENANT %s index=%d reserve=%d limit=%d weight=%g admitted=%d rejected=%d overlimit=%d deficit=%d\n",
-			tc.Spec.Name, tc.Index, tc.Spec.Reserve, tc.Spec.Limit, tc.Spec.Weight,
-			tc.Admitted, tc.Rejected, tc.OverLimit, tc.Deficit)
-	case "DEL":
-		if len(fields) != 3 {
-			fmt.Fprintln(w, "ERR usage: TENANT DEL <name>")
-			return
+		// Text clients tag by name; resolving it is a cold-path registry
+		// lookup. An unknown name is the refusal the verb table gives an
+		// unknown index.
+		tenant := c.s.arr.TenantIndex(f[2])
+		if tenant == 0 {
+			return h, nil, errUnknownTenant
 		}
-		if err := s.arr.TenantDel(name); err != nil {
-			fmt.Fprintf(w, "ERR %v\n", err)
-			return
+		h.Flags = wire.FlagTenant
+		return h, wire.AppendTenantBlock(req, block, tenant), nil
+	case "MAP":
+		if len(f) != 2 {
+			return wire.Header{}, nil, errors.New("usage: MAP <block>")
 		}
-		fmt.Fprintln(w, "OK deleted")
-	default:
-		fmt.Fprintf(w, "ERR unknown TENANT subcommand %q\n", fields[1])
+		block, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			return wire.Header{}, nil, fmt.Errorf("bad block: %v", err)
+		}
+		return wire.Header{Opcode: wire.OpMap}, wire.AppendBlock(req, block), nil
+	case "STATS":
+		return wire.Header{Opcode: wire.OpStats}, nil, nil
+	case "METRICS":
+		return wire.Header{Opcode: wire.OpMetrics}, nil, nil
+	case "HEALTH":
+		return wire.Header{Opcode: wire.OpHealth}, nil, nil
+	case "QUIT":
+		return wire.Header{Opcode: wire.OpQuit}, nil, nil
+	case "FAIL", "RECOVER":
+		if len(f) != 2 {
+			return wire.Header{}, nil, fmt.Errorf("usage: %s <device>", verb)
+		}
+		// Without a monitor the device is not validated: the verb table
+		// answers the missing monitor first, as the line protocol always has.
+		dev, err := strconv.Atoi(f[1])
+		if c.hasHealth && (err != nil || dev < 0 || dev >= c.s.arr.Devices()) {
+			return wire.Header{}, nil, fmt.Errorf("bad device %q", f[1])
+		}
+		h := wire.Header{Opcode: wire.OpFail}
+		if verb == "RECOVER" {
+			h.Opcode = wire.OpRecover
+		}
+		return h, wire.AppendDevice(req, uint32(dev)), nil
+	case "TENANT":
+		const usage = "usage: TENANT SET <name> <reserve> <limit> <weight>"
+		if len(f) < 3 {
+			return wire.Header{}, nil, errors.New(usage + " | GET <name> | DEL <name>")
+		}
+		spec := wire.TenantSpec{Name: f[2]}
+		var cmd uint8
+		switch sub := strings.ToUpper(f[1]); sub {
+		case "SET":
+			if len(f) != 6 {
+				return wire.Header{}, nil, errors.New(usage)
+			}
+			reserve, err1 := strconv.ParseInt(f[3], 10, 32)
+			limit, err2 := strconv.ParseInt(f[4], 10, 32)
+			weight, err3 := strconv.ParseFloat(f[5], 64)
+			if err1 != nil || err2 != nil || err3 != nil {
+				return wire.Header{}, nil, errors.New("bad TENANT SET arguments")
+			}
+			cmd, spec.Reserve, spec.Limit, spec.Weight = wire.TenantCmdSet, int32(reserve), int32(limit), weight
+		case "GET", "DEL":
+			if len(f) != 3 {
+				return wire.Header{}, nil, fmt.Errorf("usage: TENANT %s <name>", sub)
+			}
+			cmd = wire.TenantCmdGet
+			if sub == "DEL" {
+				cmd = wire.TenantCmdDel
+			}
+		default:
+			return wire.Header{}, nil, fmt.Errorf("unknown TENANT subcommand %q", f[1])
+		}
+		if len(spec.Name) > 255 { // the frame carries a one-byte name length
+			return wire.Header{}, nil, errors.New("tenant name longer than 255 bytes")
+		}
+		return wire.Header{Opcode: wire.OpTenant}, wire.AppendTenantReq(req, cmd, spec), nil
 	}
+	return wire.Header{}, nil, fmt.Errorf("unknown command %q", f[0])
+}
+
+// appendReply renders one response frame from serve as the line protocol
+// documents it for the frame's opcode: one line, or a blank-terminated
+// block for METRICS and HEALTH. serve encoded the frame in this process,
+// so its payload decodes by construction and decode errors are ignored.
+func appendReply(dst, frame []byte) []byte {
+	h, _ := wire.ParseHeader(frame)
+	p := frame[wire.HeaderSize:]
+	if h.Flags&wire.FlagError != 0 {
+		dst = append(append(dst, "ERR "...), p...)
+		return append(dst, '\n')
+	}
+	switch h.Opcode {
+	case wire.OpSubmit, wire.OpWrite:
+		o, _, _ := wire.ParseOutcome(p)
+		if o.Rejected() {
+			return append(dst, "REJECTED\n"...)
+		}
+		dst = strconv.AppendInt(append(dst, "OK "...), int64(o.Device), 10)
+		dst = strconv.AppendFloat(append(dst, ' '), o.DelayMS, 'f', 6, 64)
+		dst = strconv.AppendFloat(append(dst, ' '), o.RespMS, 'f', 6, 64)
+		dst = strconv.AppendBool(append(dst, ' '), o.Delayed())
+		return append(dst, '\n')
+	case wire.OpMap:
+		m, _ := wire.ParseMapResp(p)
+		dst = strconv.AppendInt(append(dst, "MAP "...), int64(m.DesignBlock), 10)
+		for _, d := range m.Devices {
+			dst = strconv.AppendInt(append(dst, ' '), int64(d), 10)
+		}
+		return append(dst, '\n')
+	case wire.OpStats:
+		st, _ := wire.ParseStats(p)
+		return fmt.Appendf(dst, "STATS %d %d %d %.6f\n", st.Requests, st.Delayed, st.Rejected, st.AvgDelayMS)
+	case wire.OpMetrics:
+		return append(append(dst, p...), '\n') // blank-line terminator
+	case wire.OpFail, wire.OpRecover:
+		a, _ := wire.ParseAdminResp(p)
+		return fmt.Appendf(dst, "OK %s %d\n", a.State, a.EffectiveS)
+	case wire.OpHealth:
+		hr, _ := wire.ParseHealth(p)
+		dst = fmt.Appendf(dst, "HEALTH devices=%d alive=%d s=%d s_full=%d rebuild_pending=%d rebuild_done=%d\n",
+			hr.Devices, hr.Alive, hr.EffectiveS, hr.FullS, hr.RebuildPending, hr.RebuildDone)
+		for _, d := range hr.States {
+			dst = fmt.Appendf(dst, "DEV %d %s %.6f\n", d.Device, d.State, d.EWMAMS)
+		}
+		return append(dst, '\n')
+	case wire.OpTenant: // SET answers the tenant's index, GET one entry, DEL nothing
+		switch len(p) {
+		case 0:
+			return append(dst, "OK deleted\n"...)
+		case 4:
+			return fmt.Appendf(dst, "OK %d\n", int32(binary.LittleEndian.Uint32(p)))
+		}
+		es, _ := wire.ParseTenantStats(p)
+		e := es[0]
+		return fmt.Appendf(dst, "TENANT %s index=%d reserve=%d limit=%d weight=%g admitted=%d rejected=%d overlimit=%d deficit=%d\n",
+			e.Spec.Name, e.Index, e.Spec.Reserve, e.Spec.Limit, e.Spec.Weight, e.Admitted, e.Rejected, e.OverLimit, e.Deficit)
+	}
+	return dst
 }
 
 // moreRequestsBuffered reports whether the reader already holds another
@@ -1029,433 +984,4 @@ func moreRequestsBuffered(r *bufio.Reader) bool {
 		return false
 	}
 	return bytes.IndexByte(b, '\n') >= 0
-}
-
-// appendOutcome formats the OK response without fmt (the hot path).
-func appendOutcome(buf []byte, out core.Outcome) []byte {
-	buf = append(buf, "OK "...)
-	buf = strconv.AppendInt(buf, int64(out.Device), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendFloat(buf, out.Delay, 'f', 6, 64)
-	buf = append(buf, ' ')
-	buf = strconv.AppendFloat(buf, out.Response(), 'f', 6, 64)
-	buf = append(buf, ' ')
-	buf = strconv.AppendBool(buf, out.Delayed)
-	return append(buf, '\n')
-}
-
-// Client is a minimal client for the protocol.
-type Client struct {
-	conn net.Conn
-	r    *bufio.Reader
-}
-
-// Dial connects to a qosnet server.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
-}
-
-// Close closes the connection.
-func (c *Client) Close() error {
-	fmt.Fprintln(c.conn, "QUIT")
-	return c.conn.Close()
-}
-
-// ReadResult is the outcome of a READ request.
-type ReadResult struct {
-	Device   int
-	DelayMS  float64
-	RespMS   float64
-	Delayed  bool
-	Rejected bool
-	// OverLimit marks a rejection by the tenant gate's per-window arrival
-	// limit (carried by the binary protocol's status bits; the text
-	// REJECTED line does not distinguish it).
-	OverLimit bool
-}
-
-func (c *Client) roundTrip(req string) (string, error) {
-	if _, err := fmt.Fprintln(c.conn, req); err != nil {
-		return "", err
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR") {
-		return "", errors.New(line)
-	}
-	return line, nil
-}
-
-// Read submits a block read.
-func (c *Client) Read(block int64) (ReadResult, error) {
-	return c.submitVerb(fmt.Sprintf("READ %d", block))
-}
-
-// ReadTenant submits a block read under a named tenant's QoS policy. An
-// unknown tenant name is an error, not a silent untenanted read.
-func (c *Client) ReadTenant(block int64, tenant string) (ReadResult, error) {
-	return c.submitVerb(fmt.Sprintf("READ %d %s", block, tenant))
-}
-
-// WriteTenant submits a block write under a named tenant's QoS policy.
-func (c *Client) WriteTenant(block int64, tenant string) (ReadResult, error) {
-	return c.submitVerb(fmt.Sprintf("WRITE %d %s", block, tenant))
-}
-
-func (c *Client) submitVerb(req string) (ReadResult, error) {
-	line, err := c.roundTrip(req)
-	if err != nil {
-		return ReadResult{}, err
-	}
-	if line == "REJECTED" {
-		return ReadResult{Rejected: true}, nil
-	}
-	var r ReadResult
-	var delayed string
-	if _, err := fmt.Sscanf(line, "OK %d %f %f %s", &r.Device, &r.DelayMS, &r.RespMS, &delayed); err != nil {
-		return ReadResult{}, fmt.Errorf("qosnet: bad response %q: %w", line, err)
-	}
-	r.Delayed = delayed == "true"
-	return r, nil
-}
-
-// TenantInfo is a parsed TENANT GET response: one tenant's policy plus
-// its admission gauges aggregated across every shard.
-type TenantInfo struct {
-	Name      string
-	Index     int
-	Reserve   int
-	Limit     int
-	Weight    float64
-	Admitted  int64
-	Rejected  int64
-	OverLimit int64
-	Deficit   int64
-}
-
-// TenantSet installs or updates one tenant's QoS policy live (admin) and
-// returns its stable 1-based index.
-func (c *Client) TenantSet(name string, reserve, limit int, weight float64) (int, error) {
-	line, err := c.roundTrip(fmt.Sprintf("TENANT SET %s %d %d %g", name, reserve, limit, weight))
-	if err != nil {
-		return 0, err
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 2 || fields[0] != "OK" {
-		return 0, fmt.Errorf("qosnet: bad TENANT SET response %q", line)
-	}
-	idx, err := strconv.Atoi(fields[1])
-	if err != nil || idx < 1 {
-		return 0, fmt.Errorf("qosnet: bad TENANT SET response %q", line)
-	}
-	return idx, nil
-}
-
-// TenantGet fetches one tenant's policy and aggregated gauges (admin).
-func (c *Client) TenantGet(name string) (TenantInfo, error) {
-	line, err := c.roundTrip(fmt.Sprintf("TENANT GET %s", name))
-	if err != nil {
-		return TenantInfo{}, err
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 10 || fields[0] != "TENANT" {
-		return TenantInfo{}, fmt.Errorf("qosnet: bad TENANT GET response %q", line)
-	}
-	ti := TenantInfo{Name: fields[1]}
-	for _, f := range fields[2:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return TenantInfo{}, fmt.Errorf("qosnet: bad TENANT GET field %q", f)
-		}
-		var perr error
-		switch k {
-		case "weight":
-			ti.Weight, perr = strconv.ParseFloat(v, 64)
-		case "index", "reserve", "limit":
-			var n int
-			if n, perr = strconv.Atoi(v); perr == nil {
-				switch k {
-				case "index":
-					ti.Index = n
-				case "reserve":
-					ti.Reserve = n
-				case "limit":
-					ti.Limit = n
-				}
-			}
-		default:
-			var n int64
-			if n, perr = strconv.ParseInt(v, 10, 64); perr == nil {
-				switch k {
-				case "admitted":
-					ti.Admitted = n
-				case "rejected":
-					ti.Rejected = n
-				case "overlimit":
-					ti.OverLimit = n
-				case "deficit":
-					ti.Deficit = n
-				default:
-					perr = fmt.Errorf("unknown field")
-				}
-			}
-		}
-		if perr != nil {
-			return TenantInfo{}, fmt.Errorf("qosnet: bad TENANT GET field %q", f)
-		}
-	}
-	return ti, nil
-}
-
-// TenantDel deactivates a tenant (admin); its index stays reserved.
-func (c *Client) TenantDel(name string) error {
-	line, err := c.roundTrip(fmt.Sprintf("TENANT DEL %s", name))
-	if err != nil {
-		return err
-	}
-	if line != "OK deleted" {
-		return fmt.Errorf("qosnet: bad TENANT DEL response %q", line)
-	}
-	return nil
-}
-
-// Map asks where a data block lives.
-func (c *Client) Map(block int64) (designBlock int, devices []int, err error) {
-	line, err := c.roundTrip(fmt.Sprintf("MAP %d", block))
-	if err != nil {
-		return 0, nil, err
-	}
-	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[0] != "MAP" {
-		return 0, nil, fmt.Errorf("qosnet: bad MAP response %q", line)
-	}
-	db, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return 0, nil, err
-	}
-	for _, f := range fields[2:] {
-		d, err := strconv.Atoi(f)
-		if err != nil {
-			return 0, nil, err
-		}
-		devices = append(devices, d)
-	}
-	return db, devices, nil
-}
-
-// Metrics fetches the Prometheus-style exposition text.
-func (c *Client) Metrics() (string, error) {
-	if _, err := fmt.Fprintln(c.conn, "METRICS"); err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return "", err
-		}
-		if strings.TrimSpace(line) == "" {
-			return b.String(), nil
-		}
-		b.WriteString(line)
-	}
-}
-
-// ShardQ fetches the per-shard statistical violation-probability estimates
-// (the flashqos_shard_q_estimate gauge). The slice is indexed by shard;
-// every value is 0 on a deterministic (ε = 0) server. Each shard's gauge
-// reads the same published Q snapshot its admissions decide against, so
-// this is a lock-free observation of live controllers, not a stale cache.
-func (c *Client) ShardQ() ([]float64, error) {
-	metrics, err := c.Metrics()
-	if err != nil {
-		return nil, err
-	}
-	return parseShardQ(metrics)
-}
-
-// parseShardQ extracts flashqos_shard_q_estimate{shard="i"} series from
-// exposition text. Parsed strictly: every series must carry a well-formed
-// shard label and a probability value, shard indices must tile 0..n-1
-// exactly once, and a metrics page with no such series is an error (old
-// server), so callers cannot mistake "not exported" for "Q is zero".
-func parseShardQ(metrics string) ([]float64, error) {
-	const prefix = `flashqos_shard_q_estimate{shard="`
-	byShard := map[int]float64{}
-	for _, line := range strings.Split(metrics, "\n") {
-		if !strings.HasPrefix(line, prefix) {
-			continue
-		}
-		rest := line[len(prefix):]
-		quote := strings.Index(rest, `"`)
-		if quote < 0 || !strings.HasPrefix(rest[quote:], `"} `) {
-			return nil, fmt.Errorf("qosnet: bad shard Q series %q", line)
-		}
-		shard, err := strconv.Atoi(rest[:quote])
-		if err != nil || shard < 0 {
-			return nil, fmt.Errorf("qosnet: bad shard index in %q", line)
-		}
-		val := rest[quote+len(`"} `):]
-		q, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil || !(q >= 0 && q <= 1) || len(strings.Fields(val)) != 1 { // !(…) also rejects NaN
-			return nil, fmt.Errorf("qosnet: bad shard Q value in %q", line)
-		}
-		if _, dup := byShard[shard]; dup {
-			return nil, fmt.Errorf("qosnet: duplicate shard Q series for shard %d", shard)
-		}
-		byShard[shard] = q
-	}
-	if len(byShard) == 0 {
-		return nil, fmt.Errorf("qosnet: no flashqos_shard_q_estimate series in metrics")
-	}
-	qs := make([]float64, len(byShard))
-	for shard, q := range byShard {
-		if shard >= len(qs) {
-			return nil, fmt.Errorf("qosnet: shard Q indices not contiguous (saw shard %d among %d series)", shard, len(byShard))
-		}
-		qs[shard] = q
-	}
-	return qs, nil
-}
-
-// Stats fetches server counters. The response is parsed strictly: exactly
-// four fields after the STATS tag, nothing trailing (fmt.Sscanf would
-// silently accept garbage after the last number).
-func (c *Client) Stats() (requests, delayed, rejected int64, avgDelayMS float64, err error) {
-	line, err := c.roundTrip("STATS")
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	bad := func() (int64, int64, int64, float64, error) {
-		return 0, 0, 0, 0, fmt.Errorf("qosnet: bad STATS response %q", line)
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 5 || fields[0] != "STATS" {
-		return bad()
-	}
-	ints := [3]int64{}
-	for i := range ints {
-		v, err := strconv.ParseInt(fields[i+1], 10, 64)
-		if err != nil {
-			return bad()
-		}
-		ints[i] = v
-	}
-	avg, err := strconv.ParseFloat(fields[4], 64)
-	if err != nil {
-		return bad()
-	}
-	return ints[0], ints[1], ints[2], avg, nil
-}
-
-// Fail takes a device out of service (admin). Returns the device's new
-// state ("failed") and the server's effective admission limit S'.
-func (c *Client) Fail(device int) (state string, effectiveS int, err error) {
-	return c.adminVerb(fmt.Sprintf("FAIL %d", device))
-}
-
-// Recover brings a failed device back (admin). The returned state is
-// "rebuilding" when a resilver is scheduled, "healthy" otherwise.
-func (c *Client) Recover(device int) (state string, effectiveS int, err error) {
-	return c.adminVerb(fmt.Sprintf("RECOVER %d", device))
-}
-
-func (c *Client) adminVerb(req string) (state string, effectiveS int, err error) {
-	line, err := c.roundTrip(req)
-	if err != nil {
-		return "", 0, err
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 3 || fields[0] != "OK" {
-		return "", 0, fmt.Errorf("qosnet: bad response %q", line)
-	}
-	s, err := strconv.Atoi(fields[2])
-	if err != nil {
-		return "", 0, fmt.Errorf("qosnet: bad response %q", line)
-	}
-	return fields[1], s, nil
-}
-
-// DeviceHealth is one device's line of a HEALTH report.
-type DeviceHealth struct {
-	Device int
-	State  string
-	EWMAMS float64
-}
-
-// HealthStatus is a parsed HEALTH report.
-type HealthStatus struct {
-	Devices        int
-	Alive          int
-	EffectiveS     int
-	FullS          int
-	RebuildPending int
-	RebuildDone    int64
-	States         []DeviceHealth
-}
-
-// Health fetches the device-health report.
-func (c *Client) Health() (HealthStatus, error) {
-	line, err := c.roundTrip("HEALTH")
-	if err != nil {
-		return HealthStatus{}, err
-	}
-	var h HealthStatus
-	fields := strings.Fields(line)
-	if len(fields) != 7 || fields[0] != "HEALTH" {
-		return HealthStatus{}, fmt.Errorf("qosnet: bad HEALTH response %q", line)
-	}
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			return HealthStatus{}, fmt.Errorf("qosnet: bad HEALTH field %q", f)
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return HealthStatus{}, fmt.Errorf("qosnet: bad HEALTH field %q", f)
-		}
-		switch k {
-		case "devices":
-			h.Devices = int(n)
-		case "alive":
-			h.Alive = int(n)
-		case "s":
-			h.EffectiveS = int(n)
-		case "s_full":
-			h.FullS = int(n)
-		case "rebuild_pending":
-			h.RebuildPending = int(n)
-		case "rebuild_done":
-			h.RebuildDone = n
-		default:
-			return HealthStatus{}, fmt.Errorf("qosnet: unknown HEALTH field %q", f)
-		}
-	}
-	for {
-		raw, err := c.r.ReadString('\n')
-		if err != nil {
-			return HealthStatus{}, err
-		}
-		raw = strings.TrimSpace(raw)
-		if raw == "" {
-			return h, nil
-		}
-		df := strings.Fields(raw)
-		if len(df) != 4 || df[0] != "DEV" {
-			return HealthStatus{}, fmt.Errorf("qosnet: bad DEV line %q", raw)
-		}
-		dev, err1 := strconv.Atoi(df[1])
-		ewma, err2 := strconv.ParseFloat(df[3], 64)
-		if err1 != nil || err2 != nil {
-			return HealthStatus{}, fmt.Errorf("qosnet: bad DEV line %q", raw)
-		}
-		h.States = append(h.States, DeviceHealth{Device: dev, State: df[2], EWMAMS: ewma})
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -30,47 +31,35 @@ func startServer(t *testing.T) (*Server, string) {
 
 func TestReadRoundTrip(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	line := dialText(t, addr).do("READ 42")
+	var dev int
+	var delay, resp float64
+	var delayed bool
+	if _, err := fmt.Sscanf(line, "OK %d %f %f %t", &dev, &delay, &resp, &delayed); err != nil {
+		t.Fatalf("first read answered %q: %v", line, err)
 	}
-	defer c.Close()
-	res, err := c.Read(42)
-	if err != nil {
-		t.Fatal(err)
+	if dev < 0 || dev > 8 {
+		t.Errorf("device %d out of range", dev)
 	}
-	if res.Rejected {
-		t.Fatal("first read rejected")
-	}
-	if res.Device < 0 || res.Device > 8 {
-		t.Errorf("device %d out of range", res.Device)
-	}
-	if res.RespMS < 0.132 || res.RespMS > 0.134 {
-		t.Errorf("response %.6f, want ≈ 0.1325 (the guarantee)", res.RespMS)
+	if resp < 0.132 || resp > 0.134 {
+		t.Errorf("response %.6f, want ≈ 0.1325 (the guarantee)", resp)
 	}
 }
 
 func TestMap(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	f := strings.Fields(dialText(t, addr).do("MAP 100"))
+	if len(f) != 5 || f[0] != "MAP" {
+		t.Fatalf("MAP 100 answered %q, want MAP <designBlock> and 3 replica devices", f)
 	}
-	defer c.Close()
-	db, devs, err := c.Map(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db != 100%36 {
-		t.Errorf("design block %d, want modulo fallback %d", db, 100%36)
-	}
-	if len(devs) != 3 {
-		t.Errorf("got %d replica devices, want 3", len(devs))
+	if want := fmt.Sprint(100 % 36); f[1] != want {
+		t.Errorf("design block %s, want modulo fallback %s", f[1], want)
 	}
 	seen := map[int]bool{}
-	for _, d := range devs {
-		if d < 0 || d > 8 || seen[d] {
-			t.Errorf("bad replica set %v", devs)
+	for _, tok := range f[2:] {
+		d, err := strconv.Atoi(tok)
+		if err != nil || d < 0 || d > 8 || seen[d] {
+			t.Errorf("bad replica set %v", f[2:])
 		}
 		seen[d] = true
 	}
@@ -85,29 +74,17 @@ func TestStatsAndConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(base int64) {
 			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
+			if err := textReads(addr, base*1000, perClient); err != nil {
 				t.Error(err)
-				return
-			}
-			defer c.Close()
-			for j := int64(0); j < perClient; j++ {
-				if _, err := c.Read(base*1000 + j); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}(int64(i))
 	}
 	wg.Wait()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	reqs, delayed, rejected, avg, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	var reqs, delayed, rejected int64
+	var avg float64
+	line := dialText(t, addr).do("STATS")
+	if _, err := fmt.Sscanf(line, "STATS %d %d %d %f", &reqs, &delayed, &rejected, &avg); err != nil {
+		t.Fatalf("STATS answered %q: %v", line, err)
 	}
 	if reqs != clients*perClient {
 		t.Errorf("requests = %d, want %d", reqs, clients*perClient)
@@ -160,11 +137,9 @@ func TestServeBeforeListen(t *testing.T) {
 
 func TestCloseUnblocksServe(t *testing.T) {
 	_, addr := startServer(t) // Cleanup closes it
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
+	if reply := dialText(t, addr).send("QUIT\n"); reply != "" {
+		t.Errorf("QUIT answered %q, want the connection closed", reply)
 	}
-	c.Close()
 }
 
 func TestMetrics(t *testing.T) {
@@ -235,11 +210,7 @@ func TestWriteCommand(t *testing.T) {
 
 func TestClientMetrics(t *testing.T) {
 	_, addr := startServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c := dialBinT(t, addr)
 	if _, err := c.Read(3); err != nil {
 		t.Fatal(err)
 	}

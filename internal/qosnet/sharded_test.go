@@ -38,7 +38,7 @@ func startShardedServer(t *testing.T, k int) (*Server, string) {
 // sit inside the block's owning shard.
 func TestShardedServerRouting(t *testing.T) {
 	srv, addr := startShardedServer(t, 4)
-	c := dialT(t, addr)
+	c := dialBinT(t, addr)
 	arr := srv.Array()
 
 	for block := int64(0); block < 60; block++ {
@@ -82,7 +82,7 @@ func TestShardedServerRouting(t *testing.T) {
 // gauge, per-shard labelled series, and aggregate limits K·S.
 func TestShardedServerMetrics(t *testing.T) {
 	srv, addr := startShardedServer(t, 4)
-	c := dialT(t, addr)
+	c := dialBinT(t, addr)
 	for block := int64(0); block < 40; block++ {
 		if _, err := c.Read(block); err != nil {
 			t.Fatal(err)
@@ -126,10 +126,9 @@ func TestShardedServerMetrics(t *testing.T) {
 }
 
 // TestShardedServerShardQ runs a statistical (ε > 0) 2-shard server, pushes
-// load through it, and checks the per-shard Q gauge round-trips: the
-// exposition carries one flashqos_shard_q_estimate series per shard and
-// Client.ShardQ parses them into probabilities. On a deterministic server
-// every shard reports exactly 0.
+// load through it, and checks the per-shard Q gauge round-trips: ShardStats
+// reports one probability per shard, the value the shard's live controller
+// publishes. On a deterministic server every shard reports exactly 0.
 func TestShardedServerShardQ(t *testing.T) {
 	arr, err := shard.New(2, core.Config{Design: design.Paper931(), Epsilon: 0.05, SampleTrials: 500})
 	if err != nil {
@@ -142,77 +141,41 @@ func TestShardedServerShardQ(t *testing.T) {
 	}
 	go srv.Serve()
 	t.Cleanup(srv.Close)
-	c := dialT(t, addr.String())
+	c := dialBinT(t, addr.String())
 
 	for block := int64(0); block < 120; block++ {
 		if _, err := c.Read(block); err != nil {
 			t.Fatal(err)
 		}
 	}
-	qs, err := c.ShardQ()
+	gs, err := c.ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qs) != 2 {
-		t.Fatalf("ShardQ returned %d shards, want 2", len(qs))
+	if len(gs) != 2 {
+		t.Fatalf("ShardStats returned %d shards, want 2", len(gs))
 	}
-	for i, q := range qs {
-		if q < 0 || q > 1 {
-			t.Errorf("shard %d Q = %g, want a probability", i, q)
+	for i, g := range gs {
+		if g.Q < 0 || g.Q > 1 {
+			t.Errorf("shard %d Q = %g, want a probability", i, g.Q)
 		}
-		if want := arr.System(i).Q(); q > want+1e-6 || q < want-1e-6 {
-			t.Errorf("shard %d gauge %g, live controller %g", i, q, want)
+		if want := arr.System(i).Q(); g.Q > want+1e-6 || g.Q < want-1e-6 {
+			t.Errorf("shard %d gauge %g, live controller %g", i, g.Q, want)
 		}
 	}
 
-	// Deterministic server: series present, all zero.
+	// Deterministic server: one gauge per shard, all zero.
 	_, detAddr := startShardedServer(t, 4)
-	dc := dialT(t, detAddr)
-	qs, err = dc.ShardQ()
+	gs, err = dialBinT(t, detAddr).ShardStats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(qs) != 4 {
-		t.Fatalf("deterministic ShardQ returned %d shards, want 4", len(qs))
+	if len(gs) != 4 {
+		t.Fatalf("deterministic ShardStats returned %d shards, want 4", len(gs))
 	}
-	for i, q := range qs {
-		if q != 0 {
-			t.Errorf("deterministic shard %d Q = %g, want 0", i, q)
-		}
-	}
-}
-
-// TestParseShardQ pins the strict parser: well-formed pages parse by shard
-// index, and every malformation — no series, duplicate shards, gaps, bad
-// labels, bad or out-of-range values, trailing garbage — is an error
-// rather than a silent zero.
-func TestParseShardQ(t *testing.T) {
-	good := "# TYPE flashqos_shard_q_estimate gauge\n" +
-		"flashqos_shard_q_estimate{shard=\"1\"} 0.25\n" +
-		"flashqos_shard_q_estimate{shard=\"0\"} 0.000001\n" +
-		"flashqos_q_estimate 0.5\n"
-	qs, err := parseShardQ(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(qs) != 2 || qs[0] != 0.000001 || qs[1] != 0.25 {
-		t.Errorf("parsed %v, want [0.000001 0.25]", qs)
-	}
-	for name, page := range map[string]string{
-		"empty":        "",
-		"no series":    "flashqos_q_estimate 0.5\n",
-		"duplicate":    "flashqos_shard_q_estimate{shard=\"0\"} 0.1\nflashqos_shard_q_estimate{shard=\"0\"} 0.2\n",
-		"gap":          "flashqos_shard_q_estimate{shard=\"0\"} 0.1\nflashqos_shard_q_estimate{shard=\"2\"} 0.2\n",
-		"bad label":    "flashqos_shard_q_estimate{shard=\"x\"} 0.1\n",
-		"no quote":     "flashqos_shard_q_estimate{shard=\"0} 0.1\n",
-		"bad value":    "flashqos_shard_q_estimate{shard=\"0\"} zero\n",
-		"negative":     "flashqos_shard_q_estimate{shard=\"0\"} -0.1\n",
-		"above one":    "flashqos_shard_q_estimate{shard=\"0\"} 1.5\n",
-		"trailing":     "flashqos_shard_q_estimate{shard=\"0\"} 0.1 extra\n",
-		"negative idx": "flashqos_shard_q_estimate{shard=\"-1\"} 0.1\n",
-	} {
-		if _, err := parseShardQ(page); err == nil {
-			t.Errorf("%s: parseShardQ accepted %q", name, page)
+	for i, g := range gs {
+		if g.Q != 0 {
+			t.Errorf("deterministic shard %d Q = %g, want 0", i, g.Q)
 		}
 	}
 }
@@ -223,7 +186,7 @@ func TestParseShardQ(t *testing.T) {
 // ids across all shards.
 func TestShardedServerHealthAdmin(t *testing.T) {
 	srv, addr := startShardedServer(t, 4)
-	c := dialT(t, addr)
+	c := dialBinT(t, addr)
 	arr := srv.Array()
 	full := arr.S()
 
@@ -249,7 +212,7 @@ func TestShardedServerHealthAdmin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Devices != 36 || h.Alive != 35 || h.EffectiveS != eff || h.FullS != full {
+	if h.Devices != 36 || h.Alive != 35 || int(h.EffectiveS) != eff || int(h.FullS) != full {
 		t.Errorf("HEALTH = %+v, want devices=36 alive=35 s=%d s_full=%d", h, eff, full)
 	}
 	if len(h.States) != 36 {

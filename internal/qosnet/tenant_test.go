@@ -40,16 +40,11 @@ func TestTenantUnknownUniformAcrossProtocols(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tc, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
-	if _, err := tc.ReadTenant(5, "ghost"); err == nil || err.Error() != "ERR unknown tenant" {
-		t.Fatalf("text unknown tenant: err = %v, want ERR unknown tenant", err)
-	}
-	if _, err := tc.WriteTenant(5, "ghost"); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
-		t.Fatalf("text unknown tenant write: err = %v", err)
+	tc := dialText(t, addr)
+	for _, line := range []string{"READ 5 ghost", "WRITE 5 ghost"} {
+		if got := tc.do(line); got != "ERR unknown tenant" {
+			t.Fatalf("text %s = %q, want ERR unknown tenant", line, got)
+		}
 	}
 
 	bc := dialBinT(t, addr)
@@ -69,8 +64,8 @@ func TestTenantUnknownUniformAcrossProtocols(t *testing.T) {
 	if _, err := bc.ReadTenant(5, 1); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
 		t.Fatalf("binary deleted tenant: err = %v", err)
 	}
-	if _, err := tc.ReadTenant(5, "alpha"); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
-		t.Fatalf("text deleted tenant: err = %v", err)
+	if got := tc.do("READ 5 alpha"); got != "ERR unknown tenant" {
+		t.Fatalf("text deleted tenant = %q", got)
 	}
 
 	// Counters saw none of the refused submissions, and untenanted traffic
@@ -78,8 +73,8 @@ func TestTenantUnknownUniformAcrossProtocols(t *testing.T) {
 	if stats := srv.Array().TenantStats(); len(stats) != 0 {
 		t.Fatalf("refused submissions left counters: %+v", stats)
 	}
-	if res, err := tc.Read(5); err != nil || res.Rejected {
-		t.Fatalf("untenanted read after refusals: %+v %v", res, err)
+	if got := tc.do("READ 5"); !strings.HasPrefix(got, "OK ") {
+		t.Fatalf("untenanted read after refusals = %q", got)
 	}
 }
 
@@ -187,41 +182,23 @@ func TestBinaryTenantEndToEnd(t *testing.T) {
 // name-tagged READ/WRITE on the text protocol.
 func TestTextTenantVerbs(t *testing.T) {
 	_, addr := startTenantServer(t)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	idx, err := c.TenantSet("alpha", 2, 4, 1.5)
-	if err != nil || idx != 1 {
-		t.Fatalf("TENANT SET: %d %v", idx, err)
-	}
-	if _, err := c.TenantSet("big", 99, 0, 1); err == nil {
-		t.Fatal("TENANT SET beyond S accepted")
-	}
-	if res, err := c.ReadTenant(3, "alpha"); err != nil || res.Rejected {
-		t.Fatalf("tagged read: %+v %v", res, err)
-	}
-	if res, err := c.WriteTenant(4, "alpha"); err != nil || res.Rejected {
-		t.Fatalf("tagged write: %+v %v", res, err)
-	}
-	ti, err := c.TenantGet("alpha")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := TenantInfo{Name: "alpha", Index: 1, Reserve: 2, Limit: 4, Weight: 1.5, Admitted: 2}
-	if ti != want {
-		t.Fatalf("TENANT GET = %+v, want %+v", ti, want)
-	}
-	if err := c.TenantDel("alpha"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TenantGet("alpha"); err == nil {
-		t.Fatal("TENANT GET after DEL succeeded")
-	}
-	if _, err := c.ReadTenant(3, "alpha"); err == nil {
-		t.Fatal("tagged read after DEL succeeded")
+	c := dialText(t, addr)
+	for _, x := range []struct{ line, want string }{
+		{"TENANT SET alpha 2 4 1.5", "OK 1"},
+		{"TENANT SET big 99 0 1", "ERR admission: reservations total 101 > capacity 5"},
+		// The frame carries int32 caps and a one-byte name length.
+		{"TENANT SET big 1 3000000000 1", "ERR bad TENANT SET arguments"},
+		{"TENANT SET " + strings.Repeat("n", 256) + " 1 0 1", "ERR tenant name longer than 255 bytes"},
+		{"READ 3 alpha", "OK "},
+		{"WRITE 4 alpha", "OK "},
+		{"TENANT GET alpha", "TENANT alpha index=1 reserve=2 limit=4 weight=1.5 admitted=2 rejected=0 overlimit=0 deficit=0"},
+		{"TENANT DEL alpha", "OK deleted"},
+		{"TENANT GET alpha", "ERR unknown tenant"},
+		{"READ 3 alpha", "ERR unknown tenant"},
+	} {
+		if got := c.do(x.line); got != x.want && !(x.want == "OK " && strings.HasPrefix(got, x.want)) {
+			t.Fatalf("%s = %q, want %q", x.line, got, x.want)
+		}
 	}
 }
 
