@@ -20,17 +20,24 @@
 // Policies are swapped atomically: Configure publishes an immutable
 // MCSnap behind an atomic.Pointer, so live reconfiguration never pauses
 // the engine. A reconfiguration opens fresh per-window accounting (the
-// new snapshot's counters start empty); per-tenant gauges are carried
-// across reconfiguration by tenant name. When no tenant is active the
-// snapshot is nil and the gate costs one atomic load.
+// new snapshot's counters and scan frontiers start empty); per-tenant
+// gauges are carried across reconfiguration by tenant name. When no tenant
+// is active the snapshot is nil and the gate costs one atomic load.
+//
+// Under the Delay policy an over-cap submission moves on to a later
+// window, and Σcaps rarely fills a window to S, so no global frontier
+// passes the windows a tenant has exhausted: each snapshot keeps one scan
+// frontier per tenant instead, the ledger hint's rule applied to the
+// tenant's slice (RaiseFrontier, AcquireFirst).
 //
 // Counter storage mirrors the core ledger's chunked design: counters for
 // (tenant, window) keys live in 64-entry chunks behind a direct-mapped
-// atomic cache, and chunks far behind the window frontier are pruned.
-// A straggler touching a pruned window may observe a fresh counter; that
-// can only over-admit into a window the global ledger has already
-// filled, which the ledger refuses — the gate stays safe, merely not
-// exact, for windows far behind the frontier.
+// atomic cache, and chunks more than keepChunks behind the newest are
+// pruned (about 4096/tenants windows). A straggler touching a pruned
+// window observes a fresh counter and may take its tenant past its cap
+// there; the S-bound is the ledger's and is unaffected — the gate stays
+// safe, merely not exact, that far behind. A frontier never moves back,
+// so tenant walks do not revisit the windows it has passed.
 package admission
 
 import (
@@ -188,6 +195,7 @@ func (m *MClock) Configure(specs []TenantSpec) error {
 	}
 	snap.arrivals.init(len(cp))
 	snap.usage.init(len(cp))
+	snap.front = make([]atomic.Int64, len(cp))
 	m.snap.Store(snap)
 	return nil
 }
@@ -272,6 +280,8 @@ type MCSnap struct {
 	// would evict live arrival counters.
 	arrivals winCounts
 	usage    winCounts
+
+	front []atomic.Int64 // per-slot scan frontiers (AcquireFirst)
 }
 
 // Slots reports the slot-table length (the max valid tenant index).
@@ -335,22 +345,64 @@ func (s *MCSnap) NoteArrival(t int32, w int64) Verdict {
 // then refuses the window).
 func (s *MCSnap) Acquire(t int32, w int64, n int32) (reserved, ok bool) {
 	i := s.slot(t)
-	if i < 0 {
+	if i < 0 || n > s.caps[i] {
 		return false, false
 	}
+	reserved, ok, _ = s.take(i, w, n)
+	return reserved, ok
+}
+
+// take is Acquire on a valid slot; full reports a refusal with the
+// tenant's usage in w at its cap.
+func (s *MCSnap) take(i int, w int64, n int32) (reserved, ok, full bool) {
 	capi := s.caps[i]
-	if n > capi {
-		return false, false
-	}
 	c := s.usage.counter(int64(i), w)
 	for {
 		cur := c.Load()
 		if cur+n > capi {
-			return false, false
+			return false, false, cur >= capi
 		}
 		if c.CompareAndSwap(cur, cur+n) {
-			return cur+n <= int32(s.specs[i].Reserve), true
+			return cur+n <= int32(s.specs[i].Reserve), true, false
 		}
+	}
+}
+
+// RaiseFrontier lifts tenant t's scan frontier — the first window at or
+// after the latest scan start where t may still have cap — to w, the
+// window a new Delay-policy scan starts in. It never moves back.
+func (s *MCSnap) RaiseFrontier(t int32, w int64) {
+	if i := s.slot(t); i >= 0 {
+		f := &s.front[i]
+		for h := f.Load(); w > h && !f.CompareAndSwap(h, w); h = f.Load() {
+		}
+	}
+}
+
+// AcquireFirst is the Delay policy's Acquire: it takes n slots in the first
+// window at or after max(w, t's scan frontier) that has them and returns
+// that window. A refusal at the frontier window with usage at cap extends
+// the frontier by one; any other refusal moves nothing, and a cap-exhausted
+// tenant's walk is O(1) amortized. Single-threaded, with scan starts
+// raised in nondecreasing order, it skips exactly the windows the full walk
+// would fail in; under concurrency the frontier is advisory like the ledger
+// hint — a race may only admit later, since take's CAS enforces the cap.
+func (s *MCSnap) AcquireFirst(t int32, w int64, n int32) (at int64, reserved, ok bool) {
+	i := s.slot(t)
+	if i < 0 || n > s.caps[i] {
+		return w, false, false
+	}
+	f := &s.front[i]
+	w = max(w, f.Load())
+	for {
+		reserved, ok, full := s.take(i, w, n)
+		if ok {
+			return w, reserved, true
+		}
+		if full {
+			f.CompareAndSwap(w, w+1)
+		}
+		w++
 	}
 }
 
@@ -438,7 +490,9 @@ func (wc *winCounts) counterSlow(key, cid, ci int64) *atomic.Int32 {
 		wc.chunks[cid] = ch
 		if cid > wc.maxID {
 			wc.maxID = cid
-			if len(wc.chunks) > keepChunks {
+			// Chunks more than keepChunks behind the newest are dropped in
+			// one scan per keepChunks new chunks, not one per new chunk.
+			if len(wc.chunks) >= 2*keepChunks {
 				floor := cid - keepChunks
 				for id := range wc.chunks {
 					if id < floor {

@@ -226,6 +226,28 @@ func TestMClockManyWindows(t *testing.T) {
 	}
 }
 
+// TestWinCountsPruneBound walks a two-tenant counter space across a million
+// windows: the chunk map never holds more than 2·keepChunks+1 chunks, and
+// the walk allocates nothing but the chunks themselves (one per chunkLen
+// keys) — pruning is one scan per keepChunks new chunks, with no map churn.
+func TestWinCountsPruneBound(t *testing.T) {
+	const stride, span, runs = 2, 10_000, 100 // (runs+1)·span ≈ 1 M windows
+	var wc winCounts
+	wc.init(stride)
+	var w int64
+	allocs := testing.AllocsPerRun(runs, func() {
+		for end := w + span; w < end; w++ {
+			wc.counter(1, w).Add(1)
+			if n := len(wc.chunks); n > 2*keepChunks+1 {
+				t.Fatalf("window %d: %d chunks held, bound %d", w, n, 2*keepChunks+1)
+			}
+		}
+	})
+	if perRun := float64(span*stride) / chunkLen; allocs > perRun+1 {
+		t.Errorf("%.1f allocs per %d-window walk, want the %.1f chunks only", allocs, span, perRun)
+	}
+}
+
 func TestMClockConcurrentAcquire(t *testing.T) {
 	const cap = 128
 	m := mustGate(t, cap, TenantSpec{Name: "a", Reserve: 32, Weight: 1})

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -391,6 +396,74 @@ func TestStatisticalViolationBoundConcurrent(t *testing.T) {
 	}
 }
 
+// TestReorderSensitivity measures what TestStatisticalViolationBoundConcurrent
+// rules out by submitting in ticket order: how the statistical engine's
+// violations grow when arrivals reach it out of order. One goroutine submits
+// the seed-13 trace at ε = 0.002 after seeded swaps of adjacent records
+// (disjoint pairs, each swapped with the given probability) and each row's
+// violated-window rate and late-request count must reproduce
+// testdata/reorder_sensitivity.txt — a pinned curve, not a flaky ceiling.
+// Row 0 is the in-order serial run. -update rewrites the file.
+func TestReorderSensitivity(t *testing.T) {
+	tr, err := trace.ExchangeLike(13, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := sampling.Estimate(goldenAlloc, sampling.Options{MaxK: 25, Trials: 5000, Seed: 3, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 0.002
+	// run submits the records in the given order and reports the violated
+	// windows (ascending) and the requests finished past one service time.
+	run := func(order []int) (violated []int64, windows, late int) {
+		cs := newConcurrent(t, Config{Epsilon: eps, Table: tab})
+		viol := map[int64]bool{}
+		var last int64
+		for _, i := range order {
+			out := cs.Submit(tr.Records[i].Arrival, tr.Records[i].Block)
+			w := cs.Window(out.Admitted)
+			last = max(last, w)
+			if out.Response() > service+1e-9 {
+				viol[w] = true
+				late++
+			}
+		}
+		for w := range viol {
+			violated = append(violated, w)
+		}
+		sort.Slice(violated, func(a, b int) bool { return violated[a] < violated[b] })
+		return violated, int(last) + 1, late
+	}
+	inOrder := make([]int, len(tr.Records))
+	for i := range inOrder {
+		inOrder[i] = i
+	}
+	serial, _, _ := run(inOrder)
+
+	var buf bytes.Buffer
+	fmt.Fprintf(&buf, "# seed-13 ExchangeLike(0.05) trace, %d records, eps=%g, one goroutine; adjacent swaps seeded 1\n", len(tr.Records), eps)
+	fmt.Fprintln(&buf, "swap_rate swaps violated_windows windows violated_rate late_requests")
+	for _, rate := range []float64{0, 0.001, 0.004, 0.01} {
+		order := slices.Clone(inOrder)
+		rng := rand.New(rand.NewSource(1))
+		swaps := 0
+		for i := 0; i+1 < len(order); i++ {
+			if rng.Float64() < rate {
+				order[i], order[i+1] = order[i+1], order[i]
+				swaps++
+				i++
+			}
+		}
+		violated, windows, late := run(order)
+		if rate == 0 && !slices.Equal(violated, serial) {
+			t.Fatalf("the unswapped row violated %d windows, the serial run %d", len(violated), len(serial))
+		}
+		fmt.Fprintf(&buf, "%g %d %d %d %.5f %d\n", rate, swaps, len(violated), windows, float64(len(violated))/float64(windows), late)
+	}
+	compareGolden(t, filepath.Join("testdata", "reorder_sensitivity.txt"), buf.Bytes())
+}
+
 // certainTable builds a P_k table that declares every request size
 // optimally retrievable with certainty, so QWith is 0 for every k and the
 // statistical controller over-admits forever. Tests use it to hold the
@@ -547,19 +620,29 @@ func BenchmarkConcurrentSubmit(b *testing.B) {
 // pins tenant-less traffic to the pre-seam cost. tagged is the gated
 // path (arrival limit + per-window cap acquisition before the ledger);
 // it pays the O(1) gate and is gated absolutely, not by ratio.
+// stat-tagged is BenchmarkConcurrentStatistical's system under the
+// benchmark's gold/bronze policy: bronze's cap of 1 falls ever further
+// behind the offered load, so a tenant walk that rescans the windows it
+// has exhausted shows as a collapse against BenchmarkConcurrentStatistical,
+// which a ratio directive gates.
 func BenchmarkTenantSubmit(b *testing.B) {
-	for _, tagged := range []bool{false, true} {
-		name := "untagged"
-		if tagged {
-			name = "tagged"
-		}
-		b.Run(name, func(b *testing.B) {
-			cs := newConcurrent(b, Config{})
-			err := cs.SetTenants([]admission.TenantSpec{
-				{Name: "a", Reserve: 1, Weight: 3},
-				{Name: "b", Reserve: 1, Weight: 1},
-			})
-			if err != nil {
+	twoTenants := []admission.TenantSpec{
+		{Name: "a", Reserve: 1, Weight: 3},
+		{Name: "b", Reserve: 1, Weight: 1},
+	}
+	for _, bc := range []struct {
+		name   string
+		cfg    Config
+		specs  []admission.TenantSpec
+		tagged bool
+	}{
+		{"untagged", Config{}, twoTenants, false},
+		{"tagged", Config{}, twoTenants, true},
+		{"stat-tagged", Config{Epsilon: 0.05, SampleTrials: 2000}, benchTenants, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cs := newConcurrent(b, bc.cfg)
+			if err := cs.SetTenants(bc.specs); err != nil {
 				b.Fatal(err)
 			}
 			var clock atomic.Int64
@@ -568,7 +651,7 @@ func BenchmarkTenantSubmit(b *testing.B) {
 				for pb.Next() {
 					arrival := float64(clock.Add(1)) * 0.005
 					var tenant int32
-					if tagged {
+					if bc.tagged {
 						tenant = int32(1 + i&1)
 					}
 					cs.SubmitTenant(arrival, i, tenant)

@@ -243,20 +243,19 @@ func (e *engine) gate(snap *admission.MCSnap, arrival float64, tenant int32) (ou
 
 // tenantSlot claims n slots of the tenant's window cap in the first window
 // at or after w that has them — under Reject, in w or not at all (ok =
-// false). A cap miss advances to the next window without consuming ledger
-// credit or moving the global frontier (the window may still have room for
-// other tenants), so under sustained tenant overload this walk is where a
-// request spends its time (60 % of qosd's CPU on the benchmark's
-// admit_stat_tenant workload): it is its own tight loop rather than a
-// `continue` through the scan's outer loop, which cost that workload about
-// a tenth of its ops_s.
+// false). A cap miss consumes no ledger credit and cannot move the global
+// frontier (the window may still have room for other tenants), so under
+// Delay the walk starts at the tenant's own scan frontier, which the scans
+// raise to their start window (MCSnap.AcquireFirst). Before that frontier,
+// this walk rescanned every window the tenant had filled: 85 % of qosd's
+// CPU in the saturated phase of the benchmark's admit_stat_tenant workload
+// (2 cores); with it, 6 % — one or two counter probes and a CAS.
 func (e *engine) tenantSlot(snap *admission.MCSnap, tenant int32, w int64, n int32) (at int64, reserved, ok bool) {
-	for {
-		if reserved, ok = snap.Acquire(tenant, w, n); ok || e.reject {
-			return w, reserved, ok
-		}
-		w++
+	if e.reject {
+		reserved, ok = snap.Acquire(tenant, w, n)
+		return w, reserved, ok
 	}
+	return snap.AcquireFirst(tenant, w, n)
 }
 
 // burst is what one submission call carries across its requests —
@@ -405,6 +404,9 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 	// is an integer increment (windowEps guarantees window(float64(w+1)·T)
 	// is exactly w+1), so only scheduler-driven jumps recompute it.
 	w := e.window(tAdm)
+	if snap != nil && !e.reject {
+		snap.RaiseFrontier(tenant, w)
+	}
 	for {
 		// Tenant cap first: a tenant over its window share consumes no
 		// ledger credit (and strands none of the burst's).
@@ -592,6 +594,9 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 	}
 	tAdm := e.startFrom(arrival)
 	w := e.window(tAdm)
+	if snap != nil && !e.reject {
+		snap.RaiseFrontier(tenant, w)
+	}
 	for {
 		tenantReserved := false
 		if snap != nil {

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,6 +262,102 @@ func TestTenantFairness(t *testing.T) {
 	if ca.Admitted != admA+admA2 || cb.Admitted != admB+admB2 {
 		t.Errorf("gauges (%d, %d) disagree with observed admissions (%d, %d)",
 			ca.Admitted, cb.Admitted, admA+admA2, admB+admB2)
+	}
+}
+
+// benchTenants is the benchmark's admit_stat_tenant policy (gold:2:0:3,
+// bronze:1:0:1): on S = 5, gold's cap is 4 and fits a c = 3 write, bronze's
+// is 1.
+var benchTenants = []admission.TenantSpec{
+	{Name: "gold", Reserve: 2, Weight: 3},
+	{Name: "bronze", Reserve: 1, Weight: 1},
+}
+
+// TestTenantCapsConcurrentOverload floods benchTenants from 8 goroutines at
+// about five times capacity, ~1/8 writes, with a seeded 1 % of arrivals
+// stamped one window early (a connection whose stamp was taken before
+// another's scan started), at ε = 0 and ε = 0.002. Tenant scan frontiers
+// are advisory under concurrency — a race may only admit later — so from the
+// outcomes no tenant may exceed its cap in any window, and at ε = 0 no window
+// may exceed S. The run stays far inside the tenant counters' retention, so
+// pruning cannot excuse an excess.
+func TestTenantCapsConcurrentOverload(t *testing.T) {
+	for _, eps := range []float64{0, 0.002} {
+		t.Run(fmt.Sprintf("eps=%g", eps), func(t *testing.T) {
+			cs := newConcurrent(t, Config{Epsilon: eps, SampleTrials: 2000})
+			if err := cs.SetTenants(benchTenants); err != nil {
+				t.Fatal(err)
+			}
+			snap := cs.tenants.Snapshot()
+			T, c := cs.IntervalMS(), cs.Design().C
+			const goroutines, perG = 8, 250
+			var clock atomic.Int64
+			type result struct {
+				out   Outcome
+				write bool
+			}
+			results := make([][]result, goroutines)
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(g) + 1))
+					for i := 0; i < perG; i++ {
+						arrival := float64(clock.Add(1)) * 0.005
+						if rng.Intn(100) == 0 {
+							arrival = math.Max(0, arrival-T)
+						}
+						tenant, block, write := int32(1+i&1), int64(rng.Intn(5000)), rng.Intn(8) == 0
+						var out Outcome
+						if write {
+							out = cs.SubmitWriteTenant(arrival, block, tenant)
+						} else {
+							out = cs.SubmitTenant(arrival, block, tenant)
+						}
+						results[g] = append(results[g], result{out, write})
+					}
+				}(g)
+			}
+			wg.Wait()
+			// Per-window slot use, from the outcomes alone.
+			type key struct {
+				tenant int32
+				w      int64
+			}
+			perTenant, perWindow := map[key]int{}, map[int64]int{}
+			for _, rs := range results {
+				for _, r := range rs {
+					if r.out.Rejected {
+						// Under Delay only a write wider than its tenant's cap
+						// (bronze's) is refused.
+						if !r.write || snap.Cap(r.out.Tenant) >= c {
+							t.Fatalf("rejected under the Delay policy: %+v", r.out)
+						}
+						continue
+					}
+					slots := 1
+					if r.write {
+						slots = c
+					}
+					w := cs.Window(r.out.Admitted)
+					perTenant[key{r.out.Tenant, w}] += slots
+					perWindow[w] += slots
+				}
+			}
+			for k, n := range perTenant {
+				if n > snap.Cap(k.tenant) {
+					t.Errorf("tenant %d took %d slots in window %d, cap %d", k.tenant, n, k.w, snap.Cap(k.tenant))
+				}
+			}
+			if eps == 0 {
+				for w, n := range perWindow {
+					if n > cs.S() {
+						t.Errorf("window %d took %d slots, S = %d", w, n, cs.S())
+					}
+				}
+			}
+		})
 	}
 }
 
