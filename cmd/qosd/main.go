@@ -34,8 +34,10 @@
 // append-only volume file per device under DIR (see internal/pack), the
 // binary GET/PUT verbs serve payloads with QoS admission in front, media
 // faults feed the health monitor, and the rebuild scheduler copies real
-// payloads during reprotect/resilver. -backend mem|flashsim keep the
-// timing-only simulators (the default).
+// payloads during reprotect/resilver. -backend flashsim (the default) and
+// -backend mem are two names for the same timing-only daemon: admission
+// prices every request at flashsim's per-block service times and no bytes
+// are stored.
 package main
 
 import (
@@ -82,7 +84,7 @@ func main() {
 		failAfter    = flag.Int("fail-after", 10, "consecutive errors before a Suspect device turns Failed")
 		rebuildRate  = flag.Float64("rebuild-rate", 200, "background rebuild rate cap, bucket copies per second (0 = no rebuild; RECOVER promotes immediately)")
 
-		backend       = flag.String("backend", "flashsim", "storage backend: flashsim, mem, or pack (real bytes; needs -data-dir)")
+		backend       = flag.String("backend", "flashsim", "storage backend: flashsim or mem (the same timing-only daemon), or pack (real bytes; needs -data-dir)")
 		dataDir       = flag.String("data-dir", "", "volume directory for -backend pack")
 		packSync      = flag.Duration("pack-sync", pack.DefaultSyncInterval, "pack group-commit fsync interval")
 		packSyncBytes = flag.Int("pack-sync-bytes", pack.DefaultSyncBytes, "pack unsynced-byte threshold that kicks an early fsync")
@@ -93,21 +95,13 @@ func main() {
 	flag.Parse()
 
 	cfg := core.Config{N: *n, C: *c, M: *m, Epsilon: *epsilon}
-	var packBE *core.PackBackend
 	switch *backend {
-	case "flashsim":
-		// Default backend; leave cfg.Backend nil.
-	case "mem":
-		cfg.Backend = core.MemBackend{}
+	case "flashsim", "mem":
+		// Timing only; admission prices at flashsim's service times.
 	case "pack":
 		if *dataDir == "" {
 			log.Fatal("qosd: -backend pack requires -data-dir")
 		}
-		packBE = &core.PackBackend{
-			Dir:  *dataDir,
-			Opts: pack.Options{SyncInterval: *packSync, SyncBytes: *packSyncBytes},
-		}
-		cfg.Backend = packBE
 	default:
 		log.Fatalf("qosd: bad -backend %q (want flashsim, mem, or pack)", *backend)
 	}
@@ -135,8 +129,8 @@ func main() {
 		}
 	}
 	var store *pack.Store
-	if packBE != nil {
-		store, err = packBE.Open(arr.Devices())
+	if *backend == "pack" {
+		store, err = pack.Open(*dataDir, arr.Devices(), pack.Options{SyncInterval: *packSync, SyncBytes: *packSyncBytes})
 		if err != nil {
 			log.Fatal(err)
 		}

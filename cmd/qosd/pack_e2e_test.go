@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"os"
 	"os/exec"
@@ -101,6 +102,39 @@ func stopClean(t *testing.T, cmd *exec.Cmd, stdout io.Reader) {
 	}
 	if !strings.Contains(rest.String(), "qosd: bye") {
 		t.Fatalf("clean-drain farewell missing:\n%s", rest.String())
+	}
+}
+
+// TestBackendFlag pins the -backend choices: flashsim and mem start the
+// same timing-only daemon, while pack without -data-dir and an unknown
+// name exit with an error.
+func TestBackendFlag(t *testing.T) {
+	bin := buildQosd(t)
+	for _, be := range []string{"flashsim", "mem"} {
+		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-backend", be, "-drain-timeout", "1s")
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(stdout)
+		ok := sc.Scan() && strings.Contains(sc.Text(), "backend "+be+",") && strings.Contains(sc.Text(), "listening on ")
+		cmd.Process.Kill()
+		cmd.Wait()
+		if !ok {
+			t.Fatalf("-backend %s: banner %q", be, sc.Text())
+		}
+	}
+	for _, be := range []string{"pack", "bogus"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-addr", "127.0.0.1:0", "-backend", be).CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut {
+			t.Errorf("-backend %s (no -data-dir): err %v, want an error exit\n%s", be, err, out)
+		}
 	}
 }
 

@@ -1,20 +1,18 @@
-// Package admission implements the paper's two admission-control
-// mechanisms (§III-A, §III-B):
+// Package admission holds the state behind the paper's admission control
+// (§III-A, §III-B); the rules themselves run in the core engine, which
+// reserves at most S = (c-1)M² + cM block requests per T-window
+// (deterministic) or lets a window past S while the estimated probability
+// Q that its requests cannot be retrieved optimally stays below ε
+// (statistical). This package keeps:
 //
-//   - Deterministic: at most S = (c-1)M² + cM block requests are admitted
-//     per interval; excess requests are rejected or delayed to the next
-//     available interval. Every admitted set is guaranteed retrievable in M
-//     accesses.
-//   - Statistical: request sets larger than S are admitted as long as the
-//     estimated probability Q that an interval's requests cannot be
-//     retrieved optimally stays below a user threshold ε, where
-//     Q = Σ_k (1 - P_k)·R_k with P_k the sampled optimal-retrieval
-//     probabilities and R_k = N_k / N_t the observed frequency of
-//     request-size-k intervals.
-//
-// An application-level registry mirrors the worked example in Table I:
-// applications declare a per-period request size and are admitted while
-// the total stays within S.
+//   - Statistical: the estimator history behind Q = Σ_k (1 - P_k)·R_k, with
+//     P_k the sampled optimal-retrieval probabilities and R_k = N_k / N_t
+//     the observed frequency of request-size-k intervals, and the immutable
+//     Snapshot the engine decides against without a lock;
+//   - the per-tenant mClock-style gate in front of the S-bound (mclock.go);
+//   - Registry, the application-level worked example of Table I:
+//     applications declare a per-period request size and are admitted while
+//     the total stays within S.
 package admission
 
 import (
@@ -47,82 +45,22 @@ func (p Policy) String() string {
 	}
 }
 
-// Decision reports the outcome of admitting one interval's request set.
-type Decision struct {
-	Requested int // requests presented this interval (incl. carried backlog)
-	Accepted  int // requests admitted for retrieval in this interval
-	Overflow  int // requests delayed (Policy Delay) or dropped (Policy Reject)
-}
-
-// Deterministic is the deterministic admission controller: accept at most
-// S requests per interval.
-type Deterministic struct {
-	S       int
-	Policy  Policy
-	backlog int // delayed requests carried to the next interval
-	// Cumulative accounting.
-	totalRequested, totalAccepted, totalOverflow int64
-}
-
-// NewDeterministic creates a deterministic controller with limit S.
-func NewDeterministic(s int, p Policy) (*Deterministic, error) {
-	if s < 1 {
-		return nil, fmt.Errorf("admission: S must be >= 1, got %d", s)
-	}
-	return &Deterministic{S: s, Policy: p}, nil
-}
-
-// Backlog returns the number of delayed requests waiting for the next
-// interval.
-func (d *Deterministic) Backlog() int { return d.backlog }
-
-// AdmitInterval presents k new requests for the current interval. Any
-// backlog from earlier intervals is served first (FCFS). The decision
-// reports how many requests retrieve now and how many are delayed/dropped.
-func (d *Deterministic) AdmitInterval(k int) Decision {
-	if k < 0 {
-		panic(fmt.Sprintf("admission: negative request count %d", k))
-	}
-	total := k + d.backlog
-	acc := total
-	if acc > d.S {
-		acc = d.S
-	}
-	over := total - acc
-	if d.Policy == Delay {
-		d.backlog = over
-	} else {
-		d.backlog = 0
-	}
-	d.totalRequested += int64(k)
-	d.totalAccepted += int64(acc)
-	d.totalOverflow += int64(over)
-	return Decision{Requested: total, Accepted: acc, Overflow: over}
-}
-
-// Stats returns cumulative (requested, accepted, overflow) counts. With
-// Policy Delay a request may be counted in overflow several times if it
-// waits multiple intervals.
-func (d *Deterministic) Stats() (requested, accepted, overflow int64) {
-	return d.totalRequested, d.totalAccepted, d.totalOverflow
-}
-
-// Statistical is the statistical admission controller of §III-B2.
+// Statistical is the interval history of the statistical admission
+// controller (§III-B2). It is not thread-safe: the caller serializes
+// RecordInterval, SetTable and Snapshot, and shares the Snapshots.
 type Statistical struct {
 	S       int
 	Epsilon float64
-	Policy  Policy
 	table   *sampling.Table
 	nk      []int64 // nk[k] = intervals observed with (admitted) size k
 	nt      int64   // total intervals observed
-	backlog int
 }
 
 // NewStatistical creates a statistical controller. table supplies the
 // sampled P_k values; epsilon is the acceptable probability that an
 // interval's admitted requests are not optimally retrievable. epsilon = 0
 // reduces to deterministic behaviour.
-func NewStatistical(s int, epsilon float64, table *sampling.Table, p Policy) (*Statistical, error) {
+func NewStatistical(s int, epsilon float64, table *sampling.Table) (*Statistical, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("admission: S must be >= 1, got %d", s)
 	}
@@ -132,29 +70,11 @@ func NewStatistical(s int, epsilon float64, table *sampling.Table, p Policy) (*S
 	if table == nil {
 		return nil, fmt.Errorf("admission: nil probability table")
 	}
-	return &Statistical{S: s, Epsilon: epsilon, Policy: p, table: table, nk: make([]int64, table.MaxK()+1)}, nil
+	return &Statistical{S: s, Epsilon: epsilon, table: table, nk: make([]int64, table.MaxK()+1)}, nil
 }
 
-// Backlog returns the number of delayed requests waiting.
-func (s *Statistical) Backlog() int { return s.backlog }
-
-// Q returns the current estimate of the probability that an interval's
-// requests cannot be retrieved optimally: Σ_k (1-P_k)·N_k/N_t.
-func (s *Statistical) Q() float64 {
-	return s.qWith(-1)
-}
-
-// qWith computes Q with a hypothetical extra interval of size k (k < 0
-// means none).
-func (s *Statistical) qWith(k int) float64 {
-	return qOver(s.table, s.nk, s.nt, k)
-}
-
-// qOver computes Q over an (nk, nt) interval history with a hypothetical
-// extra interval of size k (k < 0 means none). It is the one Q evaluation
-// shared by the live controller and published Snapshots, so both produce
-// bit-identical floats for the same history — the property the concurrent
-// admission path's golden transcripts rest on.
+// qOver computes Q = Σ_k (1-P_k)·N_k/N_t over an (nk, nt) interval history
+// with a hypothetical extra interval of size k (k < 0 means none).
 func qOver(table *sampling.Table, nk []int64, nt int64, k int) float64 {
 	if k >= 0 {
 		nt++
@@ -186,78 +106,25 @@ func qOver(table *sampling.Table, nk []int64, nt int64, k int) float64 {
 	return q
 }
 
-// idx clamps an interval size to the counter range.
-func (s *Statistical) idx(k int) int {
-	if k < 0 {
-		return -1
-	}
-	if k > s.table.MaxK() {
-		return s.table.MaxK()
-	}
-	return k
-}
-
-// record notes that an interval retrieved k requests.
-func (s *Statistical) record(k int) {
-	s.nk[s.idx(k)]++
-	s.nt++
-}
-
-// AdmitInterval presents k new requests. Sizes within S are always
-// admitted; a larger size is admitted in full only if doing so keeps
-// Q < ε, otherwise S requests are admitted and the rest delayed or
-// rejected per policy.
-func (s *Statistical) AdmitInterval(k int) Decision {
-	if k < 0 {
-		panic(fmt.Sprintf("admission: negative request count %d", k))
-	}
-	total := k + s.backlog
-	var acc int
-	switch {
-	case total <= s.S:
-		acc = total
-	case s.qWith(total) < s.Epsilon:
-		acc = total
-	default:
-		acc = s.S
-	}
-	over := total - acc
-	if s.Policy == Delay {
-		s.backlog = over
-	} else {
-		s.backlog = 0
-	}
-	s.record(acc)
-	return Decision{Requested: total, Accepted: acc, Overflow: over}
-}
-
-// Intervals returns the number of intervals observed so far.
-func (s *Statistical) Intervals() int64 { return s.nt }
-
-// WouldAdmit reports whether an interval of size k would be admitted in
-// full right now: k within S, or Q (including the hypothetical interval)
-// below ε. It does not change controller state; pair with RecordInterval.
-func (s *Statistical) WouldAdmit(k int) bool {
-	if k <= s.S {
-		return true
-	}
-	return s.qWith(k) < s.Epsilon
-}
-
 // RecordInterval notes that an interval completed with k admitted requests.
 // Used by online replay, where interval sizes are known only once the
-// interval's time window has passed.
+// interval's time window has passed. Sizes beyond the table count in its
+// last bucket.
 func (s *Statistical) RecordInterval(k int) {
 	if k < 0 {
 		panic(fmt.Sprintf("admission: negative interval size %d", k))
 	}
-	s.record(k)
+	if k > s.table.MaxK() {
+		k = s.table.MaxK()
+	}
+	s.nk[k]++
+	s.nt++
 }
 
 // SetTable installs a refreshed P_k table (e.g. a higher-precision
 // background re-estimate). The interval history is kept; when the new
 // table's MaxK differs, counts beyond the new range fold into the last
-// bucket, matching the idx clamping that would have recorded them there.
+// bucket, matching the clamping that would have recorded them there.
 func (s *Statistical) SetTable(table *sampling.Table) error {
 	if table == nil {
 		return fmt.Errorf("admission: nil probability table")
@@ -277,10 +144,7 @@ func (s *Statistical) SetTable(table *sampling.Table) error {
 
 // Snapshot is an immutable copy of a Statistical controller's decision
 // state — the interval histogram N_k, the interval count N_t, and the P_k
-// table in force — safe to share across goroutines without locks. Its Q
-// evaluation runs the same arithmetic as the live controller (qOver), so a
-// Snapshot taken after every history mutation makes lock-free readers
-// bit-identical to serialized ones.
+// table in force — safe to share across goroutines without locks.
 type Snapshot struct {
 	S       int
 	Epsilon float64
@@ -301,9 +165,6 @@ func (s *Statistical) Snapshot() *Snapshot {
 // Q returns the violation-probability estimate frozen in the snapshot.
 func (sn *Snapshot) Q() float64 { return qOver(sn.table, sn.nk, sn.nt, -1) }
 
-// QWith returns Q including a hypothetical extra interval of size k.
-func (sn *Snapshot) QWith(k int) float64 { return qOver(sn.table, sn.nk, sn.nt, k) }
-
 // WouldAdmit reports whether an interval of size k would be admitted in
 // full against the frozen history: k within S, or Q (including the
 // hypothetical interval) below ε.
@@ -311,17 +172,11 @@ func (sn *Snapshot) WouldAdmit(k int) bool {
 	if k <= sn.S {
 		return true
 	}
-	return sn.QWith(k) < sn.Epsilon
+	return qOver(sn.table, sn.nk, sn.nt, k) < sn.Epsilon
 }
 
 // Intervals returns the number of intervals frozen in the snapshot.
 func (sn *Snapshot) Intervals() int64 { return sn.nt }
-
-// MaxK returns the largest request size with its own P_k entry in the
-// snapshot's table. QWith(k) is constant for all k > MaxK (the hypothetical
-// interval clamps to the last bucket and extrapolates the last P), so
-// WouldAdmit(MaxK+1) decides every size beyond the table at once.
-func (sn *Snapshot) MaxK() int { return sn.table.MaxK() }
 
 // --- Application registry (worked example of Table I) ---
 

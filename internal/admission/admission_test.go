@@ -8,57 +8,6 @@ import (
 	"flashqos/internal/sampling"
 )
 
-func TestDeterministicBasic(t *testing.T) {
-	d, err := NewDeterministic(5, Delay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := d.AdmitInterval(3)
-	if dec.Accepted != 3 || dec.Overflow != 0 {
-		t.Errorf("under limit: %+v", dec)
-	}
-	dec = d.AdmitInterval(7)
-	if dec.Accepted != 5 || dec.Overflow != 2 {
-		t.Errorf("over limit: %+v", dec)
-	}
-	if d.Backlog() != 2 {
-		t.Errorf("backlog = %d, want 2", d.Backlog())
-	}
-	// Backlog served first next interval.
-	dec = d.AdmitInterval(4)
-	if dec.Requested != 6 || dec.Accepted != 5 || dec.Overflow != 1 {
-		t.Errorf("backlog handling: %+v", dec)
-	}
-}
-
-func TestDeterministicReject(t *testing.T) {
-	d, _ := NewDeterministic(5, Reject)
-	dec := d.AdmitInterval(9)
-	if dec.Accepted != 5 || dec.Overflow != 4 {
-		t.Errorf("reject: %+v", dec)
-	}
-	if d.Backlog() != 0 {
-		t.Error("reject policy must not carry backlog")
-	}
-	req, acc, over := d.Stats()
-	if req != 9 || acc != 5 || over != 4 {
-		t.Errorf("stats = %d/%d/%d", req, acc, over)
-	}
-}
-
-func TestDeterministicValidation(t *testing.T) {
-	if _, err := NewDeterministic(0, Delay); err == nil {
-		t.Error("S=0 should fail")
-	}
-	d, _ := NewDeterministic(1, Delay)
-	defer func() {
-		if recover() == nil {
-			t.Error("negative k should panic")
-		}
-	}()
-	d.AdmitInterval(-1)
-}
-
 // TestTableIScenario walks the paper's Table I example: S = 5 (M=1 on the
 // (9,3,1) design). App1 size 2 at T0, App2 size 2 at T1, App3 size 1 at T2
 // fills the system; a fourth application must be rejected.
@@ -120,94 +69,111 @@ func testTable() *sampling.Table {
 	return &sampling.Table{N: 9, P: []float64{1, 1, 1, 1, 1, 1, 0.99, 0.98, 0.95, 0.75, 1, 1, 1}}
 }
 
+// The §III-B rule tests below drive the controller the way the engine
+// does: decide an interval against the published Snapshot, then record
+// the size it admitted — k in full when WouldAdmit(k), otherwise S.
+
 func TestStatisticalWithinSAlwaysAdmits(t *testing.T) {
-	s, err := NewStatistical(5, 0.01, testTable(), Delay)
+	s, err := NewStatistical(5, 0.01, testTable())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		dec := s.AdmitInterval(5)
-		if dec.Accepted != 5 || dec.Overflow != 0 {
-			t.Fatalf("interval %d: %+v", i, dec)
+		if !s.Snapshot().WouldAdmit(5) {
+			t.Fatalf("interval %d: size 5 = S refused", i)
 		}
+		s.RecordInterval(5)
 	}
-	if s.Q() != 0 {
-		t.Errorf("Q = %g, want 0 when all intervals within S", s.Q())
+	if q := s.Snapshot().Q(); q != 0 {
+		t.Errorf("Q = %g, want 0 when all intervals within S", q)
 	}
 }
 
 func TestStatisticalAdmitsBeyondS(t *testing.T) {
 	// With a loose epsilon, sizes 6-8 should be admitted (P_k high).
-	s, _ := NewStatistical(5, 0.10, testTable(), Delay)
-	dec := s.AdmitInterval(7)
-	if dec.Accepted != 7 {
-		t.Errorf("epsilon=0.10 should admit size 7: %+v", dec)
+	s, _ := NewStatistical(5, 0.10, testTable())
+	if !s.Snapshot().WouldAdmit(7) {
+		t.Error("epsilon=0.10 should admit size 7")
 	}
 }
 
 func TestStatisticalRejectsWhenQTooHigh(t *testing.T) {
 	// Epsilon tighter than (1-P9)=0.25 of a size-9 interval: first size-9
 	// interval would push Q to 0.25 > ε, so only S admitted.
-	s, _ := NewStatistical(5, 0.05, testTable(), Delay)
-	dec := s.AdmitInterval(9)
-	if dec.Accepted != 5 || dec.Overflow != 4 {
-		t.Errorf("should clamp to S: %+v", dec)
+	s, _ := NewStatistical(5, 0.05, testTable())
+	if s.Snapshot().WouldAdmit(9) {
+		t.Error("size 9 should clamp to S under epsilon=0.05")
 	}
-	if s.Backlog() != 4 {
-		t.Errorf("backlog = %d, want 4", s.Backlog())
+	s.RecordInterval(5)
+	if q := s.Snapshot().Q(); q != 0 {
+		t.Errorf("Q = %g after recording the clamped interval, want 0", q)
 	}
 }
 
 func TestStatisticalQAveragesOverHistory(t *testing.T) {
 	// Many size-5 intervals dilute R_k, letting an occasional size-9
 	// through under a moderate epsilon.
-	s, _ := NewStatistical(5, 0.01, testTable(), Reject)
+	s, _ := NewStatistical(5, 0.01, testTable())
 	for i := 0; i < 99; i++ {
-		s.AdmitInterval(5)
+		s.RecordInterval(5)
 	}
 	// Hypothetical size-9 interval: Q = 0.25 * 1/100 = 0.0025 < 0.01.
-	dec := s.AdmitInterval(9)
-	if dec.Accepted != 9 {
-		t.Errorf("diluted history should admit size 9: %+v (Q=%g)", dec, s.Q())
+	if !s.Snapshot().WouldAdmit(9) {
+		t.Errorf("diluted history should admit size 9 (Q=%g)", s.Snapshot().Q())
 	}
-	if s.Intervals() != 100 {
-		t.Errorf("intervals = %d, want 100", s.Intervals())
+	s.RecordInterval(9)
+	sn := s.Snapshot()
+	if sn.Intervals() != 100 {
+		t.Errorf("intervals = %d, want 100", sn.Intervals())
+	}
+	if q := sn.Q(); q < 0.0025-1e-12 || q > 0.0025+1e-12 {
+		t.Errorf("Q = %g, want 0.0025", q)
 	}
 }
 
 func TestStatisticalEpsilonZeroIsDeterministic(t *testing.T) {
-	s, _ := NewStatistical(5, 0, testTable(), Reject)
+	s, _ := NewStatistical(5, 0, testTable())
 	for _, k := range []int{6, 9, 12} {
-		dec := s.AdmitInterval(k)
-		if dec.Accepted != 5 {
-			t.Errorf("epsilon=0 admitted %d of %d, want 5", dec.Accepted, k)
+		if s.Snapshot().WouldAdmit(k) {
+			t.Errorf("epsilon=0 admitted %d in full, want S=5", k)
 		}
+		s.RecordInterval(5)
 	}
 }
 
 func TestStatisticalValidation(t *testing.T) {
 	tb := testTable()
-	if _, err := NewStatistical(0, 0.1, tb, Delay); err == nil {
+	if _, err := NewStatistical(0, 0.1, tb); err == nil {
 		t.Error("S=0 should fail")
 	}
-	if _, err := NewStatistical(5, -0.1, tb, Delay); err == nil {
+	if _, err := NewStatistical(5, -0.1, tb); err == nil {
 		t.Error("negative epsilon should fail")
 	}
-	if _, err := NewStatistical(5, 1.0, tb, Delay); err == nil {
+	if _, err := NewStatistical(5, 1.0, tb); err == nil {
 		t.Error("epsilon=1 should fail")
 	}
-	if _, err := NewStatistical(5, 0.1, nil, Delay); err == nil {
+	if _, err := NewStatistical(5, 0.1, nil); err == nil {
 		t.Error("nil table should fail")
 	}
+	s, _ := NewStatistical(5, 0.1, tb)
+	defer func() {
+		if recover() == nil {
+			t.Error("negative interval size should panic")
+		}
+	}()
+	s.RecordInterval(-1)
 }
 
 func TestStatisticalSizeBeyondTable(t *testing.T) {
-	s, _ := NewStatistical(5, 0.5, testTable(), Reject)
+	s, _ := NewStatistical(5, 0.5, testTable())
 	// Size way beyond the table uses the extrapolated last value (P=1),
 	// so Q contribution is 0 and it should be admitted under loose epsilon.
-	dec := s.AdmitInterval(50)
-	if dec.Accepted != 50 {
-		t.Errorf("size beyond table: %+v", dec)
+	if !s.Snapshot().WouldAdmit(50) {
+		t.Error("size beyond table should be admitted")
+	}
+	s.RecordInterval(50) // clamps into the table's last bucket
+	if n := s.Snapshot().Intervals(); n != 1 {
+		t.Errorf("intervals = %d, want 1", n)
 	}
 }
 
@@ -220,88 +186,34 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// Property: deterministic controller never admits more than S and
-// conserves requests (accepted + overflow == requested).
-func TestQuickDeterministicConservation(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := 1 + rng.Intn(20)
-		d, _ := NewDeterministic(s, Policy(rng.Intn(2)))
-		for i := 0; i < 50; i++ {
-			k := rng.Intn(3 * s)
-			dec := d.AdmitInterval(k)
-			if dec.Accepted > s || dec.Accepted+dec.Overflow != dec.Requested {
-				return false
-			}
-			if dec.Requested < k {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: statistical controller with epsilon e admits a superset of
-// what the deterministic controller admits, and Q stays below max(e, Q of
-// the same history clamped at S contributions).
+// Property: the statistical controller admits a superset of what the
+// deterministic S-bound admits — every size within S, whatever the
+// history — and loosening ε never refuses a size a tighter ε admits.
 func TestQuickStatisticalDominatesDeterministic(t *testing.T) {
 	tb := testTable()
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := rng.Float64() * 0.5
-		st, _ := NewStatistical(5, e, tb, Reject)
-		de, _ := NewDeterministic(5, Reject)
+		tight, _ := NewStatistical(5, e, tb)
+		loose, _ := NewStatistical(5, e+rng.Float64()*(0.99-e), tb)
 		for i := 0; i < 50; i++ {
-			k := rng.Intn(12)
-			ds := st.AdmitInterval(k)
-			dd := de.AdmitInterval(k)
-			if ds.Accepted < dd.Accepted {
-				return false
+			st, sl := tight.Snapshot(), loose.Snapshot()
+			for k := 0; k < 2*tb.MaxK(); k++ {
+				if k <= 5 && !st.WouldAdmit(k) {
+					return false
+				}
+				if st.WouldAdmit(k) && !sl.WouldAdmit(k) {
+					return false
+				}
 			}
+			k := rng.Intn(12)
+			tight.RecordInterval(k)
+			loose.RecordInterval(k)
 		}
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSnapshotMatchesLiveExactly drives randomized interval histories and
-// requires every Snapshot observable — Q, QWith, WouldAdmit, Intervals —
-// to equal the live controller's bit-for-bit (==, not within tolerance).
-// This is the exactness contract the concurrent engine's golden
-// transcripts rest on: both sides must evaluate Q through the shared
-// qOver loop over the same counts, so float non-associativity can never
-// make a lock-free reader disagree with a serialized one.
-func TestSnapshotMatchesLiveExactly(t *testing.T) {
-	tb := testTable()
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, err := NewStatistical(5, rng.Float64()*0.3, tb, Delay)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 60; step++ {
-			s.RecordInterval(rng.Intn(2 * tb.MaxK())) // sizes past MaxK exercise clamping
-			sn := s.Snapshot()
-			if got, want := sn.Q(), s.Q(); got != want {
-				t.Fatalf("seed %d step %d: snapshot Q %v != live Q %v", seed, step, got, want)
-			}
-			if got, want := sn.Intervals(), s.Intervals(); got != want {
-				t.Fatalf("seed %d step %d: snapshot intervals %d != live %d", seed, step, got, want)
-			}
-			for k := 0; k <= 2*tb.MaxK()+1; k++ {
-				if got, want := sn.QWith(k), s.qWith(k); got != want {
-					t.Fatalf("seed %d step %d: QWith(%d) snapshot %v != live %v", seed, step, k, got, want)
-				}
-				if got, want := sn.WouldAdmit(k), s.WouldAdmit(k); got != want {
-					t.Fatalf("seed %d step %d: WouldAdmit(%d) snapshot %v != live %v", seed, step, k, got, want)
-				}
-			}
-		}
 	}
 }
 
@@ -309,7 +221,7 @@ func TestSnapshotMatchesLiveExactly(t *testing.T) {
 // froze after the live controller moves on — the property that makes it
 // safe to share across goroutines without locks.
 func TestSnapshotIsImmutable(t *testing.T) {
-	s, _ := NewStatistical(5, 0.1, testTable(), Delay)
+	s, _ := NewStatistical(5, 0.1, testTable())
 	s.RecordInterval(9)
 	sn := s.Snapshot()
 	q0, n0 := sn.Q(), sn.Intervals()
@@ -320,17 +232,17 @@ func TestSnapshotIsImmutable(t *testing.T) {
 		t.Errorf("snapshot drifted with live controller: Q %v -> %v, intervals %d -> %d",
 			q0, sn.Q(), n0, sn.Intervals())
 	}
-	if s.Q() == q0 {
+	if s.Snapshot().Q() == q0 {
 		t.Error("live controller should have moved (test is vacuous otherwise)")
 	}
 }
 
 // TestSetTableFoldsTailCounts installs a smaller refreshed table and
 // checks history beyond the new MaxK folds into the last bucket — the
-// same clamping record() would have applied had the small table been in
+// same clamping RecordInterval would have applied had the small table been in
 // force all along — and that total interval count is conserved.
 func TestSetTableFoldsTailCounts(t *testing.T) {
-	s, _ := NewStatistical(5, 0.1, testTable(), Delay) // MaxK 12
+	s, _ := NewStatistical(5, 0.1, testTable()) // MaxK 12
 	for _, k := range []int{3, 7, 10, 11, 12, 12} {
 		s.RecordInterval(k)
 	}
@@ -338,8 +250,8 @@ func TestSetTableFoldsTailCounts(t *testing.T) {
 	if err := s.SetTable(small); err != nil {
 		t.Fatal(err)
 	}
-	if s.Intervals() != 6 {
-		t.Errorf("intervals = %d, want 6 (conserved across SetTable)", s.Intervals())
+	if s.Snapshot().Intervals() != 6 {
+		t.Errorf("intervals = %d, want 6 (conserved across SetTable)", s.Snapshot().Intervals())
 	}
 	if got := s.nk[8]; got != 4 {
 		t.Errorf("last bucket holds %d intervals, want 4 (10,11,12,12 clamp to 8)", got)
@@ -349,12 +261,12 @@ func TestSetTableFoldsTailCounts(t *testing.T) {
 	}
 	// Equivalent controller built on the small table from scratch must agree
 	// exactly.
-	ref, _ := NewStatistical(5, 0.1, small, Delay)
+	ref, _ := NewStatistical(5, 0.1, small)
 	for _, k := range []int{3, 7, 10, 11, 12, 12} {
 		ref.RecordInterval(k)
 	}
-	if s.Q() != ref.Q() {
-		t.Errorf("Q after SetTable %v != Q of fresh controller %v", s.Q(), ref.Q())
+	if s.Snapshot().Q() != ref.Snapshot().Q() {
+		t.Errorf("Q after SetTable %v != Q of fresh controller %v", s.Snapshot().Q(), ref.Snapshot().Q())
 	}
 	if err := s.SetTable(nil); err == nil {
 		t.Error("nil table should fail")
@@ -365,7 +277,7 @@ func TestSetTableFoldsTailCounts(t *testing.T) {
 // place (no fold needed) and new sizes land in their own buckets.
 func TestSetTableGrowsRange(t *testing.T) {
 	small := &sampling.Table{N: 9, P: []float64{1, 1, 1, 0.9}} // MaxK 3
-	s, _ := NewStatistical(2, 0.1, small, Delay)
+	s, _ := NewStatistical(2, 0.1, small)
 	s.RecordInterval(9) // clamps to 3 under the small table
 	big := testTable()  // MaxK 12
 	if err := s.SetTable(big); err != nil {
@@ -378,14 +290,7 @@ func TestSetTableGrowsRange(t *testing.T) {
 	if got := s.nk[9]; got != 1 {
 		t.Errorf("post-refresh size 9 should use its own bucket: nk[9] = %d", got)
 	}
-	if s.Intervals() != 2 {
-		t.Errorf("intervals = %d, want 2", s.Intervals())
-	}
-}
-
-func BenchmarkStatisticalAdmit(b *testing.B) {
-	s, _ := NewStatistical(5, 0.05, testTable(), Delay)
-	for i := 0; i < b.N; i++ {
-		s.AdmitInterval(i % 12)
+	if s.Snapshot().Intervals() != 2 {
+		t.Errorf("intervals = %d, want 2", s.Snapshot().Intervals())
 	}
 }

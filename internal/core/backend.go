@@ -1,143 +1,20 @@
 package core
 
-import (
-	"fmt"
-	"sort"
+import "flashqos/internal/flashsim"
 
-	"flashqos/internal/flashsim"
-)
-
-// Backend abstracts the storage device layer behind the QoS engine. The
-// engine itself schedules against a virtual-time model (retrieval.Online)
-// and only needs three things from real hardware or a simulator: the
-// per-block service times that parameterize the guarantee, and a way to
-// drive raw requests for the paper's "original stand" comparison. Keeping
-// that surface an interface makes the flashsim discrete-event model, the
-// in-memory FIFO model below, and a future real-device backend
-// interchangeable without touching admission or retrieval.
-type Backend interface {
-	// Name identifies the backend in logs and reports.
-	Name() string
-	// ReadLatencyMS is the per-block read service time (ms) used when
-	// Config.ServiceMS is left zero.
-	ReadLatencyMS() float64
-	// WriteLatencyMS is the per-block program time (ms) used when
-	// Config.WriteServiceMS is left zero.
-	WriteLatencyMS() float64
-	// NewArray builds a running device array with the given module count
-	// and per-block read service time.
-	NewArray(devices int, readServiceMS float64) (Array, error)
-}
-
-// Array is a running device array accepting raw block reads — the
-// no-admission-control path ReplayOriginalOn drives.
-type Array interface {
-	// Submit enqueues one read for a specific device. Arrivals must be
-	// non-decreasing relative to completions already drained. An
-	// out-of-range device is rejected with an error by every backend — the
-	// seam validates, callers need not pre-check.
-	Submit(id int64, arrivalMS float64, device int, block int64) error
-	// Drain runs all submitted requests to completion and returns them in
-	// completion order.
-	Drain() []ArrayCompletion
-}
-
-// errDeviceRange is the uniform out-of-range error every backend's Array
-// returns from Submit, so callers can report it identically regardless of
-// the backend behind the seam.
-func errDeviceRange(backend string, device, n int) error {
-	return fmt.Errorf("core: %s backend device %d out of range [0,%d)", backend, device, n)
-}
-
-// ArrayCompletion reports one finished raw request.
-type ArrayCompletion struct {
-	Device    int
-	ArrivalMS float64
-	StartMS   float64
-	FinishMS  float64
-}
-
-// ResponseMS returns the I/O driver response time: completion minus
-// arrival (the metric of the paper's Table III).
-func (c ArrayCompletion) ResponseMS() float64 { return c.FinishMS - c.ArrivalMS }
-
-// normalizeService is the single config-normalization point for service
-// times: non-positive values fall back to the backend's device latencies.
-// (Before the Backend extraction this fallback was duplicated at System
-// construction and at ReplayOriginal.)
-func normalizeService(b Backend, readMS, writeMS float64) (read, write float64) {
-	if b == nil {
-		b = DefaultBackend()
-	}
-	if readMS <= 0 {
-		readMS = b.ReadLatencyMS()
-	}
-	if writeMS <= 0 {
-		writeMS = b.WriteLatencyMS()
-	}
-	return readMS, writeMS
-}
-
-// DefaultBackend returns the flashsim discrete-event backend the paper's
-// evaluation uses.
-func DefaultBackend() Backend { return simBackend{} }
-
-// simBackend adapts internal/flashsim to the Backend interface.
-type simBackend struct{}
-
-func (simBackend) Name() string            { return "flashsim" }
-func (simBackend) ReadLatencyMS() float64  { return flashsim.DefaultReadLatency }
-func (simBackend) WriteLatencyMS() float64 { return flashsim.DefaultWriteLatency }
-
-func (simBackend) NewArray(devices int, readServiceMS float64) (Array, error) {
-	arr, err := flashsim.New(flashsim.Config{Modules: devices, ReadLatency: readServiceMS})
-	if err != nil {
-		return nil, err
-	}
-	return &simArray{arr: arr, devices: devices}, nil
-}
-
-type simArray struct {
-	arr     *flashsim.Array
-	devices int
-}
-
-func (a *simArray) Submit(id int64, arrivalMS float64, device int, block int64) error {
-	// Validate here rather than letting flashsim panic deep in its event
-	// loop: the seam owns the bounds contract.
-	if device < 0 || device >= a.devices {
-		return errDeviceRange("flashsim", device, a.devices)
-	}
-	a.arr.Submit(flashsim.Request{ID: id, Arrival: arrivalMS, Module: device, Block: block})
-	return nil
-}
-
-func (a *simArray) Drain() []ArrayCompletion {
-	cs := a.arr.Run()
-	out := make([]ArrayCompletion, len(cs))
-	for i, c := range cs {
-		out[i] = ArrayCompletion{Device: c.Module, ArrivalMS: c.Arrival, StartMS: c.Start, FinishMS: c.Finish}
-	}
-	return out
-}
-
-// MemBackend is a deterministic in-memory backend: each device is a FIFO
-// queue serving one request at a time at a fixed service latency — the
-// behavior the flashsim model reduces to with one way and no jitter. It
-// exists to prove the Backend seam (and as the template for wiring a real
-// device): a System configured over MemBackend with flashsim's latencies
-// produces the same reports as one over the simulator.
+// MemBackend is the per-block read/write service-time pair the engine
+// prices admission with; zero fields fall back to flashsim's defaults, so
+// MemBackend{} is the paper's DiskSim service model (§V).
+//
+// Deprecated: set Config.ServiceMS and Config.WriteServiceMS instead. The
+// type survives only because the read-only benchmark module (bench/) names
+// it, as a Config.Backend value and for its default latencies.
 type MemBackend struct {
-	// ReadMS / WriteMS are the fixed service latencies; zero values fall
-	// back to the flashsim defaults so MemBackend{} is usable as-is.
 	ReadMS  float64
 	WriteMS float64
 }
 
-// Name implements Backend.
-func (MemBackend) Name() string { return "mem" }
-
-// ReadLatencyMS implements Backend.
+// ReadLatencyMS returns ReadMS, or flashsim's default read latency when unset.
 func (b MemBackend) ReadLatencyMS() float64 {
 	if b.ReadMS > 0 {
 		return b.ReadMS
@@ -145,7 +22,8 @@ func (b MemBackend) ReadLatencyMS() float64 {
 	return flashsim.DefaultReadLatency
 }
 
-// WriteLatencyMS implements Backend.
+// WriteLatencyMS returns WriteMS, or flashsim's default program time when
+// unset.
 func (b MemBackend) WriteLatencyMS() float64 {
 	if b.WriteMS > 0 {
 		return b.WriteMS
@@ -153,58 +31,14 @@ func (b MemBackend) WriteLatencyMS() float64 {
 	return flashsim.DefaultWriteLatency
 }
 
-// NewArray implements Backend.
-func (b MemBackend) NewArray(devices int, readServiceMS float64) (Array, error) {
-	if devices < 1 {
-		return nil, fmt.Errorf("core: mem backend needs >= 1 device, got %d", devices)
+// normalizeService is the single config-normalization point for service
+// times: non-positive values fall back to the backend's latencies.
+func normalizeService(b MemBackend, readMS, writeMS float64) (read, write float64) {
+	if readMS <= 0 {
+		readMS = b.ReadLatencyMS()
 	}
-	if readServiceMS <= 0 {
-		readServiceMS = b.ReadLatencyMS()
+	if writeMS <= 0 {
+		writeMS = b.WriteLatencyMS()
 	}
-	return &memArray{name: "mem", free: make([]float64, devices), service: readServiceMS}, nil
-}
-
-type memReq struct {
-	seq     int
-	arrival float64
-	device  int
-}
-
-type memArray struct {
-	name    string    // backend name for error reporting ("mem", "pack")
-	free    []float64 // per-device next-free time
-	service float64
-	queue   []memReq
-	seq     int
-}
-
-func (a *memArray) Submit(id int64, arrivalMS float64, device int, block int64) error {
-	if device < 0 || device >= len(a.free) {
-		return errDeviceRange(a.name, device, len(a.free))
-	}
-	a.queue = append(a.queue, memReq{seq: a.seq, arrival: arrivalMS, device: device})
-	a.seq++
-	return nil
-}
-
-// Drain serves the queued requests FIFO per device (arrival order, with
-// submission order breaking arrival ties) and returns completions in
-// finish order, service order on ties — the ordering the simulator's event
-// heap produces for the same workload.
-func (a *memArray) Drain() []ArrayCompletion {
-	q := a.queue
-	a.queue = nil
-	sort.SliceStable(q, func(i, j int) bool { return q[i].arrival < q[j].arrival })
-	out := make([]ArrayCompletion, len(q))
-	for i, r := range q {
-		start := r.arrival
-		if f := a.free[r.device]; f > start {
-			start = f
-		}
-		finish := start + a.service
-		a.free[r.device] = finish
-		out[i] = ArrayCompletion{Device: r.device, ArrivalMS: r.arrival, StartMS: start, FinishMS: finish}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].FinishMS < out[j].FinishMS })
-	return out
+	return readMS, writeMS
 }

@@ -465,7 +465,7 @@ func TestReorderSensitivity(t *testing.T) {
 }
 
 // certainTable builds a P_k table that declares every request size
-// optimally retrievable with certainty, so QWith is 0 for every k and the
+// optimally retrievable with certainty, so Q is 0 for every k and the
 // statistical controller over-admits forever. Tests use it to hold the
 // fast path in one window without the window-close or delay machinery
 // engaging.
@@ -595,6 +595,38 @@ func TestWindowShardPruning(t *testing.T) {
 	sh.mu.Unlock()
 	if n > shardPruneLen+1 {
 		t.Errorf("shard 0 tracks %d chunks, prune threshold %d", n, shardPruneLen)
+	}
+}
+
+// TestLedgerPruneBound walks shard 0 of the ledger across 8,192 chunks (33 M
+// windows) with the reclaim floor held back — at 0 for the first lag
+// chunks, then trailing the newest window by lag chunks, as a far-future
+// backlog above the ε > 0 fold progress leaves it. Chunks per shard stay
+// within 2·max(shardPruneLen, live), and the prune scans visit O(chunks
+// created) entries in all: a floor that frees nothing costs one scan per
+// doubling of the map, not one per new chunk.
+func TestLedgerPruneBound(t *testing.T) {
+	var led shardedLedger
+	const step = windowShardCount * chunkSize // the next chunk of shard 0
+	const created, lag = 8192, 1024           // in shard-0 chunks
+	sh := &led.shards[0]
+	for i := int64(0); i < created; i++ {
+		w := i * step
+		led.notePrunable(w - lag*step)
+		led.counter(w).Store(1)
+		floorCk := (led.prunable.Load() - shardPruneMargin) >> chunkBits
+		live := 0
+		for k := range sh.chunks {
+			if k >= floorCk {
+				live++
+			}
+		}
+		if n, bound := len(sh.chunks), 2*max(shardPruneLen, live); n > bound {
+			t.Fatalf("chunk %d: shard holds %d chunks, %d live, bound %d", i, n, live, bound)
+		}
+	}
+	if sh.scanned > 4*created {
+		t.Errorf("prune scans visited %d chunks for %d created, want O(created) (<= %d)", sh.scanned, created, 4*created)
 	}
 }
 

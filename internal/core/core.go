@@ -10,8 +10,9 @@
 //     requests retrieved per interval T (admission, sampling);
 //   - online or interval-aligned retrieval schedules admitted requests on
 //     replica devices (retrieval);
-//   - a pluggable storage Backend provides device latencies and raw-trace
-//     service (flashsim by default; see backend.go).
+//   - admission prices every request at one per-block read/write service
+//     time (Config.ServiceMS, flashsim's 0.132507 ms by default);
+//     ReplayOriginal replays the unadmitted "original stand" on flashsim.
 //
 // One admission/retrieval engine implements the submit paths (engine.go)
 // in one configuration; System is its public face. Submit, SubmitWrite,
@@ -30,6 +31,7 @@ import (
 	"flashqos/internal/decluster"
 	"flashqos/internal/design"
 	"flashqos/internal/fim"
+	"flashqos/internal/flashsim"
 	"flashqos/internal/sampling"
 	"flashqos/internal/stats"
 	"flashqos/internal/trace"
@@ -72,11 +74,11 @@ type Config struct {
 	M int
 	// IntervalMS is the QoS interval T. Default 0.133 ms (paper §V-D).
 	IntervalMS float64
-	// ServiceMS is the per-block read time. Defaults to the backend's read
-	// latency (0.132507 ms for the flashsim default).
+	// ServiceMS is the per-block read time. Defaults to flashsim's read
+	// latency (0.132507 ms).
 	ServiceMS float64
 	// WriteServiceMS is the per-block program time for the SubmitWrite
-	// extension. Defaults to the backend's write latency (0.350 ms).
+	// extension. Defaults to flashsim's write latency (0.350 ms).
 	WriteServiceMS float64
 	// Epsilon enables statistical QoS when > 0 (§III-B); 0 is deterministic.
 	Epsilon float64
@@ -96,9 +98,11 @@ type Config struct {
 	Table        *sampling.Table
 	SampleTrials int
 	Seed         int64
-	// Backend supplies device latencies and raw-trace replay service.
-	// Default: the flashsim discrete-event model (DefaultBackend).
-	Backend Backend
+	// Backend fills whichever of ServiceMS and WriteServiceMS is left zero.
+	//
+	// Deprecated: set ServiceMS and WriteServiceMS. The field survives only
+	// because the read-only benchmark module (bench/) sets it.
+	Backend MemBackend
 	// Allocator optionally injects a prebuilt design-theoretic allocator.
 	// It must be built over the same design the system uses (Design when
 	// set, else the allocator's own design is adopted). The allocator is
@@ -117,9 +121,6 @@ type Config struct {
 }
 
 func (c *Config) applyDefaults() {
-	if c.Backend == nil {
-		c.Backend = DefaultBackend()
-	}
 	if c.M == 0 {
 		c.M = 1
 	}
@@ -211,9 +212,6 @@ func (s *System) IntervalMS() float64 { return s.cfg.IntervalMS }
 
 // Mapper exposes the data-block mapper (for inspection).
 func (s *System) Mapper() *blockmap.Mapper { return s.mapper }
-
-// Backend returns the storage backend the system was configured with.
-func (s *System) Backend() Backend { return s.cfg.Backend }
 
 // Remap mines the previous interval's records (FIM, set size 2, window T)
 // and rebuilds the data-block → design-block mapping (§IV-A). Returns the
@@ -648,20 +646,15 @@ func (s *System) replayAligned(tr *trace.Trace) *Report {
 
 // ReplayOriginal replays a trace "as stated" (the paper's original stand,
 // §V-D): every request goes to the device named in the trace record, FCFS,
-// with no admission control, on the default flashsim backend. The response
-// times include queueing delay.
+// with no admission control, on the flashsim discrete-event model. The
+// response times include queueing delay. A serviceMS <= 0 uses flashsim's
+// default read latency.
 func ReplayOriginal(tr *trace.Trace, devices int, serviceMS float64) (*Report, error) {
-	return ReplayOriginalOn(DefaultBackend(), tr, devices, serviceMS)
-}
-
-// ReplayOriginalOn is ReplayOriginal against an explicit storage backend; a
-// serviceMS of 0 falls back to the backend's read latency.
-func ReplayOriginalOn(b Backend, tr *trace.Trace, devices int, serviceMS float64) (*Report, error) {
 	if devices < 1 {
 		return nil, fmt.Errorf("core: devices must be >= 1")
 	}
-	serviceMS, _ = normalizeService(b, serviceMS, 0)
-	arr, err := b.NewArray(devices, serviceMS)
+	serviceMS, _ = normalizeService(MemBackend{}, serviceMS, 0)
+	arr, err := flashsim.New(flashsim.Config{Modules: devices, ReadLatency: serviceMS})
 	if err != nil {
 		return nil, err
 	}
@@ -670,26 +663,29 @@ func ReplayOriginalOn(b Backend, tr *trace.Trace, devices int, serviceMS float64
 		if r.Write {
 			continue
 		}
-		id++
-		if err := arr.Submit(id, r.Arrival, r.Device%devices, r.Block); err != nil {
-			return nil, err
+		// A negative record device survives the modulo; reject it here
+		// rather than letting flashsim panic deep in its event loop.
+		dev := r.Device % devices
+		if dev < 0 {
+			return nil, fmt.Errorf("core: flashsim backend device %d out of range [0,%d)", dev, devices)
 		}
+		id++
+		arr.Submit(flashsim.Request{ID: id, Arrival: r.Arrival, Module: dev, Block: r.Block})
 	}
-	cs := arr.Drain()
 	rep := &Report{Name: tr.Name + " (original)"}
 	n := tr.NumIntervals()
 	respI := make([]stats.Summary, n)
 	var respAll stats.Summary
-	for _, c := range cs {
+	for _, c := range arr.Run() {
 		iv := 0
 		if tr.IntervalMS > 0 {
-			iv = int(c.ArrivalMS / tr.IntervalMS)
+			iv = int(c.Arrival / tr.IntervalMS)
 		}
 		if iv >= n {
 			iv = n - 1
 		}
-		respI[iv].Add(c.ResponseMS())
-		respAll.Add(c.ResponseMS())
+		respI[iv].Add(c.Response())
+		respAll.Add(c.Response())
 	}
 	for i := 0; i < n; i++ {
 		rep.Intervals = append(rep.Intervals, IntervalReport{

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -320,6 +321,48 @@ func TestReplayOriginalExceedsGuarantee(t *testing.T) {
 func TestReplayOriginalValidation(t *testing.T) {
 	if _, err := ReplayOriginal(&trace.Trace{}, 0, 1); err == nil {
 		t.Error("devices=0 should fail")
+	}
+}
+
+// TestReplayOriginalPinned pins the original-stand replay behind Figs 8/9
+// to exact floats on a seeded trace, so any change to the device model,
+// the completion order or the per-interval bucketing shows.
+func TestReplayOriginalPinned(t *testing.T) {
+	tr, err := trace.ExchangeLike(7, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ReplayOriginal(tr, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Name != "exchange-like (original)" || rep.Requests != 10394 ||
+		rep.AvgResponse != 0.14591926529239824 || rep.MaxResponse != 0.6025792479902066 ||
+		len(rep.Intervals) != 96 {
+		t.Fatalf("report %q: %d requests, avg %v, max %v, %d intervals; want 10394, 0.14591926529239824, 0.6025792479902066, 96",
+			rep.Name, rep.Requests, rep.AvgResponse, rep.MaxResponse, len(rep.Intervals))
+	}
+	for _, want := range []IntervalReport{
+		{Index: 0, Requests: 18, AvgResponse: 0.13709994935660733, MaxResponse: 0.21518008841892744},
+		{Index: 29, Requests: 174, AvgResponse: 0.14734705001496004, MaxResponse: 0.542587563099346},
+		{Index: 95, Requests: 9, AvgResponse: 0.13250700000003235, MaxResponse: 0.13250700000003235},
+	} {
+		if got := rep.Intervals[want.Index]; got != want {
+			t.Errorf("interval %d = %+v, want %+v", want.Index, got, want)
+		}
+	}
+}
+
+// TestReplayOriginalDeviceRange checks a negative trace device is answered
+// with an error naming the range, not a panic inside flashsim.
+func TestReplayOriginalDeviceRange(t *testing.T) {
+	tr := &trace.Trace{Name: "bad", IntervalMS: 10, Records: []trace.Record{
+		{Arrival: 0, Block: 1, Device: 2},
+		{Arrival: 1, Block: 2, Device: -1},
+	}}
+	_, err := ReplayOriginal(tr, 9, 0)
+	if err == nil || !strings.Contains(err.Error(), "device -1 out of range [0,9)") {
+		t.Fatalf("ReplayOriginal with device -1: err %v, want a device out of range error", err)
 	}
 }
 

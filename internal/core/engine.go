@@ -118,7 +118,7 @@ func newEngine(cfg Config) (*engine, error) {
 				return nil, fmt.Errorf("core: %w", err)
 			}
 		}
-		stat, err := admission.NewStatistical(e.s, cfg.Epsilon, tab, cfg.Policy)
+		stat, err := admission.NewStatistical(e.s, cfg.Epsilon, tab)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}

@@ -20,7 +20,8 @@ const (
 	// once a shard tracks this many chunks (chunkSize windows each),
 	// chunks entirely below the reclaim floor — the admission frontier in
 	// deterministic mode, the statistical gate's fold progress in ε > 0
-	// mode (notePrunable); both only move forward — are dropped.
+	// mode (notePrunable); both only move forward — are dropped. Later
+	// scans wait until the map has doubled since the last one (pruneAt).
 	shardPruneLen    = 512
 	shardPruneMargin = 1024 // margin in windows kept below the floor
 )
@@ -34,6 +35,11 @@ type counterChunk struct {
 type windowShard struct {
 	mu     sync.Mutex
 	chunks map[int64]*counterChunk
+	// pruneAt is the map size that triggers the next prune scan: twice the
+	// chunks a scan left behind, so a floor that frees nothing costs one
+	// scan per doubling, not one per new chunk.
+	pruneAt int
+	scanned int // chunks visited by prune scans (test hook)
 }
 
 // counterCacheSize is the direct-mapped cache of recently resolved counter
@@ -121,7 +127,7 @@ func (l *shardedLedger) counterSlow(w, ck int64) *atomic.Int32 {
 	}
 	p, ok := sh.chunks[ck]
 	if !ok {
-		if len(sh.chunks) >= shardPruneLen {
+		if len(sh.chunks) >= max(shardPruneLen, sh.pruneAt) {
 			floor := l.hint.Load()
 			if pr := l.prunable.Load(); pr > floor {
 				floor = pr
@@ -129,11 +135,13 @@ func (l *shardedLedger) counterSlow(w, ck int64) *atomic.Int32 {
 			// A chunk is reclaimable only when every window in it sits
 			// below the margin-padded floor.
 			floorCk := (floor - shardPruneMargin) >> chunkBits
+			sh.scanned += len(sh.chunks)
 			for k := range sh.chunks {
 				if k < floorCk {
 					delete(sh.chunks, k)
 				}
 			}
+			sh.pruneAt = 2 * len(sh.chunks)
 		}
 		p = new(counterChunk)
 		sh.chunks[ck] = p
@@ -283,6 +291,7 @@ func (l *shardedLedger) reset() {
 		sh := &l.shards[i]
 		sh.mu.Lock()
 		sh.chunks = nil
+		sh.pruneAt = 0
 		sh.mu.Unlock()
 	}
 	l.hint.Store(0)

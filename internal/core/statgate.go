@@ -29,13 +29,12 @@ import (
 //     live controller.
 //
 // Single-threaded this is bit-identical to the serialized path: merges
-// happen at the same points, in the same order, and Snapshot.Q runs the
-// same float arithmetic as the live controller (admission.qOver), which the
-// ε > 0 golden transcripts enforce byte-for-byte. Under concurrency the
-// snapshot a decision sees is bounded-stale — at most the windows whose
-// merge is in flight plus the requests racing into the current window —
-// and the ε guarantee degrades gracefully rather than breaking; DESIGN.md
-// §10 gives the argument.
+// happen at the same points, in the same order, over the same history,
+// which the ε > 0 golden transcripts enforce byte-for-byte. Under
+// concurrency the snapshot a decision sees is bounded-stale — at most the
+// windows whose merge is in flight plus the requests racing into the
+// current window — and the ε guarantee degrades gracefully rather than
+// breaking; DESIGN.md §10 gives the argument.
 type statGate struct {
 	mu   sync.Mutex             // serializes merges and table swaps
 	stat *admission.Statistical // canonical history; guarded by mu

@@ -107,7 +107,7 @@ func MinePairsParallel(txs []Transaction, minSupport, workers int) []Pair {
 	var wg sync.WaitGroup
 	chunk := (len(txs) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * chunk
+		lo := min(w*chunk, len(txs)) // ceil-sized chunks can run out before the last worker
 		hi := lo + chunk
 		if hi > len(txs) {
 			hi = len(txs)

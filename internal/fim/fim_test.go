@@ -232,11 +232,14 @@ func TestMinePairsParallelMatchesSerial(t *testing.T) {
 		sortTx(tx)
 		txs = append(txs, tx)
 	}
-	serial := MinePairsParallel(txs, 2, 1)
-	for _, workers := range []int{2, 4, 8, 1000} {
-		par := MinePairsParallel(txs, 2, workers)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("workers=%d: parallel result differs", workers)
+	// 5 transactions over 4 workers leaves the last worker past the end.
+	for _, n := range []int{5, len(txs)} {
+		serial := MinePairsParallel(txs[:n], 2, 1)
+		for _, workers := range []int{2, 4, 8, 1000} {
+			par := MinePairsParallel(txs[:n], 2, workers)
+			if !reflect.DeepEqual(serial, par) {
+				t.Fatalf("%d txs, workers=%d: parallel result differs", n, workers)
+			}
 		}
 	}
 }

@@ -641,32 +641,20 @@ func (p *Proxy) upBackends() []*backend {
 
 // gatherStats fans a STATS round trip out to every live backend and sums.
 func (p *Proxy) gatherStats() (wire.Stats, error) {
-	bs := p.upBackends()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	parts, err := fanOut(p.upBackends(), func(b *backend) (wire.Stats, error) {
+		req, del, rej, avg, err := b.client().Stats()
+		return wire.Stats{Requests: req, Delayed: del, Rejected: rej, AvgDelayMS: avg}, err
+	})
+	if err != nil {
+		return wire.Stats{}, err
+	}
 	var agg wire.Stats
 	var delaySum float64
-	var ferr error
-	for _, b := range bs {
-		wg.Add(1)
-		go func(b *backend) {
-			defer wg.Done()
-			req, del, rej, avg, err := b.client().Stats()
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				ferr = err
-				return
-			}
-			agg.Requests += req
-			agg.Delayed += del
-			agg.Rejected += rej
-			delaySum += avg * float64(del)
-		}(b)
-	}
-	wg.Wait()
-	if ferr != nil {
-		return wire.Stats{}, ferr
+	for _, s := range parts {
+		agg.Requests += s.Requests
+		agg.Delayed += s.Delayed
+		agg.Rejected += s.Rejected
+		delaySum += s.AvgDelayMS * float64(s.Delayed)
 	}
 	if agg.Delayed > 0 {
 		agg.AvgDelayMS = delaySum / float64(agg.Delayed)
@@ -775,30 +763,15 @@ func (p *Proxy) forwardAdmin(w *connWriter, h wire.Header, payload []byte) {
 // count as unreachable devices, so the summary degrades instead of lying.
 func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpHealth, ID: h.ID}
-	reports := make([]*wire.Health, len(p.backends))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ferr error
-	for i, b := range p.backends {
+	reports, err := fanOut(p.backends, func(b *backend) (*wire.Health, error) {
 		if !b.up.Load() {
-			continue
+			return nil, nil // reported below as unreachable placeholders
 		}
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			hs, err := b.client().Health()
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				ferr = err
-				return
-			}
-			reports[i] = &hs
-		}(i, b)
-	}
-	wg.Wait()
-	if ferr != nil {
-		w.writeError(resp, ferr.Error())
+		hs, err := b.client().Health()
+		return &hs, err
+	})
+	if err != nil {
+		w.writeError(resp, err.Error())
 		return
 	}
 	var agg wire.Health
@@ -830,28 +803,11 @@ func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
 // backend in backend order.
 func (p *Proxy) aggregateShardStats(w *connWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpShardStats, ID: h.ID}
-	bs := p.upBackends()
-	parts := make([][]wire.ShardGauge, len(bs))
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var ferr error
-	for i, b := range bs {
-		wg.Add(1)
-		go func(i int, b *backend) {
-			defer wg.Done()
-			gs, err := b.client().ShardStats()
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				ferr = err
-				return
-			}
-			parts[i] = gs
-		}(i, b)
-	}
-	wg.Wait()
-	if ferr != nil {
-		w.writeError(resp, ferr.Error())
+	parts, err := fanOut(p.upBackends(), func(b *backend) ([]wire.ShardGauge, error) {
+		return b.client().ShardStats()
+	})
+	if err != nil {
+		w.writeError(resp, err.Error())
 		return
 	}
 	var all []wire.ShardGauge

@@ -22,8 +22,8 @@ import (
 // errNoBackends is answered when an aggregation verb finds nothing live.
 var errNoBackends = errors.New("no live backends")
 
-// fanOut runs fn against every live backend concurrently and returns the
-// per-backend results; the first error wins.
+// fanOut runs fn against every backend in bs concurrently and returns the
+// per-backend results in bs order; the first error wins.
 func fanOut[T any](bs []*backend, fn func(*backend) (T, error)) ([]T, error) {
 	res := make([]T, len(bs))
 	var wg sync.WaitGroup
