@@ -4,16 +4,22 @@
 // comparison for humans; benchgate needs only the standard library, so
 // the gate is reproducible locally with no extra tools).
 //
-// Usage:
+// Usage — the current run must cover every benchmark in the baseline, so
+// it runs the same set as the CI "Benchmark gate" step:
 //
-//	go test ./internal/retrieval -bench BenchmarkOnlineSubmit -benchtime 2s | tee bench-current.txt
+//	go test ./internal/retrieval -run '^$' -bench 'BenchmarkOnlineSubmit$|BenchmarkOnlineSubmitDegraded' -benchmem | tee bench-current.txt
+//	go test ./internal/qosnet -run '^$' -bench 'BenchmarkServerThroughput|BenchmarkBinaryThroughput' -benchtime 2000000x -count 3 | tee -a bench-current.txt
+//	go test ./internal/core -run '^$' -bench 'BenchmarkConcurrentSubmit$|BenchmarkConcurrentStatistical$|BenchmarkTenantSubmit' -benchmem -benchtime 200000x -count 3 | tee -a bench-current.txt
+//	go test ./internal/pack -run '^$' -bench 'BenchmarkPackAppend$|BenchmarkPackGet$|BenchmarkNeedleDecode' -benchmem -count 3 | tee -a bench-current.txt
 //	benchgate -baseline .github/bench-baseline.txt -current bench-current.txt -tolerance 0.10
 //
 // Benchmarks are matched by name with the trailing -GOMAXPROCS stripped,
-// so baselines survive runner core-count changes. Benchmarks present in
-// only one file are reported but do not fail the gate; regressions in
-// ns/op beyond the tolerance do. Exit status: 0 pass, 1 regression, 2
-// usage/parse error.
+// so baselines survive runner core-count changes. A baseline benchmark
+// missing from the current run fails the gate, as a regression in ns/op
+// beyond the tolerance does: a renamed or deleted benchmark must not drop
+// its gate silently. Benchmarks new in the current run are reported only.
+// Exit status: 0 pass, 1 regression or missing benchmark, 2 usage/parse
+// error.
 //
 // Besides per-benchmark tolerances, the baseline file may declare ratio
 // invariants — shape properties of the current run that must hold no
@@ -215,7 +221,8 @@ func stripProcs(name string) string {
 }
 
 // gate compares current against baseline and writes a report line per
-// benchmark. It returns the names that regressed past the tolerance.
+// benchmark. It returns the names that regressed past the tolerance or are
+// missing from the current run.
 func gate(w *strings.Builder, baseline, current map[string]result, tolerance float64) []string {
 	names := make([]string, 0, len(baseline))
 	for name := range baseline {
@@ -227,7 +234,8 @@ func gate(w *strings.Builder, baseline, current map[string]result, tolerance flo
 		base := baseline[name]
 		cur, ok := current[name]
 		if !ok {
-			fmt.Fprintf(w, "SKIP %-50s baseline %.1f ns/op, not in current run\n", name, base.nsOp)
+			fmt.Fprintf(w, "FAIL %-50s baseline %.1f ns/op, not in current run\n", name, base.nsOp)
+			failed = append(failed, name)
 			continue
 		}
 		delta := (cur.nsOp - base.nsOp) / base.nsOp
@@ -287,7 +295,7 @@ func main() {
 	ratioFailed := gateRatios(&report, ratios, current, *tolerance)
 	fmt.Print(report.String())
 	if len(failed) > 0 {
-		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) regressed past %.0f%%: %s\n",
+		fmt.Fprintf(os.Stderr, "benchgate: %d benchmark(s) regressed past %.0f%% or missing: %s\n",
 			len(failed), 100**tolerance, strings.Join(failed, ", "))
 	}
 	if len(ratioFailed) > 0 {

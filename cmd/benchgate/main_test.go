@@ -147,8 +147,8 @@ func TestGate(t *testing.T) {
 	current := map[string]result{
 		"A": {name: "A", nsOp: 109}, // +9%: inside 10% tolerance
 		"B": {name: "B", nsOp: 120}, // +20%: regression
+		"C": {name: "C", nsOp: 90},  // faster
 		"D": {name: "D", nsOp: 50},  // new, ignored
-		// C missing from current: skipped, not failed
 	}
 	var report strings.Builder
 	failed := gate(&report, baseline, current, 0.10)
@@ -156,7 +156,7 @@ func TestGate(t *testing.T) {
 		t.Fatalf("failed = %v, want [B]", failed)
 	}
 	out := report.String()
-	for _, want := range []string{"ok   A", "FAIL B", "SKIP C", "NEW  D"} {
+	for _, want := range []string{"ok   A", "FAIL B", "ok   C", "NEW  D"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
 		}
@@ -166,5 +166,27 @@ func TestGate(t *testing.T) {
 	var r2 strings.Builder
 	if failed := gate(&r2, baseline, current, 0.10); len(failed) != 0 {
 		t.Errorf("improvement flagged as regression: %v", failed)
+	}
+}
+
+// TestGateMissingBaselineFails pins that a baseline benchmark absent from
+// the current run fails the gate, so renaming or deleting a gated
+// benchmark cannot drop its gate silently.
+func TestGateMissingBaselineFails(t *testing.T) {
+	baseline := map[string]result{
+		"A": {name: "A", nsOp: 100},
+		"C": {name: "C", nsOp: 100},
+	}
+	current := map[string]result{
+		"A":        {name: "A", nsOp: 100},
+		"C/rename": {name: "C/rename", nsOp: 100},
+	}
+	var report strings.Builder
+	failed := gate(&report, baseline, current, 0.10)
+	if len(failed) != 1 || failed[0] != "C" {
+		t.Fatalf("failed = %v, want [C]", failed)
+	}
+	if out := report.String(); !strings.Contains(out, "FAIL C") || !strings.Contains(out, "not in current run") {
+		t.Errorf("report does not flag the missing benchmark:\n%s", out)
 	}
 }

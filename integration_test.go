@@ -186,12 +186,12 @@ func TestPipelineSyntheticMatchesPaperGuarantees(t *testing.T) {
 		}
 		sys, err := core.New(core.Config{
 			Design: design.Paper931(), M: cse.m, IntervalMS: cse.interval,
-			Mode: core.IntervalAligned, DisableFIM: true,
+			DisableFIM: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := sys.ReplayTrace(tr)
+		rep := sys.ReplayAligned(tr)
 		if rep.MaxResponse > cse.interval+1e-9 {
 			t.Errorf("M=%d: max response %.4f exceeds interval %.3f", cse.m, rep.MaxResponse, cse.interval)
 		}

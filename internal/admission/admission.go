@@ -21,33 +21,9 @@ import (
 	"flashqos/internal/sampling"
 )
 
-// Policy selects what happens to requests that cannot be admitted.
-type Policy int
-
-const (
-	// Delay moves excess requests to the next available interval (the
-	// paper's choice: "canceling the requests may effect the running state
-	// of applications, we choose the delay option").
-	Delay Policy = iota
-	// Reject drops excess requests.
-	Reject
-)
-
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case Delay:
-		return "delay"
-	case Reject:
-		return "reject"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Statistical is the interval history of the statistical admission
 // controller (§III-B2). It is not thread-safe: the caller serializes
-// RecordInterval, SetTable and Snapshot, and shares the Snapshots.
+// RecordInterval and Snapshot, and shares the Snapshots.
 type Statistical struct {
 	S       int
 	Epsilon float64
@@ -119,27 +95,6 @@ func (s *Statistical) RecordInterval(k int) {
 	}
 	s.nk[k]++
 	s.nt++
-}
-
-// SetTable installs a refreshed P_k table (e.g. a higher-precision
-// background re-estimate). The interval history is kept; when the new
-// table's MaxK differs, counts beyond the new range fold into the last
-// bucket, matching the clamping that would have recorded them there.
-func (s *Statistical) SetTable(table *sampling.Table) error {
-	if table == nil {
-		return fmt.Errorf("admission: nil probability table")
-	}
-	nk := make([]int64, table.MaxK()+1)
-	for k, n := range s.nk {
-		i := k
-		if i > table.MaxK() {
-			i = table.MaxK()
-		}
-		nk[i] += n
-	}
-	s.table = table
-	s.nk = nk
-	return nil
 }
 
 // Snapshot is an immutable copy of a Statistical controller's decision

@@ -177,15 +177,6 @@ func TestStatisticalSizeBeyondTable(t *testing.T) {
 	}
 }
 
-func TestPolicyString(t *testing.T) {
-	if Delay.String() != "delay" || Reject.String() != "reject" {
-		t.Error("Policy strings wrong")
-	}
-	if Policy(9).String() == "" {
-		t.Error("unknown policy should still format")
-	}
-}
-
 // Property: the statistical controller admits a superset of what the
 // deterministic S-bound admits — every size within S, whatever the
 // history — and loosening ε never refuses a size a tighter ε admits.
@@ -234,63 +225,5 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	}
 	if s.Snapshot().Q() == q0 {
 		t.Error("live controller should have moved (test is vacuous otherwise)")
-	}
-}
-
-// TestSetTableFoldsTailCounts installs a smaller refreshed table and
-// checks history beyond the new MaxK folds into the last bucket — the
-// same clamping RecordInterval would have applied had the small table been in
-// force all along — and that total interval count is conserved.
-func TestSetTableFoldsTailCounts(t *testing.T) {
-	s, _ := NewStatistical(5, 0.1, testTable()) // MaxK 12
-	for _, k := range []int{3, 7, 10, 11, 12, 12} {
-		s.RecordInterval(k)
-	}
-	small := &sampling.Table{N: 9, P: []float64{1, 1, 1, 1, 1, 1, 0.99, 0.98, 0.9}} // MaxK 8
-	if err := s.SetTable(small); err != nil {
-		t.Fatal(err)
-	}
-	if s.Snapshot().Intervals() != 6 {
-		t.Errorf("intervals = %d, want 6 (conserved across SetTable)", s.Snapshot().Intervals())
-	}
-	if got := s.nk[8]; got != 4 {
-		t.Errorf("last bucket holds %d intervals, want 4 (10,11,12,12 clamp to 8)", got)
-	}
-	if got := s.nk[7]; got != 1 {
-		t.Errorf("nk[7] = %d, want 1 (7 fits the new range untouched)", got)
-	}
-	// Equivalent controller built on the small table from scratch must agree
-	// exactly.
-	ref, _ := NewStatistical(5, 0.1, small)
-	for _, k := range []int{3, 7, 10, 11, 12, 12} {
-		ref.RecordInterval(k)
-	}
-	if s.Snapshot().Q() != ref.Snapshot().Q() {
-		t.Errorf("Q after SetTable %v != Q of fresh controller %v", s.Snapshot().Q(), ref.Snapshot().Q())
-	}
-	if err := s.SetTable(nil); err == nil {
-		t.Error("nil table should fail")
-	}
-}
-
-// TestSetTableGrowsRange checks a larger refreshed table keeps counts in
-// place (no fold needed) and new sizes land in their own buckets.
-func TestSetTableGrowsRange(t *testing.T) {
-	small := &sampling.Table{N: 9, P: []float64{1, 1, 1, 0.9}} // MaxK 3
-	s, _ := NewStatistical(2, 0.1, small)
-	s.RecordInterval(9) // clamps to 3 under the small table
-	big := testTable()  // MaxK 12
-	if err := s.SetTable(big); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.nk[3]; got != 1 {
-		t.Errorf("pre-refresh clamped count moved: nk[3] = %d, want 1", got)
-	}
-	s.RecordInterval(9)
-	if got := s.nk[9]; got != 1 {
-		t.Errorf("post-refresh size 9 should use its own bucket: nk[9] = %d", got)
-	}
-	if s.Snapshot().Intervals() != 2 {
-		t.Errorf("intervals = %d, want 2", s.Snapshot().Intervals())
 	}
 }

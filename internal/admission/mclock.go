@@ -24,11 +24,11 @@
 // gauges are carried across reconfiguration by tenant name. When no tenant
 // is active the snapshot is nil and the gate costs one atomic load.
 //
-// Under the Delay policy an over-cap submission moves on to a later
-// window, and Σcaps rarely fills a window to S, so no global frontier
-// passes the windows a tenant has exhausted: each snapshot keeps one scan
-// frontier per tenant instead, the ledger hint's rule applied to the
-// tenant's slice (RaiseFrontier, AcquireFirst).
+// An over-cap submission is delayed to a later window, and Σcaps rarely
+// fills a window to S, so no global frontier passes the windows a tenant
+// has exhausted: each snapshot keeps one scan frontier per tenant instead,
+// the ledger hint's rule applied to the tenant's slice (RaiseFrontier,
+// Acquire).
 //
 // Counter storage mirrors the core ledger's chunked design: counters for
 // (tenant, window) keys live in 64-entry chunks behind a direct-mapped
@@ -82,7 +82,7 @@ const (
 // Counters is a point-in-time read of one tenant's gauges.
 type Counters struct {
 	Admitted  int64 // submissions admitted by the ledger
-	Rejected  int64 // submissions rejected (over-limit or ledger refusal)
+	Rejected  int64 // submissions rejected (over limit, unavailable or zero cap)
 	OverLimit int64 // rejections caused by the per-window arrival limit
 	Deficit   int64 // reserved acquisitions the global ledger could not honor
 }
@@ -275,13 +275,13 @@ type MCSnap struct {
 	// arrivals counts submissions per (tenant, arrival window) for
 	// Limit enforcement; usage counts ledger acquisitions per
 	// (tenant, scan window) for Reserve/cap enforcement. The spaces are
-	// separate because under Delay-policy backlog the scan frontier
+	// separate because under a delayed backlog the scan frontier
 	// runs arbitrarily ahead of arrivals — a shared pruned key space
 	// would evict live arrival counters.
 	arrivals winCounts
 	usage    winCounts
 
-	front []atomic.Int64 // per-slot scan frontiers (AcquireFirst)
+	front []atomic.Int64 // per-slot scan frontiers (Acquire)
 }
 
 // Slots reports the slot-table length (the max valid tenant index).
@@ -338,22 +338,11 @@ func (s *MCSnap) NoteArrival(t int32, w int64) Verdict {
 	return OK
 }
 
-// Acquire takes n usage slots for tenant t in scan window w. ok reports
-// whether the tenant had n slots free below its per-window cap;
-// reserved reports whether the entire acquisition landed inside the
-// reserved slice (used for deficit accounting when the global ledger
-// then refuses the window).
-func (s *MCSnap) Acquire(t int32, w int64, n int32) (reserved, ok bool) {
-	i := s.slot(t)
-	if i < 0 || n > s.caps[i] {
-		return false, false
-	}
-	reserved, ok, _ = s.take(i, w, n)
-	return reserved, ok
-}
-
-// take is Acquire on a valid slot; full reports a refusal with the
-// tenant's usage in w at its cap.
+// take claims n usage slots for slot i in window w if they fit below its
+// cap; reserved reports whether the whole claim landed inside the reserved
+// slice (for deficit accounting when the global ledger then refuses the
+// window), and full reports a refusal with the tenant's usage in w at its
+// cap.
 func (s *MCSnap) take(i int, w int64, n int32) (reserved, ok, full bool) {
 	capi := s.caps[i]
 	c := s.usage.counter(int64(i), w)
@@ -370,7 +359,7 @@ func (s *MCSnap) take(i int, w int64, n int32) (reserved, ok, full bool) {
 
 // RaiseFrontier lifts tenant t's scan frontier — the first window at or
 // after the latest scan start where t may still have cap — to w, the
-// window a new Delay-policy scan starts in. It never moves back.
+// window a new scan starts in. It never moves back.
 func (s *MCSnap) RaiseFrontier(t int32, w int64) {
 	if i := s.slot(t); i >= 0 {
 		f := &s.front[i]
@@ -379,15 +368,16 @@ func (s *MCSnap) RaiseFrontier(t int32, w int64) {
 	}
 }
 
-// AcquireFirst is the Delay policy's Acquire: it takes n slots in the first
-// window at or after max(w, t's scan frontier) that has them and returns
-// that window. A refusal at the frontier window with usage at cap extends
-// the frontier by one; any other refusal moves nothing, and a cap-exhausted
-// tenant's walk is O(1) amortized. Single-threaded, with scan starts
+// Acquire takes n usage slots for tenant t in the first window at or after
+// max(w, t's scan frontier) that has them and returns that window; ok is
+// false only for an unknown tenant or n above its cap. A refusal at the
+// frontier window with usage at cap extends the frontier by one; any other
+// refusal moves nothing, and a cap-exhausted tenant's walk is O(1)
+// amortized. Single-threaded, with scan starts
 // raised in nondecreasing order, it skips exactly the windows the full walk
 // would fail in; under concurrency the frontier is advisory like the ledger
 // hint — a race may only admit later, since take's CAS enforces the cap.
-func (s *MCSnap) AcquireFirst(t int32, w int64, n int32) (at int64, reserved, ok bool) {
+func (s *MCSnap) Acquire(t int32, w int64, n int32) (at int64, reserved, ok bool) {
 	i := s.slot(t)
 	if i < 0 || n > s.caps[i] {
 		return w, false, false
@@ -422,8 +412,9 @@ func (s *MCSnap) NoteAdmitted(t int32) {
 	}
 }
 
-// NoteRejected bumps tenant t's rejected gauge (ledger refusal under a
-// Reject policy; over-limit rejections are counted by NoteArrival).
+// NoteRejected bumps tenant t's rejected gauge: a request refused after
+// its arrival was counted (every replica unavailable, or a cap too small
+// for it ever to fit); over-limit rejections are counted by NoteArrival.
 func (s *MCSnap) NoteRejected(t int32) {
 	if i := s.slot(t); i >= 0 {
 		s.stats[i].rejected.Add(1)

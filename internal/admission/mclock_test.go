@@ -100,7 +100,7 @@ func TestMClockUnknownTenant(t *testing.T) {
 		if v := s.NoteArrival(tt, 0); v != Unknown {
 			t.Errorf("NoteArrival(%d) = %v, want Unknown", tt, v)
 		}
-		if _, ok := s.Acquire(tt, 0, 1); ok {
+		if _, _, ok := s.Acquire(tt, 0, 1); ok {
 			t.Errorf("Acquire(%d) should fail", tt)
 		}
 		if s.Active(tt) {
@@ -133,36 +133,63 @@ func TestMClockLimit(t *testing.T) {
 	}
 }
 
+// acquireAt acquires n slots for tenant t from window w and fails the test
+// unless they land in window want.
+func acquireAt(t *testing.T, s *MCSnap, tenant int32, w int64, n int32, want int64) (reserved bool) {
+	t.Helper()
+	at, reserved, ok := s.Acquire(tenant, w, n)
+	if !ok || at != want {
+		t.Fatalf("Acquire(%d, %d, %d) = window %d ok=%v, want window %d", tenant, w, n, at, ok, want)
+	}
+	return reserved
+}
+
 func TestMClockAcquireReserveAndCap(t *testing.T) {
 	// capacity 9, reserve 3, sole tenant → cap 9 (3 reserved + all surplus).
 	m := mustGate(t, 9, TenantSpec{Name: "a", Reserve: 3, Weight: 1})
 	s := m.Snapshot()
 	for i := 0; i < 9; i++ {
-		reserved, ok := s.Acquire(1, 0, 1)
-		if !ok {
-			t.Fatalf("acquire %d refused below cap", i)
-		}
-		if wantRes := i < 3; reserved != wantRes {
+		if reserved, wantRes := acquireAt(t, s, 1, 0, 1, 0), i < 3; reserved != wantRes {
 			t.Errorf("acquire %d: reserved = %v, want %v", i, reserved, wantRes)
 		}
 	}
-	if _, ok := s.Acquire(1, 0, 1); ok {
-		t.Fatal("acquire above cap should fail")
-	}
+	// A release frees a slot in the window it was taken in.
 	s.Release(1, 0, 1)
-	if _, ok := s.Acquire(1, 0, 1); !ok {
-		t.Fatal("release should free a slot")
-	}
+	acquireAt(t, s, 1, 0, 1, 0)
+	// Window 0 is at cap: the next acquisition is delayed to window 1.
+	acquireAt(t, s, 1, 0, 1, 1)
 	// Multi-slot (write) acquisition is all-or-nothing.
-	if _, ok := s.Acquire(1, 1, 10); ok {
+	if _, _, ok := s.Acquire(1, 5, 10); ok {
 		t.Fatal("n > cap should fail")
 	}
-	if _, ok := s.Acquire(1, 1, 9); !ok {
-		t.Fatal("n == cap in a fresh window should succeed")
-	}
-	if _, ok := s.Acquire(1, 1, 1); ok {
-		t.Fatal("window full after n == cap")
-	}
+	acquireAt(t, s, 1, 5, 9, 5)
+	acquireAt(t, s, 1, 5, 1, 6)
+}
+
+// TestMClockAcquireFrontier pins the per-tenant scan frontier: a refusal at
+// the frontier with usage at cap moves it, a write short of room below cap
+// does not, and a scan starting behind the frontier begins at it.
+func TestMClockAcquireFrontier(t *testing.T) {
+	m := mustGate(t, 5, TenantSpec{Name: "a", Weight: 1})
+	s := m.Snapshot()
+	acquireAt(t, s, 1, 0, 3, 0)
+	// 3+3 > 5 refuses window 0 below cap: the write lands in window 1 and
+	// window 0 stays open for reads.
+	acquireAt(t, s, 1, 0, 3, 1)
+	acquireAt(t, s, 1, 0, 2, 0)
+	// Window 0 is now at cap; the refusal there moves the frontier to 1.
+	acquireAt(t, s, 1, 0, 1, 1)
+	acquireAt(t, s, 1, 0, 1, 1)
+	// Window 1 is at cap too: the frontier moves on to 2, and a scan
+	// starting at window 0 begins there — even past a slot released behind
+	// the frontier, which never moves back.
+	acquireAt(t, s, 1, 0, 1, 2)
+	s.Release(1, 0, 1)
+	acquireAt(t, s, 1, 0, 1, 2)
+	// RaiseFrontier never moves back.
+	s.RaiseFrontier(1, 7)
+	s.RaiseFrontier(1, 3)
+	acquireAt(t, s, 1, 0, 1, 7)
 }
 
 func TestMClockTwoTenantsIsolated(t *testing.T) {
@@ -171,20 +198,15 @@ func TestMClockTwoTenantsIsolated(t *testing.T) {
 		TenantSpec{Name: "b", Reserve: 4, Weight: 1},
 	)
 	s := m.Snapshot()
-	// Tenant a exhausts its cap (4 reserved + 1 surplus = 5)...
+	// Tenant a exhausts its cap (4 reserved + 1 surplus = 5), and its
+	// sixth acquisition is delayed to window 1...
 	for i := 0; i < 5; i++ {
-		if _, ok := s.Acquire(1, 0, 1); !ok {
-			t.Fatalf("a acquire %d refused", i)
-		}
+		acquireAt(t, s, 1, 0, 1, 0)
 	}
-	if _, ok := s.Acquire(1, 0, 1); ok {
-		t.Fatal("a should be capped at 5")
-	}
-	// ...and tenant b's reserved slice is untouched.
+	acquireAt(t, s, 1, 0, 1, 1)
+	// ...while tenant b's share of window 0 is untouched.
 	for i := 0; i < 5; i++ {
-		if _, ok := s.Acquire(2, 0, 1); !ok {
-			t.Fatalf("b acquire %d refused after a filled its cap", i)
-		}
+		acquireAt(t, s, 2, 0, 1, 0)
 	}
 }
 
@@ -220,9 +242,7 @@ func TestMClockManyWindows(t *testing.T) {
 		if v := s.NoteArrival(1, w); v != OK {
 			t.Fatalf("window %d: arrival %v", w, v)
 		}
-		if _, ok := s.Acquire(1, w, 1); !ok {
-			t.Fatalf("window %d: acquire refused", w)
-		}
+		acquireAt(t, s, 1, w, 1, w)
 	}
 }
 
@@ -252,27 +272,35 @@ func TestMClockConcurrentAcquire(t *testing.T) {
 	const cap = 128
 	m := mustGate(t, cap, TenantSpec{Name: "a", Reserve: 32, Weight: 1})
 	s := m.Snapshot()
+	// 8 goroutines take three windows' worth of slots from window 7. Usage
+	// only grows here, so a window the frontier passes stays full: the
+	// acquisitions must pack windows 7, 8 and 9 to exactly cap each.
+	const goroutines = 8
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	total := 0
-	for g := 0; g < 8; g++ {
+	perWindow := map[int64]int{}
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n := 0
-			for {
-				if _, ok := s.Acquire(1, 7, 1); !ok {
-					break
+			local := map[int64]int{}
+			for i := 0; i < 3*cap/goroutines; i++ {
+				at, _, ok := s.Acquire(1, 7, 1)
+				if !ok {
+					t.Error("acquire refused")
+					return
 				}
-				n++
+				local[at]++
 			}
 			mu.Lock()
-			total += n
+			for w, n := range local {
+				perWindow[w] += n
+			}
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if total != cap {
-		t.Fatalf("concurrent acquires took %d slots, want exactly %d", total, cap)
+	if len(perWindow) != 3 || perWindow[7] != cap || perWindow[8] != cap || perWindow[9] != cap {
+		t.Fatalf("concurrent acquires per window = %v, want %d in each of windows 7, 8, 9", perWindow, cap)
 	}
 }

@@ -123,8 +123,8 @@ func goldenBurstRun(buf *bytes.Buffer, label string, sys *System, reqs []goldenR
 
 // TestSubmitBurstEquivalence drives the burst-chopped seed-42 workload
 // through SubmitBurst on one system and through the per-request verbs on an
-// identically configured one — both policies, a degraded mask, ε = 0.05,
-// and tenant-tagged under a live two-tenant policy — and requires the two
+// identically configured one — unmasked, a degraded mask, ε = 0.05, and
+// tenant-tagged under a live two-tenant policy — and requires the two
 // transcripts to match each other and testdata/golden_burst_seed42.txt byte
 // for byte. That file was generated by the per-request verbs of the last
 // commit that still had a separate per-request scan (see CHANGES.md), so it
@@ -132,7 +132,7 @@ func goldenBurstRun(buf *bytes.Buffer, label string, sys *System, reqs []goldenR
 // the held scheduler lock and the per-burst snapshots are invisible in the
 // outcomes, tenant gauges and the final Q. The overload/ sections were
 // added later, generated the same way by the commit before the per-tenant
-// scan frontier: three tenants under Delay at about six times capacity, so
+// scan frontier: three tenants at about six times capacity, so
 // they pin that every window a tenant walk skips is one the full walk
 // would have failed in. Every section keeps each request within 1000
 // T-windows of its arrival, well inside the tenant counters' retention, so
@@ -163,25 +163,20 @@ func TestSubmitBurstEquivalence(t *testing.T) {
 		tags  []int32
 		build func() *System
 	}{
-		{"delay", reqs, nil, func() *System { return goldenSystem(t, admission.Delay, false) }},
-		{"delay/masked", reqs, nil, func() *System { return goldenSystem(t, admission.Delay, true) }},
-		{"reject", reqs, nil, func() *System { return goldenSystem(t, admission.Reject, false) }},
-		{"reject/masked", reqs, nil, func() *System { return goldenSystem(t, admission.Reject, true) }},
-		{"stat/eps=0.05", reqs, nil, func() *System { return goldenStatSystem(t, admission.Delay, 0.05, tab) }},
+		{"delay", reqs, nil, func() *System { return goldenSystem(t, false) }},
+		{"delay/masked", reqs, nil, func() *System { return goldenSystem(t, true) }},
+		{"stat/eps=0.05", reqs, nil, func() *System { return goldenStatSystem(t, 0.05, tab) }},
 		{"tenant/delay", reqs, tags, func() *System {
-			return tenanted(goldenSystem(t, admission.Delay, false), goldenBurstTenants)
-		}},
-		{"tenant/reject", reqs, tags, func() *System {
-			return tenanted(goldenSystem(t, admission.Reject, false), goldenBurstTenants)
+			return tenanted(goldenSystem(t, false), goldenBurstTenants)
 		}},
 		{"tenant/stat/eps=0.05", reqs, tags, func() *System {
-			return tenanted(goldenStatSystem(t, admission.Delay, 0.05, tab), goldenBurstTenants)
+			return tenanted(goldenStatSystem(t, 0.05, tab), goldenBurstTenants)
 		}},
 		{"overload/tenant/delay", over, overTags, func() *System {
-			return tenanted(goldenSystem(t, admission.Delay, false), goldenOverloadTenants)
+			return tenanted(goldenSystem(t, false), goldenOverloadTenants)
 		}},
 		{"overload/tenant/stat/eps=0.05", over, overTags, func() *System {
-			return tenanted(goldenStatSystem(t, admission.Delay, 0.05, tab), goldenOverloadTenants)
+			return tenanted(goldenStatSystem(t, 0.05, tab), goldenOverloadTenants)
 		}},
 	}
 	var golden bytes.Buffer
@@ -240,9 +235,7 @@ func TestSubmitBurstGolden(t *testing.T) {
 	reqs := goldenWorkload()
 	var golden bytes.Buffer
 	for _, v := range goldenVariants {
-		var run bytes.Buffer
-		goldenRun(&run, "sequential/"+v.name, &burstGoldenAdapter{sub: goldenSystem(t, v.policy, v.masked)}, reqs)
-		writeBothLabels(&golden, run.Bytes())
+		goldenRun(&golden, v.name, &burstGoldenAdapter{sub: goldenSystem(t, v.masked)}, reqs)
 	}
 	compareGolden(t, filepath.Join("testdata", "golden_seed42.txt"), golden.Bytes())
 }

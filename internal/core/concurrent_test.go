@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"flashqos/internal/admission"
 	"flashqos/internal/design"
@@ -155,50 +154,6 @@ func TestConcurrentMixedReadWriteStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentRejectPolicy floods one instant with far more requests
-// than one window holds under the Reject policy: no window may exceed S
-// admissions and every request is either admitted or rejected.
-func TestConcurrentRejectPolicy(t *testing.T) {
-	cs := newConcurrent(t, Config{Policy: admission.Reject})
-	const n = 64
-	outs := make([]Outcome, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i] = cs.Submit(0, int64(i))
-		}(i)
-	}
-	wg.Wait()
-
-	s := cs.S()
-	perWindow := make(map[int64]int)
-	admitted, rejected := 0, 0
-	for _, out := range outs {
-		if out.Rejected {
-			rejected++
-			continue
-		}
-		admitted++
-		perWindow[cs.Window(out.Admitted)]++
-	}
-	if admitted+rejected != n {
-		t.Fatalf("admitted %d + rejected %d != %d", admitted, rejected, n)
-	}
-	if admitted == 0 {
-		t.Fatal("no request admitted at an empty instant")
-	}
-	if rejected == 0 {
-		t.Fatalf("flooding %d simultaneous requests (S=%d) rejected none", n, s)
-	}
-	for w, cnt := range perWindow {
-		if cnt > s {
-			t.Errorf("window %d admitted %d, limit S=%d", w, cnt, s)
-		}
-	}
-}
-
 // TestConcurrentStatisticalStress floods the ε > 0 path — now lock-free
 // admission against a published Q snapshot, with closed windows merged
 // into the estimator behind a short gate lock — from many goroutines.
@@ -235,7 +190,7 @@ func TestConcurrentStatisticalStress(t *testing.T) {
 	}
 	gate := cs.stat
 	last := gate.lastClosed.Load()
-	if nt := gate.intervals(); nt != last+1 {
+	if nt := gate.snap.Load().Intervals(); nt != last+1 {
 		t.Errorf("estimator folded %d intervals, lastClosed=%d: every closed window must merge exactly once", nt, last)
 	}
 	if last < 1 {
@@ -248,30 +203,13 @@ func TestConcurrentStatisticalStress(t *testing.T) {
 // edges, so merges race with lock-free snapshot readers and with stragglers
 // adding to just-closed windows. Run under -race this is the data-race
 // proof for statGate; the exactly-once fold invariant is re-asserted after
-// the storm, and a concurrent table refresh races against it all to cover
-// the setTable path too.
+// the storm.
 func TestConcurrentStatisticalMergeStress(t *testing.T) {
 	cs := newConcurrent(t, Config{Epsilon: 0.05, SampleTrials: 1000})
 	const goroutines = 8
 	const windows = 200
 	T := cs.IntervalMS()
-	var subWg, refWg sync.WaitGroup
-	stopRefresh := make(chan struct{})
-	refWg.Add(1)
-	go func() { // concurrent P_k refreshes while submissions are in flight
-		defer refWg.Done()
-		for i := int64(0); ; i++ {
-			select {
-			case <-stopRefresh:
-				return
-			default:
-			}
-			if err := cs.RefreshTable(200, 100+i); err != nil {
-				t.Errorf("RefreshTable: %v", err)
-				return
-			}
-		}
-	}()
+	var subWg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		subWg.Add(1)
 		go func(g int) {
@@ -289,7 +227,7 @@ func TestConcurrentStatisticalMergeStress(t *testing.T) {
 					}
 					out := cs.Submit(arr, int64(rng.Intn(4000)))
 					if out.Rejected {
-						t.Errorf("rejected under Delay policy: %+v", out)
+						t.Errorf("rejected: %+v", out)
 						return
 					}
 				}
@@ -297,11 +235,9 @@ func TestConcurrentStatisticalMergeStress(t *testing.T) {
 		}(g)
 	}
 	subWg.Wait()
-	close(stopRefresh)
-	refWg.Wait()
 	gate := cs.stat
 	last := gate.lastClosed.Load()
-	if nt := gate.intervals(); nt != last+1 {
+	if nt := gate.snap.Load().Intervals(); nt != last+1 {
 		t.Errorf("estimator folded %d intervals, lastClosed=%d: exactly-once merge violated", nt, last)
 	}
 	if q := cs.Q(); q < 0 || q > 1 {
@@ -391,7 +327,7 @@ func TestStatisticalViolationBoundConcurrent(t *testing.T) {
 		t.Errorf("controller Q = %.6f, serial run %.6f", q, sq)
 	}
 	gate := cs.stat
-	if nt := gate.intervals(); nt != gate.lastClosed.Load()+1 {
+	if nt := gate.snap.Load().Intervals(); nt != gate.lastClosed.Load()+1 {
 		t.Errorf("estimator folded %d intervals, lastClosed=%d", nt, gate.lastClosed.Load())
 	}
 }
@@ -500,55 +436,6 @@ func TestConcurrentStatisticalZeroAllocFastPath(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("statistical admit fast path: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestRefreshTableLifecycle covers the background P_k refresh plumbing:
-// refreshing a live statistical system keeps Q a probability and the fold
-// invariant intact, deterministic systems refuse refreshes, and the
-// ticker-driven StartTableRefresh loop starts, refreshes and stops cleanly
-// (stop is idempotent and waits out in-flight refreshes).
-func TestRefreshTableLifecycle(t *testing.T) {
-	det := newConcurrent(t, Config{})
-	if err := det.RefreshTable(100, 1); err == nil {
-		t.Error("RefreshTable on a deterministic system should error")
-	}
-	if _, err := det.StartTableRefresh(time.Millisecond, 100, 1); err == nil {
-		t.Error("StartTableRefresh on a deterministic system should error")
-	}
-
-	cs := newConcurrent(t, Config{Epsilon: 0.05, SampleTrials: 500})
-	for i := 0; i < 200; i++ {
-		cs.Submit(float64(i)*0.01, int64(i%64))
-	}
-	qBefore := cs.Q()
-	if err := cs.RefreshTable(4000, 99); err != nil {
-		t.Fatal(err)
-	}
-	if q := cs.Q(); q < 0 || q > 1 {
-		t.Errorf("Q after refresh = %g, want a probability", q)
-	} else if q == qBefore && qBefore != 0 {
-		// Not an invariant, just a sanity expectation: an 8× trial count with
-		// a different seed should move the estimate at least in the last bits.
-		t.Logf("Q unchanged across refresh (%g); table likely converged", q)
-	}
-	gate := cs.stat
-	if nt := gate.intervals(); nt != gate.lastClosed.Load()+1 {
-		t.Errorf("fold invariant broken by refresh: nt=%d lastClosed=%d", nt, gate.lastClosed.Load())
-	}
-
-	stop, err := cs.StartTableRefresh(time.Millisecond, 300, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond) // let a few ticks fire
-	for i := 0; i < 200; i++ {
-		cs.Submit(float64(200+i)*0.01, int64(i%64)) // submits race the refresher
-	}
-	stop()
-	stop() // idempotent
-	if q := cs.Q(); q < 0 || q > 1 {
-		t.Errorf("Q after background refreshes = %g, want a probability", q)
 	}
 }
 

@@ -17,14 +17,13 @@
 // One admission/retrieval engine implements the submit paths (engine.go)
 // in one configuration; System is its public face. Submit, SubmitWrite,
 // SubmitBatch and SubmitBurst are the online API the examples and the
-// network layer use; ReplayTrace drives a whole trace through the pipeline
-// and produces the per-interval report behind the paper's Figs 8–12.
+// network layer use; ReplayTrace (online retrieval) and ReplayAligned
+// (interval-aligned) drive a whole trace through the pipeline and produce
+// the per-interval report behind the paper's Figs 8–12.
 package core
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"flashqos/internal/admission"
 	"flashqos/internal/blockmap"
@@ -37,32 +36,12 @@ import (
 	"flashqos/internal/trace"
 )
 
-// Mode selects the retrieval strategy.
-type Mode int
-
-const (
-	// Online retrieves each request as it arrives (§IV-B), FCFS with
-	// earliest-finish-time replica selection.
-	Online Mode = iota
-	// IntervalAligned retrieves requests at the start of the interval after
-	// their arrival using the design-theoretic batch retrieval (§III-C);
-	// the mode Fig 12 compares against.
-	IntervalAligned
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Online:
-		return "online"
-	case IntervalAligned:
-		return "interval-aligned"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// Config assembles a QoS system.
+// Config assembles a QoS system. Admission follows the paper's one policy
+// (§III-A): a request that cannot be admitted in its arrival window is
+// delayed to the next window with room, never dropped. Outcome.Rejected is
+// reserved for requests no window can ever take: every replica unavailable,
+// an unknown tenant, a tenant over its arrival limit, or a tenant cap too
+// small for the request.
 type Config struct {
 	// Design is the (N, c, 1) design to allocate with. If nil, N and C
 	// select one via design.ForParams.
@@ -82,11 +61,6 @@ type Config struct {
 	WriteServiceMS float64
 	// Epsilon enables statistical QoS when > 0 (§III-B); 0 is deterministic.
 	Epsilon float64
-	// Policy says what happens to requests that cannot be admitted.
-	// Default Delay (the paper's choice).
-	Policy admission.Policy
-	// Mode selects online or interval-aligned retrieval. Default Online.
-	Mode Mode
 	// FIM configuration: minimum pair support and mining window. A
 	// MinSupport of 0 keeps the default (2); set UseFIM=false to disable
 	// mining and use the modulo mapping only.
@@ -144,7 +118,7 @@ type Outcome struct {
 	Finish   float64 // service completion
 	Delay    float64 // Admitted - arrival (0 when served on arrival)
 	Delayed  bool    // Delay exceeded tolerance
-	Rejected bool    // dropped (Policy Reject only, or Unavailable)
+	Rejected bool    // never admitted; see Config for the causes
 	// Unavailable marks a rejection because every replica of the block is
 	// on a failed/rebuilding device (only possible with a health monitor
 	// attached and more than c-1 devices out of service).
@@ -163,10 +137,11 @@ func (o Outcome) Response() float64 { return o.Finish - o.Admitted }
 
 // System is a running QoS instance. The submission verbs (Submit,
 // SubmitTenant, SubmitWrite, SubmitWriteTenant, SubmitBatch, SubmitBurst),
-// SetTenants, RefreshTable and every read-only accessor are safe to call
-// from any goroutine at once; Remap, Reset, AttachHealth and ReplayTrace
-// are single-caller and must not run while requests are in flight (replica
-// lookup is lock-free, so a remap under load would tear it).
+// SetTenants and every read-only accessor are safe to call from any
+// goroutine at once; Remap, Reset, AttachHealth, ReplayTrace and
+// ReplayAligned are single-caller and must not run while requests are in
+// flight (replica lookup is lock-free, so a remap under load would tear
+// it).
 //
 // Arrivals need not be ordered across goroutines: callers submit with
 // whatever timestamps they observed. The deterministic path tolerates
@@ -248,7 +223,7 @@ func (s *System) SubmitTenant(arrival float64, dataBlock int64, tenant int32) Ou
 // together and are retrieved with the design-theoretic batch algorithm
 // (remapping included). Up to the window's remaining capacity is admitted
 // and scheduled with the optimal joint assignment; overflow falls back to
-// the per-request path (delayed or rejected per policy). Outcomes are in
+// the per-request path and is delayed. Outcomes are in
 // input order. With a non-nil per-caller scratch the steady state is
 // allocation-free and the returned slice is valid until the scratch's next
 // use; a nil scratch allocates fresh buffers.
@@ -312,60 +287,6 @@ func (s *System) Q() float64 {
 		return 0
 	}
 	return s.stat.q()
-}
-
-// StatIntervals returns the number of T-windows folded into the
-// statistical estimator so far (0 for deterministic systems).
-func (s *System) StatIntervals() int64 {
-	if s.stat == nil {
-		return 0
-	}
-	return s.stat.intervals()
-}
-
-// RefreshTable re-estimates the statistical controller's sampled P_k table
-// with `trials` Monte-Carlo trials (parallelized across workers, each
-// owning a preallocated maxflow.Solver) and installs it atomically. Safe
-// to call while requests are in flight: admissions keep reading the
-// snapshot they loaded until the refreshed one is published. Errors for
-// deterministic systems.
-func (s *System) RefreshTable(trials int, seed int64) error {
-	return s.refreshTable(trials, seed)
-}
-
-// StartTableRefresh launches a background goroutine that re-estimates the
-// P_k table every `every` (seed advances per round so precision compounds
-// rather than repeating one estimate). The returned stop function halts
-// the loop and waits for an in-flight refresh to finish. Errors for
-// deterministic systems; refresh errors after start are silently dropped
-// (the previous table simply stays in force).
-func (s *System) StartTableRefresh(every time.Duration, trials int, seed int64) (stop func(), err error) {
-	if s.stat == nil {
-		return nil, s.refreshTable(trials, seed) // returns the "no table" error
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		round := int64(0)
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				round++
-				_ = s.refreshTable(trials, seed+round)
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() { close(done) })
-		wg.Wait()
-	}, nil
 }
 
 // Window returns the T-window index of a time.
@@ -437,10 +358,6 @@ func (s *System) ReplayTrace(tr *trace.Trace) *Report {
 	var respAll, delayAll stats.Summary
 	delayedTotal := 0
 	n := tr.NumIntervals()
-
-	if s.cfg.Mode == IntervalAligned {
-		return s.replayAligned(tr)
-	}
 	var wResp stats.Summary
 	writeDelayed := 0
 	for i := 0; i < n; i++ {
@@ -512,11 +429,14 @@ func (s *System) ReplayTrace(tr *trace.Trace) *Report {
 	return rep
 }
 
-// replayAligned implements the interval-aligned (design-theoretic batch)
-// replay: requests arriving in T-window w are retrieved together at the
-// start of window w+1 with the optimal joint assignment; at most S are
-// admitted per batch and the rest carry to the next batch.
-func (s *System) replayAligned(tr *trace.Trace) *Report {
+// ReplayAligned is ReplayTrace with interval-aligned retrieval (§III-C),
+// the alternative Fig 12 compares online retrieval against: requests
+// arriving in T-window w are retrieved together at the start of window w+1
+// with the design-theoretic batch algorithm's optimal joint assignment; at
+// most S are admitted per batch and the rest carry to the next batch.
+// Writes are skipped.
+func (s *System) ReplayAligned(tr *trace.Trace) *Report {
+	tr.Sort() // replay is deterministic in arrival order
 	rep := &Report{Name: tr.Name}
 	var respAll, delayAll stats.Summary
 	delayedTotal := 0

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"flashqos/internal/admission"
 	"flashqos/internal/design"
 	"flashqos/internal/flashsim"
 	"flashqos/internal/sampling"
@@ -136,22 +135,6 @@ func TestSubmitSustainedOverload(t *testing.T) {
 	}
 }
 
-func TestSubmitRejectPolicy(t *testing.T) {
-	s, err := New(Config{Design: design.Paper931(), Policy: admission.Reject})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejected := 0
-	for i := int64(0); i < 8; i++ {
-		if s.Submit(0, i).Rejected {
-			rejected++
-		}
-	}
-	if rejected != 3 {
-		t.Errorf("rejected %d, want 3", rejected)
-	}
-}
-
 func TestSubmitDeviceBusyDelay(t *testing.T) {
 	// Same bucket four times at once: only 3 replicas exist, so the fourth
 	// must wait for a device to free up even though capacity S=5 remains.
@@ -241,11 +224,11 @@ func TestReplayTraceSyntheticGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Design: design.Paper931(), Mode: IntervalAligned, DisableFIM: true})
+	s, err := New(Config{Design: design.Paper931(), DisableFIM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.ReplayTrace(tr)
+	rep := s.ReplayAligned(tr)
 	if rep.Requests != 5000 {
 		t.Fatalf("replayed %d requests, want 5000", rep.Requests)
 	}
@@ -265,11 +248,11 @@ func TestReplayTraceM2Guarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Design: design.Paper931(), M: 2, IntervalMS: 0.266, Mode: IntervalAligned, DisableFIM: true})
+	s, err := New(Config{Design: design.Paper931(), M: 2, IntervalMS: 0.266, DisableFIM: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.ReplayTrace(tr)
+	rep := s.ReplayAligned(tr)
 	if rep.MaxResponse > 0.266+1e-9 {
 		t.Errorf("max response %g exceeds 2-access guarantee", rep.MaxResponse)
 	}
@@ -404,11 +387,11 @@ func TestAlignedDelaysExceedOnline(t *testing.T) {
 		t.Fatal(err)
 	}
 	onRep := on.ReplayTrace(tr)
-	al, err := New(Config{Design: design.Paper1331(), Mode: IntervalAligned})
+	al, err := New(Config{Design: design.Paper1331()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alRep := al.ReplayTrace(tr)
+	alRep := al.ReplayAligned(tr)
 	if alRep.AvgDelayAll <= onRep.AvgDelayAll {
 		t.Errorf("aligned avg delay %.4f should exceed online %.4f (over all requests)",
 			alRep.AvgDelayAll, onRep.AvgDelayAll)
@@ -427,15 +410,6 @@ func TestResetClearsState(t *testing.T) {
 	out := s.Submit(0, 0)
 	if out.Delayed {
 		t.Error("after Reset the first request should be immediate")
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if Online.String() != "online" || IntervalAligned.String() != "interval-aligned" {
-		t.Error("mode strings wrong")
-	}
-	if Mode(7).String() == "" {
-		t.Error("unknown mode should format")
 	}
 }
 
@@ -521,19 +495,6 @@ func TestSubmitWriteConsumesCSlots(t *testing.T) {
 	}
 	if !r3.Delayed {
 		t.Error("third read should exceed the window budget (3+3 > 5)")
-	}
-}
-
-func TestSubmitWriteRejectPolicy(t *testing.T) {
-	s, err := New(Config{Design: design.Paper931(), Policy: admission.Reject})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SubmitWrite(0, 0)
-	s.SubmitWrite(0, 7) // 6 > 5 slots: second write cannot fit
-	out := s.SubmitWrite(0, 14)
-	if !out.Rejected {
-		t.Errorf("third write should be rejected: %+v", out)
 	}
 }
 

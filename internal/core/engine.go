@@ -38,7 +38,6 @@ type engine struct {
 	intervalMS float64 // cfg.IntervalMS, hoisted likewise
 	deviceBase int     // cfg.DeviceBase, hoisted likewise
 	s          int     // admission limit S(M)
-	reject     bool    // cfg.Policy == admission.Reject, hoisted likewise
 
 	stat    *statGate         // nil for deterministic (see statgate.go)
 	health  *health.Monitor   // nil unless AttachHealth was called
@@ -92,7 +91,6 @@ func newEngine(cfg Config) (*engine, error) {
 		invT:       1 / cfg.IntervalMS,
 		intervalMS: cfg.IntervalMS,
 		deviceBase: cfg.DeviceBase,
-		reject:     cfg.Policy == admission.Reject,
 		alloc:      alloc,
 		mapper:     mapper,
 		sched:      retrieval.NewOnline(d.N, cfg.ServiceMS),
@@ -127,27 +125,6 @@ func newEngine(cfg Config) (*engine, error) {
 	return e, nil
 }
 
-// refreshTable re-estimates the sampled P_k table — sampling.Estimate
-// shards the Monte-Carlo trials across worker goroutines, each owning one
-// preallocated maxflow.Solver — and installs the result atomically: the
-// gate republishes its snapshot, so in-flight admissions keep the table
-// they loaded and later ones see the refreshed bound. Deterministic
-// systems have no table to refresh.
-func (e *engine) refreshTable(trials int, seed int64) error {
-	if e.stat == nil {
-		return fmt.Errorf("core: deterministic system has no sampled table")
-	}
-	tab, err := sampling.Estimate(e.alloc, sampling.Options{
-		MaxK:   2*e.alloc.Devices() + e.s,
-		Trials: trials,
-		Seed:   seed,
-	})
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	return e.stat.setTable(tab)
-}
-
 // Replicas returns the devices storing a data block's copies, going through
 // the FIM/modulo design-block mapping.
 func (e *engine) Replicas(dataBlock int64) []int {
@@ -168,14 +145,10 @@ func (e *engine) window(t float64) int64 {
 // windows; times span < 1e9 windows, where float64 error is << 1e-6).
 const windowEps = 1e-6
 
-// startFrom applies the frontier hint: admission scanning can begin at the
-// hint window when it is ahead of the arrival. Only the Delay policy uses
-// hints — they skip windows where admission is provably impossible, and
-// under Delay the scan provably converges to the same admit time either
-// way. Under Reject the outcome depends on which window the scan samples
-// first (a full window rejects immediately), so the scan must start at the
-// arrival; it is O(1) there anyway, because no branch of the Reject scan
-// walks windows.
+// startFrom applies the frontier hint: admission scanning begins at the
+// hint window when it is ahead of the arrival. The hint only skips windows
+// where admission is provably impossible, so the scan converges to the same
+// admit time either way.
 //
 // Deterministic mode uses the ledger frontier ("full at the limit" is
 // final). Statistical mode may admit past the deterministic limit, which
@@ -185,9 +158,6 @@ const windowEps = 1e-6
 // serve writes too — a window that cannot take one more read cannot take a
 // c-slot write either.
 func (e *engine) startFrom(arrival float64) float64 {
-	if e.reject {
-		return arrival
-	}
 	h := e.ledger.frontier()
 	if e.stat != nil {
 		h = e.stat.frontier()
@@ -239,23 +209,6 @@ func (e *engine) gate(snap *admission.MCSnap, arrival float64, tenant int32) (ou
 		return Outcome{Rejected: true, OverLimit: true, Admitted: arrival, Tenant: tenant}, true
 	}
 	return Outcome{}, false
-}
-
-// tenantSlot claims n slots of the tenant's window cap in the first window
-// at or after w that has them — under Reject, in w or not at all (ok =
-// false). A cap miss consumes no ledger credit and cannot move the global
-// frontier (the window may still have room for other tenants), so under
-// Delay the walk starts at the tenant's own scan frontier, which the scans
-// raise to their start window (MCSnap.AcquireFirst). Before that frontier,
-// this walk rescanned every window the tenant had filled: 85 % of qosd's
-// CPU in the saturated phase of the benchmark's admit_stat_tenant workload
-// (2 cores); with it, 6 % — one or two counter probes and a CAS.
-func (e *engine) tenantSlot(snap *admission.MCSnap, tenant int32, w int64, n int32) (at int64, reserved, ok bool) {
-	if e.reject {
-		reserved, ok = snap.Acquire(tenant, w, n)
-		return w, reserved, ok
-	}
-	return snap.AcquireFirst(tenant, w, n)
 }
 
 // burst is what one submission call carries across its requests —
@@ -390,7 +343,7 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 	}
 	if snap != nil && snap.Cap(tenant) < 1 {
 		// A zero-cap tenant can never acquire a slot in any window; reject
-		// rather than walk windows forever under the Delay policy.
+		// rather than walk windows forever.
 		snap.NoteRejected(tenant)
 		*out = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
 		return
@@ -404,20 +357,18 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 	// is an integer increment (windowEps guarantees window(float64(w+1)·T)
 	// is exactly w+1), so only scheduler-driven jumps recompute it.
 	w := e.window(tAdm)
-	if snap != nil && !e.reject {
+	if snap != nil {
 		snap.RaiseFrontier(tenant, w)
 	}
 	for {
 		// Tenant cap first: a tenant over its window share consumes no
-		// ledger credit (and strands none of the burst's).
+		// ledger credit (and strands none of the burst's). The walk starts
+		// at the tenant's own scan frontier (MCSnap.Acquire): a cap miss
+		// cannot move the global frontier, since the window may still have
+		// room for other tenants.
 		tenantReserved := false
 		if snap != nil {
-			at, res, ok := e.tenantSlot(snap, tenant, w, 1)
-			if !ok {
-				snap.NoteRejected(tenant)
-				*out = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-				return
-			}
+			at, res, _ := snap.Acquire(tenant, w, 1) // cap >= 1 checked above
 			if at != w {
 				w, tAdm = at, float64(at)*e.intervalMS
 			}
@@ -444,11 +395,10 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 						e.ledger.add(w, 1)
 						e.place(b, snap, arrival, tAdm, replicas, tenant, false, out)
 						return
-					} else if !e.reject {
-						// Full and refused by the published snapshot: closed
-						// for good, later scans skip it (statGate).
-						e.stat.noteDead(w)
 					}
+					// Full and refused by the published snapshot: closed
+					// for good, later scans skip it (statGate).
+					e.stat.noteDead(w)
 				}
 				if snap != nil {
 					// Give the tenant slot back; a reserved slot the global
@@ -457,13 +407,6 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 					if tenantReserved {
 						snap.NoteDeficit(tenant)
 					}
-				}
-				if e.reject {
-					if snap != nil {
-						snap.NoteRejected(tenant)
-					}
-					*out = Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-					return
 				}
 				if e.hinted() {
 					e.ledger.noteFull(w + 1)
@@ -588,23 +531,19 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 	}
 	if snap != nil && snap.Cap(tenant) < c {
 		// The tenant's window share can never fit a c-slot write; reject
-		// rather than walk windows forever under the Delay policy.
+		// rather than walk windows forever.
 		snap.NoteRejected(tenant)
 		return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
 	}
 	tAdm := e.startFrom(arrival)
 	w := e.window(tAdm)
-	if snap != nil && !e.reject {
+	if snap != nil {
 		snap.RaiseFrontier(tenant, w)
 	}
 	for {
 		tenantReserved := false
 		if snap != nil {
-			at, res, ok := e.tenantSlot(snap, tenant, w, int32(c))
-			if !ok {
-				snap.NoteRejected(tenant)
-				return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
-			}
+			at, res, _ := snap.Acquire(tenant, w, int32(c)) // cap >= c checked above
 			if at != w {
 				w, tAdm = at, float64(at)*e.intervalMS
 			}
@@ -616,12 +555,6 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 				if tenantReserved {
 					snap.NoteDeficit(tenant)
 				}
-			}
-			if e.reject {
-				if snap != nil {
-					snap.NoteRejected(tenant)
-				}
-				return Outcome{Rejected: true, Admitted: arrival, Tenant: tenant}
 			}
 			// The window may still have room for smaller requests, so the
 			// frontier (which serves single-slot reads too) is not advanced.
@@ -713,71 +646,47 @@ func (e *engine) submitBatch(arrival float64, blocks []int64, sc *BatchScratch) 
 	take := e.ledger.reserveUpTo(w, len(blocks), limit)
 	out := sc.outcomes(len(blocks))
 	if take > 0 {
-		replicas := sc.replicaBuf(take)
-		unavailable := 0
+		// The joint assignment runs over the blocks with a usable replica;
+		// idx maps its entries back to input positions. Under a mask the
+		// alive lists live in one flat buffer sized up front, so the
+		// sub-slices stay valid as it fills.
+		live, idx := sc.replicaBuf(take)[:0], sc.idxBuf(take)
+		var alive []int
 		if masked {
-			// Degraded batch: restrict the joint assignment to the
-			// surviving replicas. The alive lists live in one flat buffer
-			// sized up front, so the sub-slices stay valid as it fills.
-			alive := sc.aliveBuf(take, e.alloc.Copies())
-			for i := 0; i < take; i++ {
+			alive = sc.aliveBuf(take, e.alloc.Copies())
+		}
+		for i := 0; i < take; i++ {
+			r := e.Replicas(blocks[i])
+			if masked {
 				start := len(alive)
-				for _, d := range e.Replicas(blocks[i]) {
+				for _, d := range r {
 					if mask&(1<<uint(d)) != 0 {
 						alive = append(alive, d)
 					}
 				}
 				if len(alive) == start {
 					out[i] = Outcome{Rejected: true, Unavailable: true, Admitted: arrival}
-					replicas[i] = nil
-					unavailable++
 					continue
 				}
-				replicas[i] = alive[start:len(alive):len(alive)]
+				r = alive[start:len(alive):len(alive)]
 			}
-		} else {
-			for i := 0; i < take; i++ {
-				replicas[i] = e.Replicas(blocks[i])
-			}
+			live = append(live, r)
+			idx = append(idx, i)
 		}
-		if masked {
-			// Compact out unavailable blocks before the joint assignment;
-			// their reserved slots go back (they consume no budget).
-			live := replicas[:0]
-			idx := sc.idxBuf(take)
-			for i, r := range replicas {
-				if r != nil {
-					live = append(live, r)
-					idx = append(idx, i)
-				}
-			}
-			if unavailable > 0 {
-				e.ledger.release(w, unavailable)
-			}
-			e.schedMu.Lock()
-			cs := e.sched.SubmitBatchInto(arrival, live, sc.comps)
-			e.schedMu.Unlock()
-			sc.comps = cs
-			for j, c := range cs {
-				out[idx[j]] = Outcome{
-					Admitted: arrival,
-					Device:   e.deviceBase + c.Device,
-					Start:    c.Start,
-					Finish:   c.Finish,
-				}
-			}
-		} else {
-			e.schedMu.Lock()
-			cs := e.sched.SubmitBatchInto(arrival, replicas, sc.comps)
-			e.schedMu.Unlock()
-			sc.comps = cs
-			for i, c := range cs {
-				out[i] = Outcome{
-					Admitted: arrival,
-					Device:   e.deviceBase + c.Device,
-					Start:    c.Start,
-					Finish:   c.Finish,
-				}
+		if unavailable := take - len(live); unavailable > 0 {
+			// Unavailable blocks consume no budget.
+			e.ledger.release(w, unavailable)
+		}
+		e.schedMu.Lock()
+		cs := e.sched.SubmitBatchInto(arrival, live, sc.comps)
+		e.schedMu.Unlock()
+		sc.comps = cs
+		for j, c := range cs {
+			out[idx[j]] = Outcome{
+				Admitted: arrival,
+				Device:   e.deviceBase + c.Device,
+				Start:    c.Start,
+				Finish:   c.Finish,
 			}
 		}
 	}

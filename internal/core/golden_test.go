@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"flashqos/internal/admission"
 	"flashqos/internal/decluster"
 	"flashqos/internal/design"
 	"flashqos/internal/health"
@@ -79,9 +78,9 @@ var goldenAlloc = func() *decluster.DesignTheoretic {
 
 // goldenSystem builds one variant. masked fails device 4 before any
 // submission, so every decision runs against a degraded S' mask.
-func goldenSystem(t *testing.T, policy admission.Policy, masked bool) *System {
+func goldenSystem(t *testing.T, masked bool) *System {
 	t.Helper()
-	sys, err := New(Config{Allocator: goldenAlloc, Policy: policy})
+	sys, err := New(Config{Allocator: goldenAlloc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,38 +98,22 @@ func goldenSystem(t *testing.T, policy admission.Policy, masked bool) *System {
 
 // goldenVariants are the sections of testdata/golden_seed42.txt.
 var goldenVariants = []struct {
-	policy admission.Policy
 	name   string
 	masked bool
 }{
-	{admission.Delay, "delay/unmasked", false},
-	{admission.Delay, "delay/masked", true},
-	{admission.Reject, "reject/unmasked", false},
-	{admission.Reject, "reject/masked", true},
-}
-
-// writeBothLabels appends one "== sequential/<name> ==" transcript section
-// twice, the second time relabelled concurrent/. The committed transcripts
-// date from when those were two engine configurations that had to agree;
-// there is one now, and the files are kept byte-identical across its
-// removal, so the one run is written under both labels.
-func writeBothLabels(golden *bytes.Buffer, section []byte) {
-	golden.Write(section)
-	golden.Write(bytes.Replace(section, []byte("== sequential/"), []byte("== concurrent/"), 1))
+	{"unmasked", false},
+	{"masked", true},
 }
 
 // TestGoldenSeed42 locks the engine's observable behavior to a committed
 // byte-for-byte transcript: the seed-42 workload, masked (device 4 failed,
-// S'=3) and unmasked, under both admission policies, must reproduce
-// testdata/golden_seed42.txt (no drift across refactors). Regenerate
-// deliberately with -update.
+// S'=3) and unmasked, must reproduce testdata/golden_seed42.txt (no drift
+// across refactors). Regenerate deliberately with -update.
 func TestGoldenSeed42(t *testing.T) {
 	reqs := goldenWorkload()
 	var golden bytes.Buffer
 	for _, v := range goldenVariants {
-		var run bytes.Buffer
-		goldenRun(&run, "sequential/"+v.name, goldenSystem(t, v.policy, v.masked), reqs)
-		writeBothLabels(&golden, run.Bytes())
+		goldenRun(&golden, v.name, goldenSystem(t, v.masked), reqs)
 	}
 	compareGolden(t, filepath.Join("testdata", "golden_seed42.txt"), golden.Bytes())
 }
@@ -187,9 +170,9 @@ func goldenStatTable(t *testing.T) *sampling.Table {
 }
 
 // goldenStatSystem builds one ε > 0 variant over the pinned table.
-func goldenStatSystem(t *testing.T, policy admission.Policy, epsilon float64, tab *sampling.Table) *System {
+func goldenStatSystem(t *testing.T, epsilon float64, tab *sampling.Table) *System {
 	t.Helper()
-	sys, err := New(Config{Allocator: goldenAlloc, Policy: policy, Epsilon: epsilon, Table: tab})
+	sys, err := New(Config{Allocator: goldenAlloc, Epsilon: epsilon, Table: tab})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,32 +181,84 @@ func goldenStatSystem(t *testing.T, policy admission.Policy, epsilon float64, ta
 
 // TestGoldenStatSeed42 locks the statistical (ε > 0) engine to a committed
 // byte-for-byte transcript, exactly as TestGoldenSeed42 does for the
-// deterministic one: the seed-42 workload at a tight and a loose ε under
-// both policies, over a fully pinned P_k table. Each section ends with the
-// controller's final Q, so the estimator itself is pinned too — the
-// snapshot/merge protocol is a parallelization of the serial estimator the
-// transcript was first recorded from, not a different policy. Regenerate
-// deliberately with -update.
+// deterministic one: the seed-42 workload at a tight and a loose ε, over a
+// fully pinned P_k table. Each section ends with the controller's final Q,
+// so the estimator itself is pinned too — the snapshot/merge protocol is a
+// parallelization of the serial estimator the transcript was first recorded
+// from, not a different policy. Regenerate deliberately with -update.
 func TestGoldenStatSeed42(t *testing.T) {
 	reqs := goldenWorkload()
 	tab := goldenStatTable(t)
+	var golden bytes.Buffer
+	for _, epsilon := range []float64{0.002, 0.05} {
+		sys := goldenStatSystem(t, epsilon, tab)
+		goldenRun(&golden, fmt.Sprintf("eps=%g", epsilon), sys, reqs)
+		fmt.Fprintf(&golden, "Q=%.12f\n", sys.Q())
+	}
+	compareGolden(t, filepath.Join("testdata", "golden_stat_seed42.txt"), golden.Bytes())
+}
+
+// goldenBatchRun drives the seed-42 workload's reads through SubmitBatch in
+// pseudo-random batches of minSize..maxSize requests sharing the first
+// request's arrival, with one reused scratch, and appends every field of
+// every outcome. Batches larger than the window's remaining room overflow
+// into the per-request path, so both halves of SubmitBatch appear.
+func goldenBatchRun(buf *bytes.Buffer, label string, sys *System, reqs []goldenRequest, minSize, maxSize int) {
+	fmt.Fprintf(buf, "== %s ==\n", label)
+	var blocks []int64
+	var arrivals []float64
+	for _, r := range reqs {
+		if !r.write {
+			blocks = append(blocks, r.block)
+			arrivals = append(arrivals, r.arrival*goldenBatchStretch)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	var sc BatchScratch
+	for i := 0; i < len(blocks); {
+		n := minSize + rng.Intn(maxSize-minSize+1)
+		if i+n > len(blocks) {
+			n = len(blocks) - i
+		}
+		arrival := arrivals[i]
+		for j, out := range sys.SubmitBatch(arrival, blocks[i:i+n], &sc) {
+			fmt.Fprintf(buf, "%4d arr=%.9f blk=%d n=%d -> rej=%v unav=%v dev=%d adm=%.9f start=%.9f fin=%.9f delay=%.9f delayed=%v\n",
+				i+j, arrival, blocks[i+j], n, out.Rejected, out.Unavailable, out.Device,
+				out.Admitted, out.Start, out.Finish, out.Delay, out.Delayed)
+		}
+		i += n
+	}
+	if sys.stat != nil {
+		fmt.Fprintf(buf, "Q=%.12f\n", sys.Q())
+	}
+}
+
+// goldenBatchStretch spreads the workload's arrivals out so that most
+// batches find room in their arrival window and the joint assignment, not
+// only the overflow path, decides them.
+const goldenBatchStretch = 3
+
+// TestGoldenBatchSeed42 locks SubmitBatch to a committed byte-for-byte
+// transcript, as TestGoldenSeed42 does for the per-request verbs: the
+// seed-42 reads in batches of 1–8 (S = 5) unmasked, masked (device 4
+// failed) and at ε = 0.05, plus an overflow section whose every batch is
+// larger than S. Regenerate deliberately with -update.
+func TestGoldenBatchSeed42(t *testing.T) {
+	reqs := goldenWorkload()
+	tab := goldenStatTable(t)
 	variants := []struct {
-		policy  admission.Policy
-		epsilon float64
-		name    string
+		name             string
+		sys              *System
+		minSize, maxSize int
 	}{
-		{admission.Delay, 0.002, "delay/eps=0.002"},
-		{admission.Delay, 0.05, "delay/eps=0.05"},
-		{admission.Reject, 0.002, "reject/eps=0.002"},
-		{admission.Reject, 0.05, "reject/eps=0.05"},
+		{"unmasked", goldenSystem(t, false), 1, 8},
+		{"masked", goldenSystem(t, true), 1, 8},
+		{"overflow", goldenSystem(t, false), 6, 15},
+		{"eps=0.05", goldenStatSystem(t, 0.05, tab), 1, 8},
 	}
 	var golden bytes.Buffer
 	for _, v := range variants {
-		var run bytes.Buffer
-		sys := goldenStatSystem(t, v.policy, v.epsilon, tab)
-		goldenRun(&run, "sequential/"+v.name, sys, reqs)
-		fmt.Fprintf(&run, "Q=%.12f\n", sys.Q())
-		writeBothLabels(&golden, run.Bytes())
+		goldenBatchRun(&golden, v.name, v.sys, reqs, v.minSize, v.maxSize)
 	}
-	compareGolden(t, filepath.Join("testdata", "golden_stat_seed42.txt"), golden.Bytes())
+	compareGolden(t, filepath.Join("testdata", "golden_batch_seed42.txt"), golden.Bytes())
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"flashqos/internal/admission"
-	"flashqos/internal/sampling"
 )
 
 // statGate is the concurrency shell around the statistical admission
@@ -36,7 +35,7 @@ import (
 // current window — and the ε guarantee degrades gracefully rather than
 // breaking; DESIGN.md §10 gives the argument.
 type statGate struct {
-	mu   sync.Mutex             // serializes merges and table swaps
+	mu   sync.Mutex             // serializes merges
 	stat *admission.Statistical // canonical history; guarded by mu
 	snap atomic.Pointer[admission.Snapshot]
 
@@ -45,7 +44,7 @@ type statGate struct {
 	// lock when there is provably nothing to fold.
 	lastClosed atomic.Int64
 
-	// Statistical admission frontier (Delay policy). A window dies when its
+	// Statistical admission frontier. A window dies when its
 	// count sits at the deterministic limit AND the published snapshot
 	// refuses to over-admit past it; refusal is final — the window never
 	// reopens, even if a later snapshot would have accepted its size. This
@@ -70,7 +69,7 @@ func newStatGate(stat *admission.Statistical) *statGate {
 }
 
 // frontier returns the first window not declared statistically dead (0 when
-// none is). Delay-policy submissions may start their window scan here: the
+// none is). Submissions may start their window scan here: the
 // skipped prefix consists only of windows a refusal already closed for
 // good, so the admit time is identical to a full rescan under sticky
 // verdicts. The load is lock-free; the frontier only grows (resetWindows
@@ -82,7 +81,7 @@ func (g *statGate) frontier() int64 {
 // noteDead records that window w was full at the deterministic limit and
 // the published snapshot refused to over-admit into it. Refusal is final
 // (see the deadFrontier comment), so the scan may start at w+1 from now on.
-// Lock-free CAS-max; called on the Delay overflow path only.
+// Lock-free CAS-max; called on the overflow path only.
 func (g *statGate) noteDead(w int64) {
 	next := w + 1
 	for {
@@ -139,22 +138,6 @@ func (g *statGate) wouldAdmit(k int) bool {
 // q returns the published violation-probability estimate.
 func (g *statGate) q() float64 {
 	return g.snap.Load().Q()
-}
-
-// intervals returns the number of intervals folded so far.
-func (g *statGate) intervals() int64 {
-	return g.snap.Load().Intervals()
-}
-
-// setTable swaps in a refreshed P_k table and republishes the snapshot.
-func (g *statGate) setTable(tab *sampling.Table) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if err := g.stat.SetTable(tab); err != nil {
-		return err
-	}
-	g.snap.Store(g.stat.Snapshot())
-	return nil
 }
 
 // resetWindows forgets window-close progress (System.Reset: the ledger is

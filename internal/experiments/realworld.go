@@ -283,11 +283,11 @@ func Fig12RetrievalComparison(w Workload, seed int64, scale float64) ([]Fig12Row
 		return nil, err
 	}
 	onRep := on.ReplayTrace(tr)
-	al, err := core.New(core.Config{Design: d, Mode: core.IntervalAligned})
+	al, err := core.New(core.Config{Design: d})
 	if err != nil {
 		return nil, err
 	}
-	alRep := al.ReplayTrace(tr)
+	alRep := al.ReplayAligned(tr)
 	n := len(onRep.Intervals)
 	if len(alRep.Intervals) < n {
 		n = len(alRep.Intervals)

@@ -152,38 +152,48 @@ func TestBinaryBatch(t *testing.T) {
 	}
 }
 
-// TestBinaryRejectedOutcome checks the wire form of a rejection: status
-// bit set, device -1, zero timings — mirroring the text REJECTED line.
+// TestBinaryRejectedOutcome checks the wire form of a plain rejection:
+// the rejected status bit alone (neither unavailable nor over limit),
+// device -1, zero timings — mirroring the text REJECTED line. A tenant
+// whose window cap is zero is the one plain rejection: "full" reserves all
+// of S, leaving "starved" a weight but no slot in any window.
 func TestBinaryRejectedOutcome(t *testing.T) {
-	sys, err := core.New(core.Config{Design: design.Paper931(), Policy: admission.Reject})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := NewServer(sys)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(srv.Close)
-
-	c := dialBinT(t, addr.String())
-	blocks := make([]int64, 64)
-	rs, err := c.Batch(blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rejected := 0
-	for _, r := range rs {
-		if r.Rejected {
-			rejected++
-			if r.Device != -1 || r.DelayMS != 0 || r.RespMS != 0 {
-				t.Errorf("rejected outcome %+v, want device -1 and zero timings", r)
-			}
+	srv, addr := startTenantServer(t)
+	for _, spec := range []admission.TenantSpec{
+		{Name: "full", Reserve: srv.Array().System(0).S(), Weight: 1},
+		{Name: "starved", Weight: 1},
+	} {
+		if _, err := srv.Array().TenantSet(spec); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if rejected == 0 {
-		t.Error("64 simultaneous reads under Reject policy: nothing rejected")
+	c := dialBinT(t, addr)
+	idx, err := c.TenantHello([]string{"starved"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	for _, op := range []uint8{wire.OpSubmit, wire.OpWrite} {
+		done := make(chan struct{})
+		c.CallFlags(op, wire.FlagTenant, wire.AppendTenantBlock(payload[:0], 7, idx[0]), func(h wire.Header, p []byte, err error) {
+			defer close(done)
+			if err == nil && h.Flags&wire.FlagError != 0 {
+				err = errorFrame(p)
+			}
+			if err != nil {
+				t.Errorf("op %d: %v", op, err)
+				return
+			}
+			o, _, err := wire.ParseOutcome(p)
+			if err != nil {
+				t.Errorf("op %d: %v", op, err)
+				return
+			}
+			if o.Status != wire.StatusRejected || o.Device != -1 || o.DelayMS != 0 || o.RespMS != 0 {
+				t.Errorf("op %d: outcome %+v, want status %#x alone, device -1 and zero timings", op, o, wire.StatusRejected)
+			}
+		})
+		<-done
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"flashqos/internal/admission"
 	"flashqos/internal/core"
 	"flashqos/internal/design"
 	"flashqos/internal/health"
@@ -299,51 +298,4 @@ func holdsReplica(c *BinaryClient, t *testing.T, block int64, dev int) bool {
 		}
 	}
 	return false
-}
-
-// TestPutRejectedCarriesNoWrite pins that a rejected PUT stores nothing:
-// admission stays in charge of the data path.
-func TestPutRejectedCarriesNoWrite(t *testing.T) {
-	arr, err := shard.New(1, core.Config{Design: design.Paper931(), Policy: admission.Reject})
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := pack.Open(t.TempDir(), arr.Devices(), pack.Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { store.Close() })
-	srv := NewServerSharded(arr, Options{Store: store})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	t.Cleanup(srv.Close)
-	c := dialBinT(t, addr.String())
-
-	// Flood one virtual instant with pipelined writes until some reject.
-	const n = 4096
-	chans := make([]<-chan SubmitResult, 0, n)
-	for i := 0; i < n; i++ {
-		chans = append(chans, c.PutAsync(int64(i), []byte{byte(i)}))
-	}
-	rejected := 0
-	for i, ch := range chans {
-		res := <-ch
-		if res.Err != nil {
-			t.Fatalf("put %d: %v", i, res.Err)
-		}
-		if res.Rejected {
-			rejected++
-			for d := 0; d < store.Devices(); d++ {
-				if store.Has(d, int64(i)) {
-					t.Fatalf("rejected put %d left bytes on device %d", i, d)
-				}
-			}
-		}
-	}
-	if rejected == 0 {
-		t.Skip("no rejections under this flood; admission kept up")
-	}
 }

@@ -65,7 +65,7 @@ func TestTenantSetValidation(t *testing.T) {
 }
 
 func TestTenantFanOutAndAggregation(t *testing.T) {
-	a := newArray(t, 3, core.Config{M: 2, Policy: admission.Reject, ServiceMS: 0.001})
+	a := newArray(t, 3, core.Config{M: 2, ServiceMS: 0.001})
 	if _, err := a.TenantSet(admission.TenantSpec{Name: "a", Reserve: 2, Limit: 4, Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -77,17 +77,26 @@ func TestTenantFanOutAndAggregation(t *testing.T) {
 		}
 	}
 	// Submissions spread across shards; aggregated counters see them all.
+	// All 60 arrive in window 0, so each shard admits its Limit of 4 there
+	// (its cap is 14) and turns the rest away as over limit.
 	admitted := 0
 	for b := int64(0); b < 60; b++ {
-		if out := a.SubmitTenant(float64(b)*0.001, b, 1); !out.Rejected {
-			admitted++
-			if out.Tenant != 1 {
-				t.Fatalf("block %d outcome tagged %d", b, out.Tenant)
+		out := a.SubmitTenant(float64(b)*0.001, b, 1)
+		if out.Tenant != 1 {
+			t.Fatalf("block %d outcome tagged %d", b, out.Tenant)
+		}
+		switch {
+		case out.Rejected && !out.OverLimit:
+			t.Fatalf("block %d rejected under the limit: %+v", b, out)
+		case !out.Rejected:
+			if w := a.System(a.ShardOf(b)).Window(out.Admitted); w != 0 {
+				t.Fatalf("block %d admitted in window %d, want 0", b, w)
 			}
+			admitted++
 		}
 	}
-	if admitted == 0 {
-		t.Fatal("nothing admitted")
+	if admitted != 4*a.Shards() {
+		t.Fatalf("admitted %d, want the limit of 4 on each of %d shards", admitted, a.Shards())
 	}
 	tc, ok := a.TenantGet("a")
 	if !ok || tc.Index != 1 {
@@ -123,7 +132,7 @@ func TestTenantFanOutAndAggregation(t *testing.T) {
 }
 
 func TestTenantBurstShard(t *testing.T) {
-	a := newArray(t, 2, core.Config{M: 2, Policy: admission.Reject, ServiceMS: 0.001})
+	a := newArray(t, 2, core.Config{M: 2, ServiceMS: 0.001})
 	if _, err := a.TenantSet(admission.TenantSpec{Name: "a", Reserve: 3, Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +143,14 @@ func TestTenantBurstShard(t *testing.T) {
 			reqs = append(reqs, core.BurstReq{Block: b, Tenant: 1})
 		}
 	}
+	// Six reads fit the tenant's cap of 14: all are admitted in window 0.
 	outs := a.SubmitBurstShard(0, 0, reqs, nil)
 	for i, o := range outs {
-		if o.Tenant != 1 {
-			t.Fatalf("burst outcome %d tagged %d: %+v", i, o.Tenant, o)
+		if o.Tenant != 1 || o.Rejected || a.System(0).Window(o.Admitted) != 0 {
+			t.Fatalf("burst outcome %d: %+v, want tenant 1 admitted in window 0", i, o)
 		}
 	}
-	if c, ok := a.System(0).TenantCounters("a"); !ok || c.Admitted == 0 {
-		t.Fatalf("shard 0 counters = %+v ok=%v", c, ok)
+	if c, ok := a.System(0).TenantCounters("a"); !ok || c.Admitted != int64(len(reqs)) {
+		t.Fatalf("shard 0 counters = %+v ok=%v, want Admitted=%d", c, ok, len(reqs))
 	}
 }
