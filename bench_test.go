@@ -83,7 +83,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkFig8(b *testing.B) {
 	var delayed float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8ExchangeDeterministic(int64(i+1), 0.02)
+		res, err := experiments.DeterministicQoS(experiments.Exchange, int64(i+1), 0.02)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkFig8(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	var delayed float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9TPCEDeterministic(int64(i+1), 0.02)
+		res, err := experiments.DeterministicQoS(experiments.TPCE, int64(i+1), 0.02)
 		if err != nil {
 			b.Fatal(err)
 		}

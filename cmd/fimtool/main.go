@@ -1,11 +1,13 @@
-// Command fimtool mines a trace file for frequent block pairs (the §IV-A
+// Command fimtool mines a trace file for frequent block sets (the §IV-A
 // mining step) and reports the Table IV performance metrics: mining time,
-// memory allocated, and the frequent pairs found.
+// memory allocated, and the frequent sets found. With the default -maxsize 2
+// it runs the pair miner; any other size runs Apriori up to that size.
 //
 // Usage:
 //
 //	fimtool -window 0.133 -support 2 trace.file
 //	tracegen -kind tpce | fimtool -support 3 -top 20 -
+//	fimtool -maxsize 3 trace.file
 package main
 
 import (
@@ -20,13 +22,16 @@ import (
 
 func main() {
 	var (
-		window  = flag.Float64("window", 0.133, "co-occurrence window (ms)")
-		support = flag.Int("support", 2, "minimum pair support")
-		top     = flag.Int("top", 10, "pairs to print (0 = none)")
-		algo    = flag.String("algo", "pairs", "pairs | pcy | apriori | eclat | fpgrowth")
-		maxSize = flag.Int("maxsize", 2, "apriori/eclat: maximum itemset size")
+		window  = flag.Float64("window", 0.133, "co-occurrence window (ms), > 0")
+		support = flag.Int("support", 2, "minimum support")
+		top     = flag.Int("top", 10, "sets to print (0 = none)")
+		maxSize = flag.Int("maxsize", 2, "maximum itemset size: 2 mines pairs, any other size runs Apriori")
 	)
 	flag.Parse()
+	if !(*window > 0) {
+		fmt.Fprintf(os.Stderr, "fimtool: -window must be positive, got %g\n", *window)
+		os.Exit(2)
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fimtool [flags] <trace-file | ->")
 		os.Exit(2)
@@ -47,20 +52,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	// Transactions are cut from consecutive arrivals, so the miner needs the
+	// records in arrival order whatever order the file lists them in.
+	tr.Sort()
 
 	txs := fim.TransactionsFromRecords(tr.Records, *window)
 	fmt.Printf("trace: %d records -> %d transactions (window %.3f ms)\n", len(tr.Records), len(txs), *window)
 
-	switch *algo {
-	case "pairs", "pcy":
+	if *maxSize == 2 {
 		var pairs []fim.Pair
-		st := fim.Measure(func() {
-			if *algo == "pcy" {
-				pairs = fim.MinePairsPCY(txs, fim.PCYOptions{MinSupport: *support})
-			} else {
-				pairs = fim.MinePairs(txs, *support)
-			}
-		})
+		st := fim.Measure(func() { pairs = fim.MinePairs(txs, *support) })
 		fmt.Printf("mined %d frequent pairs in %v (%.1f MB allocated)\n", len(pairs), st.Duration, st.AllocMB)
 		for i, p := range pairs {
 			if i >= *top {
@@ -68,27 +69,15 @@ func main() {
 			}
 			fmt.Printf("  (%d, %d) support %d\n", p.A, p.B, p.Support)
 		}
-	case "apriori", "eclat", "fpgrowth":
-		var sets []fim.Itemset
-		st := fim.Measure(func() {
-			switch *algo {
-			case "apriori":
-				sets = fim.Apriori(txs, *support, *maxSize)
-			case "eclat":
-				sets = fim.Eclat(txs, *support, *maxSize)
-			default:
-				sets = fim.FPGrowth(txs, *support, *maxSize)
-			}
-		})
-		fmt.Printf("mined %d frequent itemsets in %v (%.1f MB allocated)\n", len(sets), st.Duration, st.AllocMB)
-		for i, s := range sets {
-			if i >= *top {
-				break
-			}
-			fmt.Printf("  %v support %d\n", s.Items, s.Support)
+		return
+	}
+	var sets []fim.Itemset
+	st := fim.Measure(func() { sets = fim.Apriori(txs, *support, *maxSize) })
+	fmt.Printf("mined %d frequent itemsets in %v (%.1f MB allocated)\n", len(sets), st.Duration, st.AllocMB)
+	for i, s := range sets {
+		if i >= *top {
+			break
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "unknown algorithm %q\n", *algo)
-		os.Exit(2)
+		fmt.Printf("  %v support %d\n", s.Items, s.Support)
 	}
 }

@@ -179,6 +179,3 @@ func (r *Registry) Leave(name string) {
 
 // Total returns the current total reserved request size.
 func (r *Registry) Total() int { return r.total }
-
-// Size returns an application's reservation (0 if absent).
-func (r *Registry) Size(name string) int { return r.apps[name] }

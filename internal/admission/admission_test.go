@@ -55,9 +55,6 @@ func TestRegistryEdgeCases(t *testing.T) {
 	if err := r.Admit("a", 1); err == nil {
 		t.Error("duplicate admit should fail")
 	}
-	if r.Size("a") != 2 || r.Size("zzz") != 0 {
-		t.Error("Size lookup wrong")
-	}
 	r.Leave("nonexistent") // must not panic or corrupt
 	if r.Total() != 2 {
 		t.Error("Leave of unknown app changed total")

@@ -125,9 +125,6 @@ func NewMClock(capacity int) (*MClock, error) {
 	return &MClock{capacity: capacity, stats: make(map[string]*tenantStats)}, nil
 }
 
-// Capacity reports the window capacity the gate partitions.
-func (m *MClock) Capacity() int { return m.capacity }
-
 // Configure validates and atomically publishes a new tenant policy.
 // Slot i of specs corresponds to tenant index i+1 (index 0 means
 // "no tenant" throughout the system). Inactive slots (empty Name) keep
@@ -284,9 +281,6 @@ type MCSnap struct {
 	front []atomic.Int64 // per-slot scan frontiers (Acquire)
 }
 
-// Slots reports the slot-table length (the max valid tenant index).
-func (s *MCSnap) Slots() int { return len(s.specs) }
-
 // slot maps a 1-based tenant index to a validated slot, or -1.
 func (s *MCSnap) slot(t int32) int {
 	i := int(t) - 1
@@ -294,18 +288,6 @@ func (s *MCSnap) slot(t int32) int {
 		return -1
 	}
 	return i
-}
-
-// Active reports whether tenant index t names an active slot.
-func (s *MCSnap) Active(t int32) bool { return s.slot(t) >= 0 }
-
-// Spec returns tenant t's spec.
-func (s *MCSnap) Spec(t int32) (TenantSpec, bool) {
-	i := s.slot(t)
-	if i < 0 {
-		return TenantSpec{}, false
-	}
-	return s.specs[i], true
 }
 
 // Cap returns tenant t's per-window cap (Reserve + surplus quota).

@@ -85,8 +85,8 @@ func TestMClockCapsPartitionCapacity(t *testing.T) {
 	if got := s.Cap(2); got != 3 {
 		t.Errorf("tenant b cap = %d, want 3", got)
 	}
-	if s.Cap(1)+s.Cap(2) != m.Capacity() {
-		t.Errorf("caps %d+%d do not partition capacity %d", s.Cap(1), s.Cap(2), m.Capacity())
+	if s.Cap(1)+s.Cap(2) != 10 {
+		t.Errorf("caps %d+%d do not partition capacity 10", s.Cap(1), s.Cap(2))
 	}
 }
 
@@ -103,12 +103,9 @@ func TestMClockUnknownTenant(t *testing.T) {
 		if _, _, ok := s.Acquire(tt, 0, 1); ok {
 			t.Errorf("Acquire(%d) should fail", tt)
 		}
-		if s.Active(tt) {
-			t.Errorf("Active(%d) should be false", tt)
-		}
 	}
-	if !s.Active(1) {
-		t.Error("Active(1) should be true")
+	if v := s.NoteArrival(1, 0); v != OK {
+		t.Errorf("NoteArrival(1) = %v, want OK", v)
 	}
 }
 

@@ -29,12 +29,6 @@ func NewMapper(rows int) (*Mapper, error) {
 	return &Mapper{rows: rows, assigned: make(map[int64]int)}, nil
 }
 
-// Rows returns the number of design blocks.
-func (m *Mapper) Rows() int { return m.rows }
-
-// MappedCount returns how many data blocks have FIM-derived assignments.
-func (m *Mapper) MappedCount() int { return len(m.assigned) }
-
 // Mapped reports whether a data block has a FIM-derived assignment.
 func (m *Mapper) Mapped(dataBlock int64) bool {
 	_, ok := m.assigned[dataBlock]
@@ -112,23 +106,6 @@ func (m *Mapper) BuildFromPairs(pairs []fim.Pair) {
 		m.assigned[b] = best
 		usage[best]++
 	}
-}
-
-// MatchFraction returns the fraction of the given data blocks that have
-// FIM-derived assignments — the paper's Fig 11 metric ("percentage of
-// blocks that are matched according to the FIM results"). Returns 0 for an
-// empty input.
-func (m *Mapper) MatchFraction(blocks []int64) float64 {
-	if len(blocks) == 0 {
-		return 0
-	}
-	hit := 0
-	for _, b := range blocks {
-		if m.Mapped(b) {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(blocks))
 }
 
 // MappedSeenFraction returns the fraction of FIM-mapped data blocks that

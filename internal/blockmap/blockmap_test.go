@@ -45,8 +45,10 @@ func TestBuildFromPairsSeparatesCoRequested(t *testing.T) {
 		{A: 200, B: 300, Support: 5},
 	}
 	m.BuildFromPairs(pairs)
-	if m.MappedCount() != 3 {
-		t.Fatalf("mapped %d blocks, want 3", m.MappedCount())
+	for _, b := range []int64{100, 200, 300} {
+		if !m.Mapped(b) {
+			t.Fatalf("block %d not FIM-mapped", b)
+		}
 	}
 	// All three co-requested blocks must land on distinct design blocks.
 	d1, d2, d3 := m.DesignBlock(100), m.DesignBlock(200), m.DesignBlock(300)
@@ -83,24 +85,12 @@ func TestBuildFromPairsOverloaded(t *testing.T) {
 func TestBuildFromPairsEmptyResets(t *testing.T) {
 	m, _ := NewMapper(8)
 	m.BuildFromPairs([]fim.Pair{{A: 1, B: 2, Support: 3}})
-	if m.MappedCount() == 0 {
+	if !m.Mapped(1) || !m.Mapped(2) {
 		t.Fatal("build did nothing")
 	}
 	m.BuildFromPairs(nil)
-	if m.MappedCount() != 0 {
+	if m.Mapped(1) || m.Mapped(2) {
 		t.Error("rebuilding with no pairs should clear assignments")
-	}
-}
-
-func TestMatchFraction(t *testing.T) {
-	m, _ := NewMapper(8)
-	m.BuildFromPairs([]fim.Pair{{A: 1, B: 2, Support: 3}})
-	got := m.MatchFraction([]int64{1, 2, 3, 4})
-	if got != 0.5 {
-		t.Errorf("MatchFraction = %g, want 0.5", got)
-	}
-	if m.MatchFraction(nil) != 0 {
-		t.Error("empty MatchFraction should be 0")
 	}
 }
 

@@ -138,7 +138,7 @@ func (o Outcome) Response() float64 { return o.Finish - o.Admitted }
 // System is a running QoS instance. The submission verbs (Submit,
 // SubmitTenant, SubmitWrite, SubmitWriteTenant, SubmitBatch, SubmitBurst),
 // SetTenants and every read-only accessor are safe to call from any
-// goroutine at once; Remap, Reset, AttachHealth, ReplayTrace and
+// goroutine at once; Remap, AttachHealth, ReplayTrace and
 // ReplayAligned are single-caller and must not run while requests are in
 // flight (replica lookup is lock-free, so a remap under load would tear
 // it).
@@ -300,15 +300,6 @@ func (s *System) WindowCount(w int64) int { return s.ledger.count(w) }
 // tracked window — after quiescence it must never exceed S in
 // deterministic mode (test hook; statistical mode over-admits by design).
 func (s *System) MaxWindowCount() int { return s.ledger.maxCount() }
-
-// Reset clears all scheduling and admission state (the mapper is kept).
-func (s *System) Reset() {
-	s.sched.Reset()
-	s.ledger.reset()
-	if s.stat != nil {
-		s.stat.resetWindows()
-	}
-}
 
 // --- Trace replay ---
 

@@ -401,18 +401,6 @@ func TestAlignedDelaysExceedOnline(t *testing.T) {
 	}
 }
 
-func TestResetClearsState(t *testing.T) {
-	s := detSystem(t)
-	for i := int64(0); i < 8; i++ {
-		s.Submit(0, i)
-	}
-	s.Reset()
-	out := s.Submit(0, 0)
-	if out.Delayed {
-		t.Error("after Reset the first request should be immediate")
-	}
-}
-
 func TestFIMMatchReported(t *testing.T) {
 	tr, err := trace.TPCELike(9, 0.02)
 	if err != nil {

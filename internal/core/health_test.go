@@ -63,13 +63,15 @@ func intersects(a, b []int) bool {
 func TestDegradedAdmissionS(t *testing.T) {
 	sys, mon := newHealthSystem(t, Config{})
 
-	// admittedNow submits n distinct blocks at t=0 and counts how many were
-	// served without delay — exactly the per-window guarantee under the
-	// Delay policy when all devices start idle.
+	// admittedNow submits n distinct blocks into a fresh window, long after
+	// every earlier request finished, and counts how many were served
+	// without delay — exactly the per-window guarantee under the Delay
+	// policy when all devices start idle.
+	at := 0.0
 	admittedNow := func(n int) (now int, onFailed bool) {
-		sys.Reset()
+		at += 10
 		for b := int64(0); b < int64(n); b++ {
-			out := sys.Submit(0, b)
+			out := sys.Submit(at, b)
 			if out.Rejected {
 				continue
 			}

@@ -280,20 +280,3 @@ func (l *shardedLedger) maxCount() int {
 	}
 	return max
 }
-
-// reset drops all window state.
-func (l *shardedLedger) reset() {
-	l.front.Store(nil)
-	for i := range l.cache {
-		l.cache[i].Store(nil)
-	}
-	for i := range l.shards {
-		sh := &l.shards[i]
-		sh.mu.Lock()
-		sh.chunks = nil
-		sh.pruneAt = 0
-		sh.mu.Unlock()
-	}
-	l.hint.Store(0)
-	l.prunable.Store(0)
-}

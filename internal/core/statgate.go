@@ -72,8 +72,8 @@ func newStatGate(stat *admission.Statistical) *statGate {
 // none is). Submissions may start their window scan here: the
 // skipped prefix consists only of windows a refusal already closed for
 // good, so the admit time is identical to a full rescan under sticky
-// verdicts. The load is lock-free; the frontier only grows (resetWindows
-// aside), so a stale read merely rescans a few already-dead windows.
+// verdicts. The load is lock-free; the frontier only grows, so a stale
+// read merely rescans a few already-dead windows.
 func (g *statGate) frontier() int64 {
 	return g.deadFrontier.Load()
 }
@@ -138,13 +138,4 @@ func (g *statGate) wouldAdmit(k int) bool {
 // q returns the published violation-probability estimate.
 func (g *statGate) q() float64 {
 	return g.snap.Load().Q()
-}
-
-// resetWindows forgets window-close progress (System.Reset: the ledger is
-// wiped, so folding restarts from window 0; the interval history itself is
-// kept, matching the historical Reset semantics). The dead frontier rests
-// on ledger counts, so it is dropped with them.
-func (g *statGate) resetWindows() {
-	g.lastClosed.Store(-1)
-	g.deadFrontier.Store(0)
 }

@@ -12,11 +12,9 @@ package decluster
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"flashqos/internal/design"
-	"flashqos/internal/gf"
 )
 
 // Allocator maps buckets to the ordered list of devices storing their
@@ -34,14 +32,6 @@ type Allocator interface {
 	// Replicas returns the devices storing bucket b, in copy order. The
 	// returned slice must not be modified.
 	Replicas(bucket int) []int
-}
-
-// Guaranteer is implemented by schemes that can bound worst-case retrieval
-// cost for an arbitrary b-bucket request.
-type Guaranteer interface {
-	// GuaranteedAccesses returns an upper bound on the number of parallel
-	// accesses needed to retrieve any b buckets.
-	GuaranteedAccesses(b int) int
 }
 
 // tableAllocator is the common finite-table implementation.
@@ -92,10 +82,6 @@ func NewDesignTheoretic(d *design.Design) (*DesignTheoretic, error) {
 
 // Design returns the underlying block design.
 func (a *DesignTheoretic) Design() *design.Design { return a.d }
-
-// GuaranteedAccesses returns the design guarantee: the smallest M with
-// S(M) >= b.
-func (a *DesignTheoretic) GuaranteedAccesses(b int) int { return a.d.AccessesFor(b) }
 
 // NewRAID1Mirrored builds the RAID-1 mirrored baseline (paper Fig 7): the N
 // devices form N/c groups of c devices that mirror each other; bucket b is
@@ -245,77 +231,4 @@ func NewOrthogonal(n int) (Allocator, error) {
 		}
 	}
 	return &orthogonalAllocator{tableAllocator{name: "orthogonal", n: n, c: 2, rows: rows}}, nil
-}
-
-// GuaranteedAccesses returns ⌈√b⌉, the orthogonal allocation guarantee for
-// arbitrary queries of b buckets.
-func (o *orthogonalAllocator) GuaranteedAccesses(b int) int {
-	if b <= 0 {
-		return 0
-	}
-	return int(math.Ceil(math.Sqrt(float64(b))))
-}
-
-// Validate runs structural checks on any allocator: replica lists have c
-// distinct in-range devices and rows wrap consistently.
-func Validate(a Allocator) error {
-	n, c := a.Devices(), a.Copies()
-	if a.Rows() < 1 {
-		return fmt.Errorf("decluster: %s has no rows", a.Name())
-	}
-	for b := 0; b < a.Rows(); b++ {
-		row := a.Replicas(b)
-		if len(row) != c {
-			return fmt.Errorf("decluster: %s row %d has %d copies, want %d", a.Name(), b, len(row), c)
-		}
-		seen := make(map[int]bool, c)
-		for _, d := range row {
-			if d < 0 || d >= n {
-				return fmt.Errorf("decluster: %s row %d device %d out of range", a.Name(), b, d)
-			}
-			if seen[d] {
-				return fmt.Errorf("decluster: %s row %d repeats device %d", a.Name(), b, d)
-			}
-			seen[d] = true
-		}
-	}
-	// Wrapping.
-	r0 := a.Replicas(0)
-	rw := a.Replicas(a.Rows())
-	for i := range r0 {
-		if r0[i] != rw[i] {
-			return fmt.Errorf("decluster: %s does not wrap modulo Rows()", a.Name())
-		}
-	}
-	return nil
-}
-
-// NewOrthogonalGrid builds an orthogonal allocation from mutually
-// orthogonal Latin squares over GF(n) (Ferhatosmanoglu, Tosun &
-// Ramachandran; paper §II-B2): buckets form an (n-1)×n grid and copy k of
-// bucket (i, j) — with i ranging over the nonzero field elements so the
-// copies of a bucket land on distinct devices — is stored on device
-// (k+1)·i + j in GF(n). Between any two fixed copy indices every ordered
-// device pair appears at most once, the orthogonality property behind the
-// ⌈√b⌉ retrieval guarantee for c = 2. Requires a prime-power n and
-// 2 <= c <= n-1.
-func NewOrthogonalGrid(n, c int) (Allocator, error) {
-	if c < 2 || c > n-1 {
-		return nil, fmt.Errorf("decluster: orthogonal grid needs 2 <= c <= n-1, got n=%d c=%d", n, c)
-	}
-	f, err := gf.NewOrder(n)
-	if err != nil {
-		return nil, fmt.Errorf("decluster: orthogonal grid needs prime-power n: %v", err)
-	}
-	rows := make([][]int, 0, (n-1)*n)
-	for i := 1; i < n; i++ { // nonzero rows keep copies distinct
-		for j := 0; j < n; j++ {
-			row := make([]int, c)
-			for k := 0; k < c; k++ {
-				row[k] = f.Add(f.Mul(k+1, i), j)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return &tableAllocator{name: fmt.Sprintf("orthogonal grid (MOLS, c=%d)", c), n: n, c: c, rows: rows}, nil
 }

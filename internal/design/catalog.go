@@ -68,29 +68,3 @@ func ForParams(n, c int) (*Design, error) {
 	}
 	return nil, fmt.Errorf("%w: N=%d c=%d", ErrNoConstruction, n, c)
 }
-
-// Known describes one constructible design parameter set.
-type Known struct {
-	N, C    int
-	Name    string
-	S1      int // guarantee S(1)
-	Buckets int // rotation capacity
-}
-
-// KnownDesigns enumerates every (N, c, 1) design this package can
-// construct with N <= maxN, by probing the constructions. Useful for
-// sizing an array: pick the smallest design whose S(M) covers the target
-// load.
-func KnownDesigns(maxN int) []Known {
-	var out []Known
-	for n := 3; n <= maxN; n++ {
-		for c := 3; c <= 5 && c < n; c++ {
-			d, err := ForParams(n, c)
-			if err != nil {
-				continue
-			}
-			out = append(out, Known{N: d.N, C: d.C, Name: d.Name, S1: d.S(1), Buckets: d.MaxBuckets()})
-		}
-	}
-	return out
-}

@@ -24,7 +24,6 @@ package design
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Design is an (N, c, λ) block design: N points (devices), blocks of size C,
@@ -156,31 +155,4 @@ func (d *Design) Rotations() [][]int {
 		}
 	}
 	return rows
-}
-
-// canonBlock returns a sorted copy of a block, for set comparisons.
-func canonBlock(blk []int) string {
-	c := make([]int, len(blk))
-	copy(c, blk)
-	sort.Ints(c)
-	return fmt.Sprint(c)
-}
-
-// Equivalent reports whether two designs have the same block multiset
-// (ignoring the order of points inside a block and the order of blocks).
-func Equivalent(a, b *Design) bool {
-	if a.N != b.N || a.C != b.C || len(a.Blocks) != len(b.Blocks) {
-		return false
-	}
-	count := make(map[string]int, len(a.Blocks))
-	for _, blk := range a.Blocks {
-		count[canonBlock(blk)]++
-	}
-	for _, blk := range b.Blocks {
-		count[canonBlock(blk)]--
-		if count[canonBlock(blk)] < 0 {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,9 @@
 package design
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -433,4 +435,57 @@ func TestKnownDesigns(t *testing.T) {
 	if !seen[[2]int{9, 3}] || !seen[[2]int{13, 3}] {
 		t.Error("paper designs missing from catalog")
 	}
+}
+
+// canonBlock returns a sorted copy of a block, for set comparisons.
+func canonBlock(blk []int) string {
+	c := make([]int, len(blk))
+	copy(c, blk)
+	sort.Ints(c)
+	return fmt.Sprint(c)
+}
+
+// Equivalent reports whether two designs have the same block multiset
+// (ignoring the order of points inside a block and the order of blocks).
+func Equivalent(a, b *Design) bool {
+	if a.N != b.N || a.C != b.C || len(a.Blocks) != len(b.Blocks) {
+		return false
+	}
+	count := make(map[string]int, len(a.Blocks))
+	for _, blk := range a.Blocks {
+		count[canonBlock(blk)]++
+	}
+	for _, blk := range b.Blocks {
+		count[canonBlock(blk)]--
+		if count[canonBlock(blk)] < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Known describes one constructible design parameter set.
+type Known struct {
+	N, C    int
+	Name    string
+	S1      int // guarantee S(1)
+	Buckets int // rotation capacity
+}
+
+// KnownDesigns enumerates every (N, c, 1) design this package can
+// construct with N <= maxN, by probing the constructions. Useful for
+// sizing an array: pick the smallest design whose S(M) covers the target
+// load.
+func KnownDesigns(maxN int) []Known {
+	var out []Known
+	for n := 3; n <= maxN; n++ {
+		for c := 3; c <= 5 && c < n; c++ {
+			d, err := ForParams(n, c)
+			if err != nil {
+				continue
+			}
+			out = append(out, Known{N: d.N, C: d.C, Name: d.Name, S1: d.S(1), Buckets: d.MaxBuckets()})
+		}
+	}
+	return out
 }

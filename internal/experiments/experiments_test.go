@@ -188,7 +188,7 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	res, err := Fig8ExchangeDeterministic(3, 0.05)
+	res, err := DeterministicQoS(Exchange, 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	res, err := Fig9TPCEDeterministic(3, 0.05)
+	res, err := DeterministicQoS(TPCE, 3, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}

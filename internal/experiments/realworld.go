@@ -90,16 +90,6 @@ func DeterministicQoS(w Workload, seed int64, scale float64) (*DeterministicResu
 	return &DeterministicResult{Workload: w, QoS: qos, Original: orig}, nil
 }
 
-// Fig8ExchangeDeterministic is Fig 8.
-func Fig8ExchangeDeterministic(seed int64, scale float64) (*DeterministicResult, error) {
-	return DeterministicQoS(Exchange, seed, scale)
-}
-
-// Fig9TPCEDeterministic is Fig 9.
-func Fig9TPCEDeterministic(seed int64, scale float64) (*DeterministicResult, error) {
-	return DeterministicQoS(TPCE, seed, scale)
-}
-
 // Fig10Row is one ε point of the statistical QoS sweep.
 type Fig10Row struct {
 	Epsilon     float64

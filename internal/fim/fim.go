@@ -1,11 +1,8 @@
-// Package fim implements frequent itemset mining (paper §IV-A): all three
-// base algorithm families the paper cites — Apriori (generic level-wise
-// plus a pair-specialized parallel variant), Eclat and FP-growth — and a
-// PCY low-memory pair miner standing in for the paper's
-// fim_apriori-lowmem. Association rules with confidence are derived from
-// the mined pairs. Transactions are built from I/O traces by grouping
-// requests that arrive within the same time window T, the storage
-// system's response time (0.133 ms in the paper's setup).
+// Package fim implements frequent itemset mining (paper §IV-A): Apriori,
+// the miner behind the paper's Table IV, as a generic level-wise search
+// plus a pair-specialized parallel variant. Transactions are built from
+// I/O traces by grouping requests that arrive within the same time window
+// T, the storage system's response time (0.133 ms in the paper's setup).
 package fim
 
 import (

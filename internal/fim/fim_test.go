@@ -1,8 +1,11 @@
 package fim
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -138,15 +141,59 @@ func sortTx(tx Transaction) {
 	}
 }
 
-func TestEclatMatchesApriori(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
+// bruteForceItemsets is the reference Apriori is checked against: it counts
+// every subset of every transaction up to maxSize items, then orders the
+// frequent ones by size and lexicographically, as Apriori does.
+func bruteForceItemsets(txs []Transaction, minSupport, maxSize int) []Itemset {
+	count := map[string]int{}
+	items := map[string][]int64{}
+	for _, tx := range txs {
+		for mask := 1; mask < 1<<len(tx); mask++ {
+			if bits.OnesCount(uint(mask)) > maxSize {
+				continue
+			}
+			var set []int64
+			for i, it := range tx {
+				if mask&(1<<i) != 0 {
+					set = append(set, it)
+				}
+			}
+			key := fmt.Sprint(set)
+			count[key]++
+			items[key] = set
+		}
+	}
+	var out []Itemset
+	for key, c := range count {
+		if c >= minSupport {
+			out = append(out, Itemset{Items: items[key], Support: c})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i].Items, out[j].Items
+		if len(a) != len(b) {
+			return len(a) < len(b)
+		}
+		for k := range a {
+			if a[k] != b[k] {
+				return a[k] < b[k]
+			}
+		}
+		return false
+	})
+	return out
+}
+
+// randomTransactions draws count transactions of 1..maxLen distinct items
+// from [0, universe), each sorted.
+func randomTransactions(rng *rand.Rand, count, maxLen, universe int) []Transaction {
 	var txs []Transaction
-	for i := 0; i < 150; i++ {
-		n := 1 + rng.Intn(5)
+	for i := 0; i < count; i++ {
+		n := 1 + rng.Intn(maxLen)
 		seen := map[int64]bool{}
 		var tx Transaction
 		for j := 0; j < n; j++ {
-			v := int64(rng.Intn(20))
+			v := int64(rng.Intn(universe))
 			if !seen[v] {
 				seen[v] = true
 				tx = append(tx, v)
@@ -155,14 +202,34 @@ func TestEclatMatchesApriori(t *testing.T) {
 		sortTx(tx)
 		txs = append(txs, tx)
 	}
-	for _, minsup := range []int{1, 3, 8} {
-		for _, maxSize := range []int{1, 2, 3} {
-			a := Apriori(txs, minsup, maxSize)
-			e := Eclat(txs, minsup, maxSize)
-			if !reflect.DeepEqual(a, e) {
-				t.Fatalf("minsup=%d maxSize=%d: Apriori and Eclat disagree (%d vs %d sets)", minsup, maxSize, len(a), len(e))
+	return txs
+}
+
+func checkAprioriBruteForce(t *testing.T, txs []Transaction, minsups, maxSizes []int) {
+	t.Helper()
+	for _, minsup := range minsups {
+		for _, maxSize := range maxSizes {
+			got := Apriori(txs, minsup, maxSize)
+			want := bruteForceItemsets(txs, minsup, maxSize)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("minsup=%d maxSize=%d: Apriori %d sets, brute force %d sets", minsup, maxSize, len(got), len(want))
 			}
 		}
+	}
+}
+
+func TestAprioriMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	checkAprioriBruteForce(t, randomTransactions(rng, 150, 5, 20), []int{1, 3, 8}, []int{1, 2, 3})
+}
+
+// TestAprioriMatchesBruteForceRandom varies the transaction count and goes
+// one level deeper, to 4-itemsets.
+func TestAprioriMatchesBruteForceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	for trial := 0; trial < 20; trial++ {
+		txs := randomTransactions(rng, 50+rng.Intn(150), 6, 25)
+		checkAprioriBruteForce(t, txs, []int{1, 2, 5}, []int{1, 2, 3, 4})
 	}
 }
 
@@ -330,45 +397,5 @@ func BenchmarkApriori3(b *testing.B) {
 	txs := marketBasket()
 	for i := 0; i < b.N; i++ {
 		Apriori(txs, 2, 3)
-	}
-}
-
-func TestRules(t *testing.T) {
-	txs := marketBasket()
-	pairs := MinePairs(txs, 2)
-	rules := Rules(txs, pairs, 0.5)
-	if len(rules) == 0 {
-		t.Fatal("no rules derived")
-	}
-	// Confidence of 5 -> 2: pair (2,5) support 2, item 5 count 2 -> 1.0.
-	found := false
-	for _, r := range rules {
-		if r.Antecedent == 5 && r.Consequent == 2 {
-			found = true
-			if r.Confidence != 1.0 || r.Support != 2 {
-				t.Errorf("rule 5->2: conf %.2f support %d, want 1.00/2", r.Confidence, r.Support)
-			}
-		}
-		if r.Confidence < 0.5 {
-			t.Errorf("rule %+v below min confidence", r)
-		}
-	}
-	if !found {
-		t.Error("expected rule 5 -> 2 with confidence 1.0")
-	}
-	// Sorted by descending confidence.
-	for i := 1; i < len(rules); i++ {
-		if rules[i].Confidence > rules[i-1].Confidence {
-			t.Fatal("rules not sorted by confidence")
-		}
-	}
-	// Directionality: 2 -> 5 has confidence 2/7, excluded at 0.5.
-	for _, r := range rules {
-		if r.Antecedent == 2 && r.Consequent == 5 {
-			t.Error("low-confidence direction should be filtered")
-		}
-	}
-	if got := Rules(txs, nil, 0.1); got != nil {
-		t.Error("no pairs -> no rules")
 	}
 }

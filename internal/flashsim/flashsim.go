@@ -15,7 +15,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // DefaultReadLatency is the MSR SSD-extension time for one 8 KB read, ms.
@@ -131,9 +130,6 @@ type Completion struct {
 // (the metric of the paper's Table III).
 func (c Completion) Response() float64 { return c.Finish - c.Arrival }
 
-// Wait returns the queueing delay before service started.
-func (c Completion) Wait() float64 { return c.Start - c.Arrival }
-
 // event is a simulator event.
 type event struct {
 	time float64
@@ -178,9 +174,7 @@ type module struct {
 	faulty bool
 	fault  Fault
 	// accounting
-	served   int64
-	failed   int64
-	busyTime float64
+	failed int64
 }
 
 // Array is the simulated flash array. Submit requests (arrival times may be
@@ -208,9 +202,6 @@ func New(cfg Config) (*Array, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 	}, nil
 }
-
-// Config returns the array configuration (with defaults applied).
-func (a *Array) Config() Config { return a.cfg }
 
 // Submit enqueues a request for simulation. It panics on an invalid module
 // or an arrival before the current simulation time (Run processes events in
@@ -278,7 +269,6 @@ func (a *Array) startService(t float64, r Request) {
 	m := &a.modules[r.Module]
 	m.busy++
 	lat := a.latency(m, r.Op)
-	m.busyTime += lat
 	failed := m.faulty && m.fault.ErrorProb > 0 && a.rng.Float64() < m.fault.ErrorProb
 	if failed {
 		m.failed++
@@ -306,7 +296,6 @@ func (a *Array) Run() []Completion {
 		case evComplete:
 			m := &a.modules[ev.req.Module]
 			m.busy--
-			m.served++
 			a.recordCompletion(ev)
 			if len(m.queue) > 0 && m.busy < a.cfg.Ways {
 				next := m.queue[0]
@@ -336,23 +325,3 @@ func (a *Array) recordCompletion(ev event) {
 
 // Now returns the current simulation time.
 func (a *Array) Now() float64 { return a.now }
-
-// Served returns the number of requests module d has completed.
-func (a *Array) Served(d int) int64 { return a.modules[d].served }
-
-// BusyTime returns the cumulative service time of module d.
-func (a *Array) BusyTime(d int) float64 { return a.modules[d].busyTime }
-
-// Utilization returns module d's busy fraction of the simulated time span.
-func (a *Array) Utilization(d int) float64 {
-	if a.now == 0 {
-		return 0
-	}
-	return a.modules[d].busyTime / a.now
-}
-
-// SortByArrival orders completions by request arrival time (stable), the
-// order the paper's per-request figures use.
-func SortByArrival(cs []Completion) {
-	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Arrival < cs[j].Arrival })
-}

@@ -30,9 +30,6 @@ func TestSingleRead(t *testing.T) {
 	if math.Abs(c.Response()-DefaultReadLatency) > 1e-12 {
 		t.Errorf("response = %g, want %g", c.Response(), DefaultReadLatency)
 	}
-	if c.Wait() != 0 {
-		t.Errorf("wait = %g, want 0", c.Wait())
-	}
 }
 
 func TestFIFOQueueing(t *testing.T) {
@@ -112,12 +109,6 @@ func TestIdleGap(t *testing.T) {
 	if cs[1].Start != 5 {
 		t.Errorf("request after idle gap started at %g, want 5", cs[1].Start)
 	}
-	if got := a.BusyTime(0); math.Abs(got-2.0) > 1e-12 {
-		t.Errorf("busy time = %g, want 2", got)
-	}
-	if got := a.Utilization(0); math.Abs(got-2.0/6.0) > 1e-12 {
-		t.Errorf("utilization = %g, want 1/3", got)
-	}
 }
 
 func TestWriteLatency(t *testing.T) {
@@ -171,9 +162,6 @@ func TestIncrementalRuns(t *testing.T) {
 	if len(cs) != 1 || cs[0].ID != 1 {
 		t.Fatalf("second run should return only new completions: %+v", cs)
 	}
-	if a.Served(0) != 2 {
-		t.Errorf("served = %d, want 2", a.Served(0))
-	}
 }
 
 func TestSubmitValidation(t *testing.T) {
@@ -218,22 +206,9 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSortByArrival(t *testing.T) {
-	cs := []Completion{
-		{Request: Request{ID: 2, Arrival: 5}},
-		{Request: Request{ID: 1, Arrival: 1}},
-		{Request: Request{ID: 3, Arrival: 3}},
-	}
-	SortByArrival(cs)
-	if cs[0].ID != 1 || cs[1].ID != 3 || cs[2].ID != 2 {
-		t.Errorf("sort order wrong: %+v", cs)
-	}
-}
-
 // Property: conservation and sanity — every submitted request completes
-// exactly once, responses >= service latency, per-module busy time equals
-// served × latency (no jitter), and per-module FIFO start order follows
-// arrival order.
+// exactly once, responses >= service latency, and per-module FIFO start
+// order follows arrival order.
 func TestQuickSimulatorInvariants(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -268,11 +243,7 @@ func TestQuickSimulatorInvariants(t *testing.T) {
 			}
 			perModule[c.Module] = append(perModule[c.Module], c)
 		}
-		for d, list := range perModule {
-			// busy time = served * lat
-			if math.Abs(a.BusyTime(d)-float64(len(list))*lat) > 1e-6 {
-				return false
-			}
+		for _, list := range perModule {
 			// no overlapping service; starts ordered by arrival
 			byStart := append([]Completion(nil), list...)
 			for i := range byStart {

@@ -86,7 +86,6 @@ type planeState struct {
 	freeBlocks []int    // fully erased blocks
 	valid      [][]bool // [block][page] holds live data
 	liveCount  []int    // live pages per block
-	erases     int64    // wear accounting
 }
 
 // SSD is a single flash module with an FTL. It is not safe for concurrent
@@ -144,15 +143,6 @@ func (s *SSD) GCRuns() int64 { return s.gcRuns }
 
 // MovedPages returns how many live pages GC has relocated.
 func (s *SSD) MovedPages() int64 { return s.moved }
-
-// Erases returns total block erases (wear).
-func (s *SSD) Erases() int64 {
-	var total int64
-	for i := range s.planes {
-		total += s.planes[i].erases
-	}
-	return total
-}
 
 // channelOf maps a plane to its channel.
 func (s *SSD) channelOf(plane int) int { return plane / s.cfg.PlanesPerChan }
@@ -294,7 +284,6 @@ func (s *SSD) collect(plane int, t float64) {
 	// relocated pages are guaranteed a destination and the erase can never
 	// destroy freshly moved data.
 	s.busy(plane, ps.nextFree, s.cfg.EraseMS, 0)
-	ps.erases++
 	ps.freeBlocks = append(ps.freeBlocks, victim)
 	for _, lpn := range lpns {
 		s.program(plane, ps.nextFree, lpn)

@@ -90,16 +90,13 @@ func TestSSDGCTriggersUnderWrites(t *testing.T) {
 		t.Fatal("capacity must be positive")
 	}
 	// Overwrite a small working set far more times than the geometry holds:
-	// GC must run and erase blocks.
+	// GC must run.
 	tNow := 0.0
 	for i := 0; i < int(cap)*4; i++ {
 		tNow = s.Write(tNow, int64(i%10))
 	}
 	if s.GCRuns() == 0 {
 		t.Error("GC never ran under sustained overwrites")
-	}
-	if s.Erases() == 0 {
-		t.Error("no blocks erased")
 	}
 }
 
@@ -248,9 +245,6 @@ func TestSSDArrayBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if arr.Modules() != 3 {
-		t.Errorf("modules = %d", arr.Modules())
-	}
 	fin := arr.Read(0, 0, 42)
 	if math.Abs(fin-DefaultReadLatency) > 0.01 {
 		t.Errorf("idle array read %g", fin)
@@ -258,9 +252,6 @@ func TestSSDArrayBasics(t *testing.T) {
 	wfin := arr.Write(1, 0, 42)
 	if wfin <= 0 {
 		t.Error("write did not advance time")
-	}
-	if arr.Module(1).Capacity() <= 0 {
-		t.Error("module accessor broken")
 	}
 	if arr.TotalGCRuns() != 0 {
 		t.Error("fresh array should have no GC")

@@ -28,12 +28,6 @@ func NewSSDArray(n int, cfg SSDConfig) (*SSDArray, error) {
 	return arr, nil
 }
 
-// Modules returns the module count.
-func (a *SSDArray) Modules() int { return len(a.modules) }
-
-// Module exposes one SSD for statistics.
-func (a *SSDArray) Module(i int) *SSD { return a.modules[i] }
-
 func (a *SSDArray) check(module int, t float64) {
 	if module < 0 || module >= len(a.modules) {
 		panic(fmt.Sprintf("flashsim: module %d out of range [0,%d)", module, len(a.modules)))

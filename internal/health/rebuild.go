@@ -43,14 +43,6 @@ const (
 	Resilver
 )
 
-// String implements fmt.Stringer.
-func (k RebuildKind) String() string {
-	if k == Reprotect {
-		return "reprotect"
-	}
-	return "resilver"
-}
-
 type rebuildJob struct {
 	dev    int
 	bucket int

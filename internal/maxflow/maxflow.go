@@ -145,30 +145,6 @@ func (g *Graph) Flow(i int) int {
 // retrieval.
 type Assignment []int
 
-// FeasibleSchedule reports whether b blocks with the given replica device
-// sets can be retrieved in at most m parallel accesses, and if so returns an
-// assignment block→device in which no device serves more than m blocks.
-// replicas[i] lists the devices storing block i; n is the device count.
-//
-// This is a convenience wrapper that builds a throwaway Solver per call;
-// hot paths should hold a Solver (one per goroutine) and call
-// Solver.Feasible to avoid the per-call allocations.
-func FeasibleSchedule(replicas [][]int, n, m int) (Assignment, bool) {
-	if len(replicas) == 0 {
-		return Assignment{}, true
-	}
-	if m <= 0 {
-		return nil, false
-	}
-	a, ok := NewSolver(len(replicas), n).Feasible(replicas, n, m)
-	if !ok {
-		return nil, false
-	}
-	out := make(Assignment, len(a))
-	copy(out, a)
-	return out, true
-}
-
 // MinAccesses returns the minimal number of parallel accesses M* needed to
 // retrieve the given blocks, together with an optimal assignment. The lower
 // bound ⌈b/n⌉ is tried first and M is raised until feasible (M* ≤ b

@@ -6,8 +6,8 @@ import "fmt"
 // flow network (source → blocks → devices → sink) whose buffers are
 // preallocated once and rewritten in place on every call, so repeated
 // solves perform zero heap allocations in the steady state. Results are
-// bit-identical to the from-scratch FeasibleSchedule/MinAccesses reference:
-// edges are laid out in the exact same order and solved by the same Dinic
+// bit-identical to a from-scratch Graph built per call (the reference the
+// tests compare against): edges are laid out in the exact same order and solved by the same Dinic
 // implementation, so the computed flow — and therefore the returned
 // assignment — matches the fresh-graph path exactly.
 //
@@ -97,7 +97,7 @@ func (s *Solver) sameShape(replicas [][]int, n int) bool {
 // prepare builds (or rewrites in place) the feasibility network for the
 // instance, leaving every device→sink capacity at 0 and all flow zeroed;
 // callers follow with setCaps/setCapsUniform. Device ids are validated in
-// one upfront pass. Edge order matches FeasibleSchedule's reference layout
+// one upfront pass. Edge order matches the fresh-graph reference layout
 // exactly: b source→block pairs, then the block→device pairs in replica
 // order, then n device→sink pairs.
 func (s *Solver) prepare(replicas [][]int, n int) {
@@ -231,8 +231,9 @@ func (s *Solver) extract(replicas [][]int) Assignment {
 
 // Feasible reports whether the b blocks can be retrieved in at most m
 // parallel accesses on n devices, and if so returns the block→device
-// assignment. Semantics match FeasibleSchedule; the returned assignment is
-// backed by the Solver's buffer and is valid only until the next call.
+// assignment, in which no device serves more than m blocks. replicas[i]
+// lists the devices storing block i. The returned assignment is backed by
+// the Solver's buffer and is valid only until the next call.
 func (s *Solver) Feasible(replicas [][]int, n, m int) (Assignment, bool) {
 	b := len(replicas)
 	if b == 0 {

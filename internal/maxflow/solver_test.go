@@ -1,6 +1,7 @@
 package maxflow
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -8,11 +9,10 @@ import (
 
 // --- From-scratch reference implementations ---
 //
-// These are verbatim copies of the pre-engine FeasibleSchedule/MinAccesses:
-// a fresh Graph per call, bookkeeping slice for the block edges. The Solver
-// must reproduce their results bit-for-bit — same feasibility verdicts,
-// same M*, same assignments — across arbitrary instances and arbitrary
-// reuse orders.
+// These build a fresh Graph per call, with a bookkeeping slice for the
+// block edges. The Solver must reproduce their results bit-for-bit — same
+// feasibility verdicts, same M*, same assignments — across arbitrary
+// instances and arbitrary reuse orders.
 
 func referenceFeasible(replicas [][]int, n, m int) (Assignment, bool) {
 	b := len(replicas)
@@ -147,26 +147,114 @@ func hasEmpty(replicas [][]int) bool {
 	return false
 }
 
+// checkSchedule reports whether a places every block on one of its replicas
+// with no device serving more than m blocks.
+func checkSchedule(replicas [][]int, a Assignment, m int) error {
+	if len(a) != len(replicas) {
+		return fmt.Errorf("%d assignments for %d blocks", len(a), len(replicas))
+	}
+	load := map[int]int{}
+	for i, d := range a {
+		found := false
+		for _, r := range replicas[i] {
+			found = found || r == d
+		}
+		if !found {
+			return fmt.Errorf("block %d assigned to non-replica device %d", i, d)
+		}
+		if load[d]++; load[d] > m {
+			return fmt.Errorf("device %d serves more than m=%d blocks", d, m)
+		}
+	}
+	return nil
+}
+
+// checkFeasible runs s.Feasible on one instance and fails t unless its
+// verdict and assignment are bit-identical to the fresh-graph reference and
+// every feasible schedule keeps each block on a replica within m per device.
+func checkFeasible(t *testing.T, s *Solver, name string, replicas [][]int, n, m int) bool {
+	t.Helper()
+	wantA, wantOK := referenceFeasible(replicas, n, m)
+	gotA, gotOK := s.Feasible(replicas, n, m)
+	if gotOK != wantOK {
+		t.Fatalf("%s: Feasible ok = %v, reference %v (b=%d n=%d m=%d)",
+			name, gotOK, wantOK, len(replicas), n, m)
+	}
+	if wantOK && !reflect.DeepEqual(append(Assignment{}, gotA...), wantA) {
+		t.Fatalf("%s: assignment %v, reference %v (b=%d n=%d m=%d)",
+			name, gotA, wantA, len(replicas), n, m)
+	}
+	if gotOK {
+		if err := checkSchedule(replicas, gotA, m); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	return gotOK
+}
+
+// feasibleCase is a fixed instance with a known verdict.
+type feasibleCase struct {
+	name     string
+	replicas [][]int
+	n, m     int
+	ok       bool
+}
+
+func checkFeasibleCases(t *testing.T, cases []feasibleCase) {
+	t.Helper()
+	s := NewSolver(0, 0)
+	for _, c := range cases {
+		if got := checkFeasible(t, s, c.name, c.replicas, c.n, c.m); got != c.ok {
+			t.Errorf("%s: feasible = %v, want %v", c.name, got, c.ok)
+		}
+	}
+}
+
+func TestBipartiteMatching(t *testing.T) {
+	// Block i on device i or i+1 (mod 3): a perfect matching, one access.
+	checkFeasibleCases(t, []feasibleCase{
+		{"bipartite matching", [][]int{{0, 1}, {1, 2}, {2, 0}}, 3, 1, true},
+	})
+}
+
+func TestInfeasible(t *testing.T) {
+	// Two blocks stored only on device 0 need two accesses.
+	checkFeasibleCases(t, []feasibleCase{
+		{"pinned m=1", [][]int{{0}, {0}}, 2, 1, false},
+		{"pinned m=2", [][]int{{0}, {0}}, 2, 2, true},
+	})
+	if m, _ := MinAccesses([][]int{{0}, {0}}, 2); m != 2 {
+		t.Errorf("MinAccesses = %d, want 2", m)
+	}
+	if m, _ := referenceMinAccesses([][]int{{0}, {0}}, 2); m != 2 {
+		t.Errorf("referenceMinAccesses = %d, want 2", m)
+	}
+}
+
+func TestFeasibleEdgeCases(t *testing.T) {
+	checkFeasibleCases(t, []feasibleCase{
+		{"empty request", nil, 5, 1, true},
+		{"m=0", [][]int{{0}}, 1, 0, false},
+	})
+	if m, _ := MinAccesses(nil, 4); m != 0 {
+		t.Error("MinAccesses of empty request should be 0")
+	}
+	if m, _ := referenceMinAccesses(nil, 4); m != 0 {
+		t.Error("referenceMinAccesses of empty request should be 0")
+	}
+}
+
 // TestSolverFeasibleMatchesReference reuses ONE solver across thousands of
 // random instances — including infeasible m, m <= 0, empty requests, and
 // failed-device (empty replica list) blocks — and demands bit-identical
 // results versus the fresh-graph reference on every call.
 func TestSolverFeasibleMatchesReference(t *testing.T) {
-	r := rand.New(rand.NewSource(1234))
 	s := NewSolver(8, 4) // deliberately small: exercises buffer growth too
+	r := rand.New(rand.NewSource(1234))
 	for trial := 0; trial < 5000; trial++ {
 		replicas, n := randInstance(r, 30, 12, 0.05)
 		m := r.Intn(len(replicas)+3) - 1 // includes -1, 0, and > needed
-		wantA, wantOK := referenceFeasible(replicas, n, m)
-		gotA, gotOK := s.Feasible(replicas, n, m)
-		if gotOK != wantOK {
-			t.Fatalf("trial %d: Feasible ok = %v, reference %v (b=%d n=%d m=%d)",
-				trial, gotOK, wantOK, len(replicas), n, m)
-		}
-		if wantOK && !reflect.DeepEqual(append(Assignment{}, gotA...), wantA) {
-			t.Fatalf("trial %d: assignment %v, reference %v (b=%d n=%d m=%d)",
-				trial, gotA, wantA, len(replicas), n, m)
-		}
+		checkFeasible(t, s, fmt.Sprintf("trial %d", trial), replicas, n, m)
 	}
 }
 

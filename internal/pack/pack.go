@@ -142,9 +142,6 @@ func Open(dir string, devices int, opts Options) (*Store, error) {
 // Devices returns the number of volumes.
 func (s *Store) Devices() int { return len(s.vols) }
 
-// Dir returns the volume directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) vol(dev int) (*volume, error) {
 	if dev < 0 || dev >= len(s.vols) {
 		return nil, fmt.Errorf("pack: device %d out of range [0,%d)", dev, len(s.vols))

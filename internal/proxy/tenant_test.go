@@ -15,8 +15,8 @@ import (
 
 // startTenantBackend is startBackend with a T-window far longer than the
 // test's wall clock, so every request lands in window 0 and per-backend
-// tenant limits apply deterministically.
-func startTenantBackend(t *testing.T) (*qosnet.Server, string) {
+// tenant limits apply deterministically. It returns the served array.
+func startTenantBackend(t *testing.T) (*shard.Array, string) {
 	t.Helper()
 	arr, err := shard.New(1, core.Config{N: 9, C: 3, M: 1, IntervalMS: 1e7})
 	if err != nil {
@@ -33,7 +33,7 @@ func startTenantBackend(t *testing.T) (*qosnet.Server, string) {
 	}
 	go srv.Serve()
 	t.Cleanup(srv.Close)
-	return srv, addr.String()
+	return arr, addr.String()
 }
 
 // TestProxyTenantControlPlane drives the tenant surface through the proxy:
@@ -42,8 +42,8 @@ func startTenantBackend(t *testing.T) (*qosnet.Server, string) {
 // independently, GET/STATS merge the per-backend gauges, METRICS exposes
 // the cluster series, and DEL turns the index unknown everywhere.
 func TestProxyTenantControlPlane(t *testing.T) {
-	srv0, a0 := startTenantBackend(t)
-	srv1, a1 := startTenantBackend(t)
+	arr0, a0 := startTenantBackend(t)
+	arr1, a1 := startTenantBackend(t)
 	_, c := startProxy(t, Options{ProbeInterval: -1}, a0, a1)
 
 	idx, err := c.TenantSet(wire.TenantSpec{Name: "alpha", Reserve: 2, Limit: 2, Weight: 1})
@@ -54,11 +54,11 @@ func TestProxyTenantControlPlane(t *testing.T) {
 		t.Fatalf("TenantSet beta via proxy: %d %v", idx, err)
 	}
 	// Both backends hold the same table: name→index agrees on direct dials.
-	for _, srv := range []*qosnet.Server{srv0, srv1} {
-		if got := srv.Array().TenantIndex("alpha"); got != 1 {
+	for _, arr := range []*shard.Array{arr0, arr1} {
+		if got := arr.TenantIndex("alpha"); got != 1 {
 			t.Fatalf("backend alpha index = %d, want 1", got)
 		}
-		if got := srv.Array().TenantIndex("beta"); got != 2 {
+		if got := arr.TenantIndex("beta"); got != 2 {
 			t.Fatalf("backend beta index = %d, want 2", got)
 		}
 	}
@@ -147,8 +147,8 @@ func TestProxyTenantControlPlane(t *testing.T) {
 	if err := c.TenantDel("beta"); err != nil {
 		t.Fatal(err)
 	}
-	for _, srv := range []*qosnet.Server{srv0, srv1} {
-		if srv.Array().TenantActive(2) {
+	for _, arr := range []*shard.Array{arr0, arr1} {
+		if arr.TenantActive(2) {
 			t.Fatal("beta still active on a backend after proxy DEL")
 		}
 	}
@@ -165,13 +165,13 @@ func TestProxyTenantControlPlane(t *testing.T) {
 // proxy and checks the control plane refuses to answer with ambiguous
 // indices instead of silently picking one.
 func TestProxyTenantIndexMismatch(t *testing.T) {
-	srv0, a0 := startTenantBackend(t)
+	arr0, a0 := startTenantBackend(t)
 	_, a1 := startTenantBackend(t)
 	_, c := startProxy(t, Options{ProbeInterval: -1}, a0, a1)
 
 	// Backend 0 learns a tenant behind the proxy's back, so the next
 	// cluster-wide SET lands on different slots.
-	if _, err := srv0.Array().TenantSet(admission.TenantSpec{Name: "rogue", Reserve: 1, Weight: 1}); err != nil {
+	if _, err := arr0.TenantSet(admission.TenantSpec{Name: "rogue", Reserve: 1, Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.TenantSet(wire.TenantSpec{Name: "alpha", Reserve: 1, Weight: 1}); err == nil ||

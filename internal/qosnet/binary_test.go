@@ -160,10 +160,10 @@ func TestBinaryBatch(t *testing.T) {
 func TestBinaryRejectedOutcome(t *testing.T) {
 	srv, addr := startTenantServer(t)
 	for _, spec := range []admission.TenantSpec{
-		{Name: "full", Reserve: srv.Array().System(0).S(), Weight: 1},
+		{Name: "full", Reserve: srv.arr.System(0).S(), Weight: 1},
 		{Name: "starved", Weight: 1},
 	} {
-		if _, err := srv.Array().TenantSet(spec); err != nil {
+		if _, err := srv.arr.TenantSet(spec); err != nil {
 			t.Fatal(err)
 		}
 	}

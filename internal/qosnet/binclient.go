@@ -34,10 +34,10 @@ type SubmitResult struct {
 }
 
 // BinaryClient speaks the framed binary protocol over one connection with
-// arbitrarily deep pipelining: SubmitAsync/WriteAsync enqueue a request
-// and return a channel, a demultiplexer goroutine routes completions back
-// by request ID, and a flusher goroutine batches the pending writes into
-// few syscalls. All methods are safe for concurrent use; the synchronous
+// arbitrarily deep pipelining: SubmitAsync enqueues a request and returns a
+// channel, a demultiplexer goroutine routes completions back by request
+// ID, and a flusher goroutine batches the pending writes into few
+// syscalls. All methods are safe for concurrent use; the synchronous
 // verbs (Read, Stats, Health, ...) are thin wrappers that wait for their
 // own completion and may interleave with async traffic.
 type BinaryClient struct {
@@ -232,32 +232,12 @@ func (c *BinaryClient) SubmitAsync(block int64) <-chan SubmitResult {
 	return c.submitBlock(wire.OpSubmit, block, 0)
 }
 
-// WriteAsync enqueues a pipelined block write.
-func (c *BinaryClient) WriteAsync(block int64) <-chan SubmitResult {
-	return c.submitBlock(wire.OpWrite, block, 0)
-}
-
-// SubmitTenantAsync enqueues a pipelined block read under a tenant index
-// (1-based, negotiated via TenantHello). The server answers an unknown
-// index with an error frame, never a silent untenanted admission.
-func (c *BinaryClient) SubmitTenantAsync(block int64, tenant int32) <-chan SubmitResult {
-	return c.submitBlock(wire.OpSubmit, block, tenant)
-}
-
-// WriteTenantAsync enqueues a pipelined block write under a tenant index.
-func (c *BinaryClient) WriteTenantAsync(block int64, tenant int32) <-chan SubmitResult {
-	return c.submitBlock(wire.OpWrite, block, tenant)
-}
-
-// ReadTenant submits a tenant-tagged block read and waits for the outcome.
+// ReadTenant submits a block read under a tenant index (1-based,
+// negotiated via TenantHello) and waits for the outcome. The server answers
+// an unknown index with an error frame, never a silent untenanted
+// admission.
 func (c *BinaryClient) ReadTenant(block int64, tenant int32) (ReadResult, error) {
-	res := <-c.SubmitTenantAsync(block, tenant)
-	return res.ReadResult, res.Err
-}
-
-// WriteTenant submits a tenant-tagged block write and waits for the outcome.
-func (c *BinaryClient) WriteTenant(block int64, tenant int32) (ReadResult, error) {
-	res := <-c.WriteTenantAsync(block, tenant)
+	res := <-c.submitBlock(wire.OpSubmit, block, tenant)
 	return res.ReadResult, res.Err
 }
 
@@ -374,7 +354,7 @@ func (c *BinaryClient) Read(block int64) (ReadResult, error) {
 
 // Write submits a block write and waits for the outcome.
 func (c *BinaryClient) Write(block int64) (ReadResult, error) {
-	res := <-c.WriteAsync(block)
+	res := <-c.submitBlock(wire.OpWrite, block, 0)
 	return res.ReadResult, res.Err
 }
 
@@ -480,7 +460,7 @@ func (c *BinaryClient) ShardStats() ([]wire.ShardGauge, error) {
 
 // TenantHello resolves tenant names to their stable 1-based indices, in
 // request order; an unknown name resolves to 0. Indices — not names — tag
-// the per-request hot path (SubmitTenantAsync), so clients hello once per
+// the per-request hot path (ReadTenant), so clients hello once per
 // connection and cache the mapping.
 func (c *BinaryClient) TenantHello(names []string) ([]int32, error) {
 	payload, err := c.do(wire.OpTenantHello, wire.AppendTenantHelloReq(nil, names))

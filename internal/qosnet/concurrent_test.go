@@ -74,7 +74,7 @@ func TestConcurrentClientsStress(t *testing.T) {
 	if delayed > 0 && avg <= 0 {
 		t.Errorf("delayed %d requests but avg delay %.6f", delayed, avg)
 	}
-	if max, s := srv.System().MaxWindowCount(), srv.System().S(); max > s {
+	if max, s := srv.arr.System(0).MaxWindowCount(), srv.arr.System(0).S(); max > s {
 		t.Errorf("a window admitted %d requests, limit S=%d", max, s)
 	}
 }

@@ -342,7 +342,7 @@ func FuzzHandleTenant(f *testing.F) {
 			MaxPayloadBytes: 1 << 16,
 			Proto:           ProtoBinary,
 		})
-		if _, err := srv.Array().TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 3, Limit: 8, Weight: 1}); err != nil {
+		if _, err := srv.arr.TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 3, Limit: 8, Weight: 1}); err != nil {
 			t.Fatal(err)
 		}
 		client, server := net.Pipe()

@@ -265,13 +265,6 @@ func NewServerSharded(arr *shard.Array, opts Options) *Server {
 	return s
 }
 
-// System returns shard 0's engine (for inspection and tests; the whole
-// served system when unsharded).
-func (s *Server) System() *core.System { return s.arr.System(0) }
-
-// Array returns the served sharded array.
-func (s *Server) Array() *shard.Array { return s.arr }
-
 // anyHealth reports whether at least one shard has a health monitor.
 func (s *Server) anyHealth() bool {
 	for i := 0; i < s.arr.Shards(); i++ {

@@ -39,7 +39,7 @@ func startShardedServer(t *testing.T, k int) (*Server, string) {
 func TestShardedServerRouting(t *testing.T) {
 	srv, addr := startShardedServer(t, 4)
 	c := dialBinT(t, addr)
-	arr := srv.Array()
+	arr := srv.arr
 
 	for block := int64(0); block < 60; block++ {
 		db, devices, err := c.Map(block)
@@ -92,7 +92,7 @@ func TestShardedServerMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1 := srv.Array().System(0).S()
+	s1 := srv.arr.System(0).S()
 	for _, want := range []string{
 		"flashqos_requests_total 40",
 		"flashqos_shards 4",
@@ -187,7 +187,7 @@ func TestShardedServerShardQ(t *testing.T) {
 func TestShardedServerHealthAdmin(t *testing.T) {
 	srv, addr := startShardedServer(t, 4)
 	c := dialBinT(t, addr)
-	arr := srv.Array()
+	arr := srv.arr
 	full := arr.S()
 
 	const global = 13 // shard 1, local device 4

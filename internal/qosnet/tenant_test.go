@@ -36,7 +36,7 @@ func startTenantServer(t *testing.T) (*Server, string) {
 // admitted on the untenanted path.
 func TestTenantUnknownUniformAcrossProtocols(t *testing.T) {
 	srv, addr := startTenantServer(t)
-	if _, err := srv.Array().TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 2, Weight: 1}); err != nil {
+	if _, err := srv.arr.TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 2, Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -52,13 +52,13 @@ func TestTenantUnknownUniformAcrossProtocols(t *testing.T) {
 		if _, err := bc.ReadTenant(5, idx); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
 			t.Fatalf("binary unknown tenant %d: err = %v", idx, err)
 		}
-		if _, err := bc.WriteTenant(5, idx); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
-			t.Fatalf("binary unknown tenant write %d: err = %v", idx, err)
+		if res := <-bc.submitBlock(wire.OpWrite, 5, idx); res.Err == nil || !strings.Contains(res.Err.Error(), "unknown tenant") {
+			t.Fatalf("binary unknown tenant write %d: err = %v", idx, res.Err)
 		}
 	}
 
 	// A deleted tenant's index and name both turn unknown on the spot.
-	if err := srv.Array().TenantDel("alpha"); err != nil {
+	if err := srv.arr.TenantDel("alpha"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := bc.ReadTenant(5, 1); err == nil || !strings.Contains(err.Error(), "unknown tenant") {
@@ -70,7 +70,7 @@ func TestTenantUnknownUniformAcrossProtocols(t *testing.T) {
 
 	// Counters saw none of the refused submissions, and untenanted traffic
 	// was never touched.
-	if stats := srv.Array().TenantStats(); len(stats) != 0 {
+	if stats := srv.arr.TenantStats(); len(stats) != 0 {
 		t.Fatalf("refused submissions left counters: %+v", stats)
 	}
 	if got := tc.do("READ 5"); !strings.HasPrefix(got, "OK ") {
@@ -209,10 +209,10 @@ func TestTextTenantVerbs(t *testing.T) {
 // doubles as the reconfiguration stress for the network layer.
 func TestTenantReconfigOverWire(t *testing.T) {
 	srv, addr := startServer(t) // real 0.133ms windows: reconfig races window turnover
-	if _, err := srv.Array().TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 2, Weight: 3}); err != nil {
+	if _, err := srv.arr.TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 2, Weight: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Array().TenantSet(admission.TenantSpec{Name: "beta", Reserve: 2, Weight: 1}); err != nil {
+	if _, err := srv.arr.TenantSet(admission.TenantSpec{Name: "beta", Reserve: 2, Weight: 1}); err != nil {
 		t.Fatal(err)
 	}
 

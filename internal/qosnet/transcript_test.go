@@ -174,7 +174,7 @@ var transcriptSessions = []struct {
 		name: "tenant",
 		start: func(t *testing.T) string {
 			srv, addr := startServer(t)
-			if _, err := srv.Array().TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 2, Weight: 1}); err != nil {
+			if _, err := srv.arr.TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 2, Weight: 1}); err != nil {
 				t.Fatal(err)
 			}
 			return addr

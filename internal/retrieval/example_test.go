@@ -8,9 +8,9 @@ import (
 
 // Design-theoretic retrieval: initial mapping conflicts on device 0 are
 // remapped onto alternate replicas.
-func ExampleGreedy() {
+func ExampleScheduler_Greedy() {
 	replicas := [][]int{{0, 1, 2}, {0, 3, 6}, {0, 4, 8}}
-	r := retrieval.Greedy(replicas, 9)
+	r := retrieval.NewScheduler().Greedy(replicas, 9)
 	fmt.Println("accesses:", r.Accesses)
 	// Output:
 	// accesses: 1
@@ -33,7 +33,7 @@ func ExampleOnline() {
 	c1 := o.Submit(0, []int{0, 1, 2})
 	c2 := o.Submit(0, []int{0, 3, 6}) // device 0 busy: picks an idle one
 	fmt.Println(c1.Device == c2.Device)
-	fmt.Printf("%.6f %.6f\n", c1.Response(0), c2.Response(0))
+	fmt.Printf("%.6f %.6f\n", c1.Finish, c2.Finish)
 	// Output:
 	// false
 	// 0.132507 0.132507

@@ -51,24 +51,6 @@ func TestSubmitMaskedSkipsDeadDevices(t *testing.T) {
 	}
 }
 
-// TestNextFreeMasked: the earliest idle instant must come from live
-// replicas only.
-func TestNextFreeMasked(t *testing.T) {
-	o := NewOnline(9, service)
-	o.Submit(0, []int{1}) // device 1 busy until `service`
-	replicas := []int{0, 1, 2}
-	if nf, ok := o.NextFreeMasked(replicas, fullMask9); !ok || nf != 0 {
-		t.Errorf("full mask: NextFreeMasked = %g, %v; want 0, true", nf, ok)
-	}
-	mask := uint64(1 << 1) // only busy device 1 alive
-	if nf, ok := o.NextFreeMasked(replicas, mask); !ok || nf != service {
-		t.Errorf("only device 1 alive: NextFreeMasked = %g, %v; want %g, true", nf, ok, service)
-	}
-	if _, ok := o.NextFreeMasked(replicas, 0); ok {
-		t.Error("empty mask: want ok=false")
-	}
-}
-
 // TestOnlineSubmitMaskedAllocs pins the degraded hot path at zero
 // allocations: reading the availability mask is an inline bit test per
 // replica, no filtering buffers (ISSUE 4 satellite).
@@ -82,12 +64,6 @@ func TestOnlineSubmitMaskedAllocs(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("Online.SubmitMasked allocates %.1f objects/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() {
-		o.NextFreeMasked(dt.Replicas(i%36), mask)
-		i++
-	}); allocs != 0 {
-		t.Errorf("Online.NextFreeMasked allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -30,21 +30,6 @@ func lowerBound(b, n int) int {
 	return (b + n - 1) / n
 }
 
-// Greedy runs the design-theoretic retrieval algorithm. replicas[i] lists
-// the devices storing block i in copy order; n is the device count. Every
-// block starts on its first copy; while some device exceeds the current
-// target load, blocks are moved to a strictly less loaded replica device.
-// When no single move helps, the target is raised. The result is optimal
-// whenever a sequence of single-block moves reaches the optimum — in
-// particular for request sizes within the design guarantee — but is not
-// guaranteed optimal in general (use Optimal for that).
-func Greedy(replicas [][]int, n int) Result {
-	b := len(replicas)
-	assign := make([]int, b)
-	acc := greedyRun(replicas, n, assign, make([]int, n), make([]int, b+1))
-	return Result{Accesses: acc, Assignment: assign}
-}
-
 // greedyRun is the greedy move loop over caller-provided scratch: assign
 // (len b) receives the block→device mapping, load (len n, zeroed) the
 // per-device block counts, and cnt (len b+1, zeroed) a histogram of loads
@@ -115,16 +100,6 @@ func Optimal(replicas [][]int, n int) Result {
 	return NewScheduler().Optimal(replicas, n)
 }
 
-// UsedFallback reports whether Optimal would have needed the max-flow
-// fallback for this request (i.e. Greedy was above the lower bound). Used
-// by the ablation experiments.
-func UsedFallback(replicas [][]int, n int) bool {
-	if len(replicas) == 0 {
-		return false
-	}
-	return Greedy(replicas, n).Accesses > lowerBound(len(replicas), n)
-}
-
 // SequentialAccesses returns the access count produced by assigning each
 // block, in arrival order, to its currently least-loaded replica device —
 // the load shape of the online algorithm when requests arrive one by one
@@ -154,9 +129,6 @@ type Completion struct {
 	Start  float64 // service start time
 	Finish float64 // service completion time
 }
-
-// Response returns the request's response time given its arrival time.
-func (c Completion) Response(arrival float64) float64 { return c.Finish - arrival }
 
 // Online is the time-based online retrieval scheduler (paper §IV-B):
 // requests are served FCFS as they arrive; a request is placed on an idle
@@ -191,21 +163,8 @@ func NewOnline(n int, service float64) *Online {
 // Devices returns the device count.
 func (o *Online) Devices() int { return o.n }
 
-// Service returns the per-block service time.
-func (o *Online) Service() float64 { return o.service }
-
 // NextFree returns the time device d becomes idle.
 func (o *Online) NextFree(d int) float64 { return o.dev[d].nextFree }
-
-// Reset clears all device state.
-func (o *Online) Reset() {
-	for i := range o.dev {
-		o.dev[i] = onlineDev{}
-	}
-}
-
-// BusyTime returns the cumulative service time scheduled on device d.
-func (o *Online) BusyTime(d int) float64 { return o.dev[d].busy }
 
 // Utilization returns the mean busy fraction of all devices over [0, until].
 func (o *Online) Utilization(until float64) float64 {
@@ -246,21 +205,6 @@ func (o *Online) SubmitFor(t float64, replicas []int, service float64) Completio
 	o.dev[best].nextFree = finish
 	o.dev[best].busy += service
 	return Completion{Device: best, Start: bestStart, Finish: finish}
-}
-
-// NextFreeMasked returns the earliest instant any replica device inside
-// the availability mask becomes idle (bit d of mask set = device d may
-// serve). ok is false when no replica survives the mask. Allocation-free.
-func (o *Online) NextFreeMasked(replicas []int, mask uint64) (t float64, ok bool) {
-	for _, d := range replicas {
-		if mask&(1<<uint(d)) == 0 {
-			continue
-		}
-		if nf := o.dev[d].nextFree; !ok || nf < t {
-			t, ok = nf, true
-		}
-	}
-	return t, ok
 }
 
 // SubmitMasked schedules a request on the best replica inside the

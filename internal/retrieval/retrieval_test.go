@@ -23,14 +23,14 @@ func dt931(t testing.TB) *decluster.DesignTheoretic {
 }
 
 func TestGreedyEmpty(t *testing.T) {
-	r := Greedy(nil, 9)
+	r := NewScheduler().Greedy(nil, 9)
 	if r.Accesses != 0 || len(r.Assignment) != 0 {
 		t.Error("empty request should cost 0")
 	}
 }
 
 func TestGreedySingle(t *testing.T) {
-	r := Greedy([][]int{{3, 4, 5}}, 9)
+	r := NewScheduler().Greedy([][]int{{3, 4, 5}}, 9)
 	if r.Accesses != 1 || r.Assignment[0] != 3 {
 		t.Errorf("single block should stay on first copy: %+v", r)
 	}
@@ -40,7 +40,7 @@ func TestGreedyRemaps(t *testing.T) {
 	// Three blocks whose first copies collide on device 0 but have disjoint
 	// alternates — greedy must spread them into one access.
 	replicas := [][]int{{0, 1, 2}, {0, 3, 6}, {0, 4, 8}}
-	r := Greedy(replicas, 9)
+	r := NewScheduler().Greedy(replicas, 9)
 	if r.Accesses != 1 {
 		t.Errorf("greedy did not remap: %d accesses, want 1", r.Accesses)
 	}
@@ -67,7 +67,7 @@ func TestGreedyPaperT3(t *testing.T) {
 	// 4 blocks, initial mapping needs 2 accesses (two blocks start on 1,
 	// two on 0), remapping reaches 1 access.
 	replicas := [][]int{{1, 4, 7}, {1, 3, 8}, {0, 5, 7}, {0, 1, 2}}
-	r := Greedy(replicas, 9)
+	r := NewScheduler().Greedy(replicas, 9)
 	if r.Accesses != 1 {
 		t.Errorf("T3 request should remap to 1 access, got %d", r.Accesses)
 	}
@@ -153,16 +153,6 @@ func TestTableII(t *testing.T) {
 	}
 }
 
-func TestUsedFallback(t *testing.T) {
-	if UsedFallback(nil, 9) {
-		t.Error("empty request never needs fallback")
-	}
-	// A single block can never need fallback.
-	if UsedFallback([][]int{{0, 1, 2}}, 9) {
-		t.Error("single block never needs fallback")
-	}
-}
-
 func TestOnlineIdlePreferred(t *testing.T) {
 	o := NewOnline(9, service)
 	c1 := o.Submit(0, []int{0, 1, 2})
@@ -195,7 +185,7 @@ func TestOnlineEarliestFinish(t *testing.T) {
 	if c.Start != 2 || c.Finish != 3 {
 		t.Errorf("start/finish = %g/%g, want 2/3", c.Start, c.Finish)
 	}
-	if got := c.Response(0.5); math.Abs(got-2.5) > 1e-12 {
+	if got := c.Finish - 0.5; math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("response = %g, want 2.5", got)
 	}
 }
@@ -232,15 +222,6 @@ func TestSubmitBatchEmptyAndSingle(t *testing.T) {
 	cs := o.SubmitBatch(1.5, [][]int{{4, 5, 6}})
 	if len(cs) != 1 || cs[0].Device != 4 || cs[0].Start != 1.5 {
 		t.Errorf("single batch: %+v", cs)
-	}
-}
-
-func TestOnlineReset(t *testing.T) {
-	o := NewOnline(3, 1.0)
-	o.Submit(0, []int{0})
-	o.Reset()
-	if o.NextFree(0) != 0 {
-		t.Error("Reset did not clear device state")
 	}
 }
 
@@ -343,7 +324,7 @@ func TestQuickGreedyBounds(t *testing.T) {
 				maxInitial = l
 			}
 		}
-		g := Greedy(replicas, n)
+		g := NewScheduler().Greedy(replicas, n)
 		opt, _ := maxflow.MinAccesses(replicas, n)
 		return g.Accesses >= opt && g.Accesses <= maxInitial
 	}
@@ -393,9 +374,10 @@ func BenchmarkGreedy27(b *testing.B) {
 	for i := range replicas {
 		replicas[i] = dt.Replicas(rng.Intn(36))
 	}
+	s := NewScheduler()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Greedy(replicas, 9)
+		s.Greedy(replicas, 9)
 	}
 }
 

@@ -41,9 +41,16 @@ func grow(buf []int, n int) []int {
 	return buf[:n]
 }
 
-// Greedy runs the design-theoretic retrieval algorithm using the
-// Scheduler's scratch buffers. Semantics match the package-level Greedy;
-// the returned assignment is valid only until the next call.
+// Greedy runs the design-theoretic retrieval algorithm. replicas[i] lists
+// the devices storing block i in copy order; n is the device count. Every
+// block starts on its first copy; while some device exceeds the current
+// target load, blocks are moved to a strictly less loaded replica device.
+// When no single move helps, the target is raised. The result is optimal
+// whenever a sequence of single-block moves reaches the optimum — in
+// particular for request sizes within the design guarantee — but is not
+// guaranteed optimal in general (use Optimal for that). It runs on the
+// Scheduler's scratch buffers, so the returned assignment is valid only
+// until the next call.
 func (s *Scheduler) Greedy(replicas [][]int, n int) Result {
 	b := len(replicas)
 	s.assign = grow(s.assign, b)
@@ -74,21 +81,6 @@ func (s *Scheduler) Optimal(replicas [][]int, n int) Result {
 	}
 	m, a := s.solver.Solve(replicas, n)
 	return Result{Accesses: m, Assignment: a}
-}
-
-// MinAccesses exposes the engine's incremental exact solver directly (no
-// greedy first pass). The returned assignment is valid only until the next
-// call.
-func (s *Scheduler) MinAccesses(replicas [][]int, n int) (int, []int) {
-	m, a := s.solver.Solve(replicas, n)
-	return m, a
-}
-
-// Feasible reports whether the blocks can be retrieved in at most m
-// parallel accesses, reusing the engine's network.
-func (s *Scheduler) Feasible(replicas [][]int, n, m int) bool {
-	_, ok := s.solver.Feasible(replicas, n, m)
-	return ok
 }
 
 // MinResponseTime computes the minimal-makespan retrieval on heterogeneous

@@ -173,7 +173,7 @@ func TestGreedyMatchesReference(t *testing.T) {
 	for trial := 0; trial < 5000; trial++ {
 		replicas, n := randReplicaSet(r, 40, 12)
 		want := referenceGreedy(replicas, n)
-		got := Greedy(replicas, n)
+		got := NewScheduler().Greedy(replicas, n)
 		if got.Accesses != want.Accesses || !reflect.DeepEqual(got.Assignment, want.Assignment) {
 			t.Fatalf("trial %d: Greedy = %+v, reference %+v (b=%d n=%d)", trial, got, want, len(replicas), n)
 		}
@@ -187,7 +187,7 @@ func TestSchedulerMatchesPureFunctions(t *testing.T) {
 	s := NewScheduler()
 	for trial := 0; trial < 3000; trial++ {
 		replicas, n := randReplicaSet(r, 30, 10)
-		wantG := Greedy(replicas, n)
+		wantG := NewScheduler().Greedy(replicas, n)
 		gotG := s.Greedy(replicas, n)
 		if gotG.Accesses != wantG.Accesses || !reflect.DeepEqual(append([]int{}, gotG.Assignment...), wantG.Assignment) {
 			t.Fatalf("trial %d: Scheduler.Greedy = %+v, want %+v", trial, gotG, wantG)

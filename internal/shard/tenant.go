@@ -202,14 +202,6 @@ func (a *Array) TenantActive(index int32) bool {
 	return i >= 0 && i < len(*p) && (*p)[i]
 }
 
-// TenantSpecs returns a copy of the canonical slot table (slot i = tenant
-// index i+1; inactive slots have an empty name).
-func (a *Array) TenantSpecs() []admission.TenantSpec {
-	a.tenants.mu.Lock()
-	defer a.tenants.mu.Unlock()
-	return append([]admission.TenantSpec(nil), a.tenants.specs...)
-}
-
 // TenantStats returns every active tenant's spec and cross-shard
 // aggregated counters, in slot order (the METRICS exposition source).
 func (a *Array) TenantStats() []TenantCounters {

@@ -1,12 +1,9 @@
 // Package stats provides the summary statistics used throughout the
-// evaluation harness: streaming mean/variance/extrema (Welford's algorithm),
-// percentiles, histograms, and per-interval time series matching the way the
-// paper reports results (avg/std/max response times per table row, per-
-// interval series per figure).
+// evaluation harness: streaming mean/variance/extrema (Welford's algorithm)
+// for the paper's avg/std/max table rows, and percentiles.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -35,29 +32,6 @@ func (s *Summary) Add(x float64) {
 	s.hasSamples = true
 }
 
-// Merge folds another summary into s (parallel reduction).
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n1, n2 := float64(s.n), float64(o.n)
-	delta := o.mean - s.mean
-	total := n1 + n2
-	s.mean += delta * n2 / total
-	s.m2 += o.m2 + delta*delta*n1*n2/total
-	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-}
-
 // N returns the sample count.
 func (s *Summary) N() int { return s.n }
 
@@ -80,11 +54,6 @@ func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the largest sample (0 when empty).
 func (s *Summary) Max() float64 { return s.max }
-
-// String formats the summary the way the paper's tables do: avg, std, max.
-func (s *Summary) String() string {
-	return fmt.Sprintf("avg=%.4f std=%.4f max=%.4f (n=%d)", s.Mean(), s.Std(), s.Max(), s.n)
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of the data using
 // linear interpolation between closest ranks. The input is sorted in place.
@@ -110,123 +79,4 @@ func Percentile(data []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return data[lo]*(1-frac) + data[hi]*frac
-}
-
-// Histogram counts samples into uniform bins over [lo, hi). Samples outside
-// the range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		panic("stats: histogram needs at least 1 bin")
-	}
-	if hi <= lo {
-		panic("stats: histogram range empty")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(bins))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the fraction of samples in bin i.
-func (h *Histogram) Fraction(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.Counts[i]) / float64(h.total)
-}
-
-// Series is a per-interval sequence of summaries, as used for the paper's
-// per-interval figures (Fig 6, 8, 9, 10, 11, 12).
-type Series struct {
-	Intervals []Summary
-}
-
-// NewSeries creates a series with n intervals.
-func NewSeries(n int) *Series {
-	return &Series{Intervals: make([]Summary, n)}
-}
-
-// Add records sample x in interval i, growing the series if needed.
-func (s *Series) Add(i int, x float64) {
-	for len(s.Intervals) <= i {
-		s.Intervals = append(s.Intervals, Summary{})
-	}
-	s.Intervals[i].Add(x)
-}
-
-// Len returns the number of intervals.
-func (s *Series) Len() int { return len(s.Intervals) }
-
-// Means returns the per-interval means.
-func (s *Series) Means() []float64 {
-	out := make([]float64, len(s.Intervals))
-	for i := range s.Intervals {
-		out[i] = s.Intervals[i].Mean()
-	}
-	return out
-}
-
-// Maxes returns the per-interval maxima.
-func (s *Series) Maxes() []float64 {
-	out := make([]float64, len(s.Intervals))
-	for i := range s.Intervals {
-		out[i] = s.Intervals[i].Max()
-	}
-	return out
-}
-
-// Overall merges all intervals into one summary.
-func (s *Series) Overall() Summary {
-	var total Summary
-	for i := range s.Intervals {
-		total.Merge(&s.Intervals[i])
-	}
-	return total
-}
-
-// MeanOf returns the mean of a float slice (0 for empty input).
-func MeanOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// MaxOf returns the maximum of a float slice (0 for empty input).
-func MaxOf(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -55,47 +54,6 @@ func TestSummaryNegatives(t *testing.T) {
 	}
 }
 
-func TestMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var all, a, b Summary
-	for i := 0; i < 1000; i++ {
-		x := rng.NormFloat64()*10 + 5
-		all.Add(x)
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(&b)
-	if a.N() != all.N() {
-		t.Fatalf("merged N = %d, want %d", a.N(), all.N())
-	}
-	if !almostEqual(a.Mean(), all.Mean(), 1e-9) {
-		t.Errorf("merged Mean = %v, want %v", a.Mean(), all.Mean())
-	}
-	if !almostEqual(a.Var(), all.Var(), 1e-9) {
-		t.Errorf("merged Var = %v, want %v", a.Var(), all.Var())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Error("merged extrema wrong")
-	}
-}
-
-func TestMergeEmpty(t *testing.T) {
-	var a, b Summary
-	a.Add(1)
-	a.Merge(&b) // merging empty is a no-op
-	if a.N() != 1 {
-		t.Error("merge with empty changed N")
-	}
-	var c Summary
-	c.Merge(&a) // merging into empty copies
-	if c.N() != 1 || c.Mean() != 1 {
-		t.Error("merge into empty wrong")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	data := []float64{5, 1, 4, 2, 3}
 	if got := Percentile(data, 0); got != 1 {
@@ -126,84 +84,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for x := 0.5; x < 10; x++ {
-		h.Add(x)
-	}
-	if h.Total() != 10 {
-		t.Errorf("Total = %d, want 10", h.Total())
-	}
-	for i := 0; i < 5; i++ {
-		if h.Counts[i] != 2 {
-			t.Errorf("bin %d = %d, want 2", i, h.Counts[i])
-		}
-		if !almostEqual(h.Fraction(i), 0.2, 1e-12) {
-			t.Errorf("Fraction(%d) = %v, want 0.2", i, h.Fraction(i))
-		}
-	}
-	// Clamping.
-	h.Add(-1)
-	h.Add(100)
-	if h.Counts[0] != 3 || h.Counts[4] != 3 {
-		t.Error("out-of-range samples should clamp to edge bins")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := NewSeries(3)
-	s.Add(0, 1)
-	s.Add(0, 3)
-	s.Add(2, 10)
-	s.Add(5, 7) // grows
-	if s.Len() != 6 {
-		t.Fatalf("Len = %d, want 6", s.Len())
-	}
-	means := s.Means()
-	if means[0] != 2 || means[2] != 10 || means[5] != 7 || means[1] != 0 {
-		t.Errorf("Means = %v", means)
-	}
-	maxes := s.Maxes()
-	if maxes[0] != 3 {
-		t.Errorf("Maxes[0] = %v, want 3", maxes[0])
-	}
-	all := s.Overall()
-	if all.N() != 4 {
-		t.Errorf("Overall N = %d, want 4", all.N())
-	}
-	if !almostEqual(all.Mean(), 21.0/4, 1e-12) {
-		t.Errorf("Overall mean = %v, want 5.25", all.Mean())
-	}
-}
-
-func TestMeanMaxOf(t *testing.T) {
-	if MeanOf(nil) != 0 || MaxOf(nil) != 0 {
-		t.Error("empty helpers should return 0")
-	}
-	if MeanOf([]float64{2, 4}) != 3 {
-		t.Error("MeanOf wrong")
-	}
-	if MaxOf([]float64{-2, -4}) != -2 {
-		t.Error("MaxOf wrong on negatives")
-	}
-}
-
 // Property: Welford mean/var match the two-pass formulas.
 func TestQuickWelford(t *testing.T) {
 	prop := func(xs []float64) bool {
@@ -221,7 +101,11 @@ func TestQuickWelford(t *testing.T) {
 		for _, x := range clean {
 			s.Add(x)
 		}
-		mean := MeanOf(clean)
+		var mean float64
+		for _, x := range clean {
+			mean += x
+		}
+		mean /= float64(len(clean))
 		var v float64
 		for _, x := range clean {
 			v += (x - mean) * (x - mean)
