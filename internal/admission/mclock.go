@@ -30,14 +30,16 @@
 // the ledger hint's rule applied to the tenant's slice (RaiseFrontier,
 // Acquire).
 //
-// Counter storage mirrors the core ledger's chunked design: counters for
-// (tenant, window) keys live in 64-entry chunks behind a direct-mapped
-// atomic cache, and chunks more than keepChunks behind the newest are
-// pruned (about 4096/tenants windows). A straggler touching a pruned
-// window observes a fresh counter and may take its tenant past its cap
-// there; the S-bound is the ledger's and is unaffected — the gate stays
-// safe, merely not exact, that far behind. A frontier never moves back,
-// so tenant walks do not revisit the windows it has passed.
+// The gate's counts live in two Windows stores (windows.go), the one
+// counter type the ledger uses too, keyed by (window, tenant slot). Each
+// store's reclaim floor follows the requests: arrival counts are raised to
+// the arrival window (NoteArrival), usage counts to the scan start
+// (RaiseFrontier), where every later walk begins. A tenant's deep backlog
+// therefore keeps its own counters alive and evicts nobody else's; only a
+// request stamped more than reclaimMargin windows behind a floor can see a
+// fresh counter, and take it past its cap there. The S-bound is the
+// ledger's and is unaffected. A frontier never moves back, so tenant walks do not
+// revisit the windows it has passed.
 package admission
 
 import (
@@ -190,8 +192,8 @@ func (m *MClock) Configure(specs []TenantSpec) error {
 		}
 		snap.stats[i] = st
 	}
-	snap.arrivals.init(len(cp))
-	snap.usage.init(len(cp))
+	snap.arrivals.stride = int64(len(cp))
+	snap.usage.stride = int64(len(cp))
 	snap.front = make([]atomic.Int64, len(cp))
 	m.snap.Store(snap)
 	return nil
@@ -271,12 +273,12 @@ type MCSnap struct {
 
 	// arrivals counts submissions per (tenant, arrival window) for
 	// Limit enforcement; usage counts ledger acquisitions per
-	// (tenant, scan window) for Reserve/cap enforcement. The spaces are
-	// separate because under a delayed backlog the scan frontier
-	// runs arbitrarily ahead of arrivals — a shared pruned key space
-	// would evict live arrival counters.
-	arrivals winCounts
-	usage    winCounts
+	// (tenant, scan window) for Reserve/cap enforcement; both key
+	// window·len(specs) + slot. The stores are separate because their
+	// floors differ: under a delayed backlog the scan start runs
+	// arbitrarily ahead of arrivals.
+	arrivals Windows
+	usage    Windows
 
 	front []atomic.Int64 // per-slot scan frontiers (Acquire)
 }
@@ -289,6 +291,9 @@ func (s *MCSnap) slot(t int32) int {
 	}
 	return i
 }
+
+// key is slot i's counter key for window w in arrivals and usage.
+func (s *MCSnap) key(i int, w int64) int64 { return w*int64(len(s.specs)) + int64(i) }
 
 // Cap returns tenant t's per-window cap (Reserve + surplus quota).
 func (s *MCSnap) Cap(t int32) int {
@@ -311,7 +316,8 @@ func (s *MCSnap) NoteArrival(t int32, w int64) Verdict {
 	if lim == 0 {
 		return OK
 	}
-	if s.arrivals.counter(int64(i), w).Add(1) > int32(lim) {
+	s.arrivals.RaiseFloor(w)
+	if s.arrivals.Counter(s.key(i, w)).Add(1) > int32(lim) {
 		st := s.stats[i]
 		st.overLimit.Add(1)
 		st.rejected.Add(1)
@@ -327,7 +333,7 @@ func (s *MCSnap) NoteArrival(t int32, w int64) Verdict {
 // cap.
 func (s *MCSnap) take(i int, w int64, n int32) (reserved, ok, full bool) {
 	capi := s.caps[i]
-	c := s.usage.counter(int64(i), w)
+	c := s.usage.Counter(s.key(i, w))
 	for {
 		cur := c.Load()
 		if cur+n > capi {
@@ -341,9 +347,11 @@ func (s *MCSnap) take(i int, w int64, n int32) (reserved, ok, full bool) {
 
 // RaiseFrontier lifts tenant t's scan frontier — the first window at or
 // after the latest scan start where t may still have cap — to w, the
-// window a new scan starts in. It never moves back.
+// window a new scan starts in, and the usage store's floor with it: no
+// later walk starts below a scan start. Neither moves back.
 func (s *MCSnap) RaiseFrontier(t int32, w int64) {
 	if i := s.slot(t); i >= 0 {
+		s.usage.RaiseFloor(w)
 		f := &s.front[i]
 		for h := f.Load(); w > h && !f.CompareAndSwap(h, w); h = f.Load() {
 		}
@@ -383,7 +391,7 @@ func (s *MCSnap) Acquire(t int32, w int64, n int32) (at int64, reserved, ok bool
 // request to a later window.
 func (s *MCSnap) Release(t int32, w int64, n int32) {
 	if i := s.slot(t); i >= 0 {
-		s.usage.counter(int64(i), w).Add(-n)
+		s.usage.Counter(s.key(i, w)).Add(-n)
 	}
 }
 
@@ -411,71 +419,4 @@ func (s *MCSnap) NoteDeficit(t int32) {
 	if i := s.slot(t); i >= 0 {
 		s.stats[i].deficit.Add(1)
 	}
-}
-
-// Counter-space internals.
-
-const (
-	chunkShift = 6
-	chunkLen   = 1 << chunkShift // counters per chunk
-	cacheSlots = 64              // direct-mapped chunk cache
-	keepChunks = 64              // trailing chunks retained before pruning
-)
-
-type counterChunk struct {
-	id   int64
-	vals [chunkLen]atomic.Int32
-}
-
-// winCounts is a sparse (tenant, window) → atomic counter space: a
-// mutex-guarded map of 64-counter chunks fronted by a direct-mapped
-// atomic cache, pruned by distance from the max-created chunk. The fast
-// path is one atomic load and one comparison.
-type winCounts struct {
-	stride int64 // tenants per window (key = w*stride + slot)
-	mu     sync.Mutex
-	chunks map[int64]*counterChunk
-	cache  [cacheSlots]atomic.Pointer[counterChunk]
-	maxID  int64 // under mu
-}
-
-func (wc *winCounts) init(stride int) {
-	wc.stride = int64(stride)
-	wc.chunks = make(map[int64]*counterChunk)
-	wc.maxID = -1 << 62
-}
-
-func (wc *winCounts) counter(slot, w int64) *atomic.Int32 {
-	key := w*wc.stride + slot
-	cid := key >> chunkShift
-	ci := cid & (cacheSlots - 1)
-	if ch := wc.cache[ci].Load(); ch != nil && ch.id == cid {
-		return &ch.vals[key&(chunkLen-1)]
-	}
-	return wc.counterSlow(key, cid, ci)
-}
-
-func (wc *winCounts) counterSlow(key, cid, ci int64) *atomic.Int32 {
-	wc.mu.Lock()
-	ch := wc.chunks[cid]
-	if ch == nil {
-		ch = &counterChunk{id: cid}
-		wc.chunks[cid] = ch
-		if cid > wc.maxID {
-			wc.maxID = cid
-			// Chunks more than keepChunks behind the newest are dropped in
-			// one scan per keepChunks new chunks, not one per new chunk.
-			if len(wc.chunks) >= 2*keepChunks {
-				floor := cid - keepChunks
-				for id := range wc.chunks {
-					if id < floor {
-						delete(wc.chunks, id)
-					}
-				}
-			}
-		}
-	}
-	wc.cache[ci].Store(ch)
-	wc.mu.Unlock()
-	return &ch.vals[key&(chunkLen-1)]
 }

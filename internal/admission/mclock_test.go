@@ -231,37 +231,57 @@ func TestMClockCountersSurviveConfigure(t *testing.T) {
 }
 
 func TestMClockManyWindows(t *testing.T) {
-	// March the window frontier far past the pruning horizon; every
-	// fresh window must start with a full budget.
+	// March the scan start far past the point where both stores reclaim
+	// (shardPruneLen chunks in every shard); every fresh window must start
+	// with a full budget.
 	m := mustGate(t, 9, TenantSpec{Name: "a", Reserve: 2, Limit: 2, Weight: 1})
 	s := m.Snapshot()
-	for w := int64(0); w < int64(keepChunks*chunkLen*2); w += 97 {
+	for w := int64(0); w < 2*shardPruneLen*windowShardCount*chunkSize; w += 97 {
 		if v := s.NoteArrival(1, w); v != OK {
 			t.Fatalf("window %d: arrival %v", w, v)
 		}
+		s.RaiseFrontier(1, w)
 		acquireAt(t, s, 1, w, 1, w)
+	}
+	if n, _ := s.usage.Census(); n > shardPruneLen*windowShardCount {
+		t.Errorf("usage store holds %d chunks, bound %d", n, shardPruneLen*windowShardCount)
 	}
 }
 
-// TestWinCountsPruneBound walks a two-tenant counter space across a million
-// windows: the chunk map never holds more than 2·keepChunks+1 chunks, and
-// the walk allocates nothing but the chunks themselves (one per chunkLen
-// keys) — pruning is one scan per keepChunks new chunks, with no map churn.
-func TestWinCountsPruneBound(t *testing.T) {
-	const stride, span, runs = 2, 10_000, 100 // (runs+1)·span ≈ 1 M windows
-	var wc winCounts
-	wc.init(stride)
-	var w int64
-	allocs := testing.AllocsPerRun(runs, func() {
-		for end := w + span; w < end; w++ {
-			wc.counter(1, w).Add(1)
-			if n := len(wc.chunks); n > 2*keepChunks+1 {
-				t.Fatalf("window %d: %d chunks held, bound %d", w, n, 2*keepChunks+1)
-			}
+// TestMClockBacklogKeepsOtherTenantsUsage: one tenant's deep backlog must
+// not reclaim another tenant's live usage counters. Tenant a fills its cap
+// in window 100; tenant b then walks far ahead from the same scan start,
+// as the engine drives it (RaiseFrontier, then Acquire), until every shard
+// of the usage store has run prune scans. a's cap in window 100 must still
+// be spent. (20,000 acquisitions already break a store that prunes by
+// distance from its newest chunk.)
+func TestMClockBacklogKeepsOtherTenantsUsage(t *testing.T) {
+	m := mustGate(t, 5,
+		TenantSpec{Name: "a", Reserve: 1, Weight: 1},
+		TenantSpec{Name: "b", Reserve: 1, Weight: 1},
+		TenantSpec{Name: "c", Reserve: 1, Weight: 1})
+	s := m.Snapshot()
+	const w = 100
+	s.RaiseFrontier(1, w)
+	for range s.Cap(1) {
+		acquireAt(t, s, 1, w, 1, w)
+	}
+	// Two acquisitions per window of 3 keys: 1.5·backlog keys, or
+	// 1.5·shardPruneLen chunks in every shard.
+	const backlog = shardPruneLen * windowShardCount * chunkSize
+	for range backlog {
+		s.RaiseFrontier(2, w)
+		if _, _, ok := s.Acquire(2, w, 1); !ok {
+			t.Fatal("tenant b refused")
 		}
-	})
-	if perRun := float64(span*stride) / chunkLen; allocs > perRun+1 {
-		t.Errorf("%.1f allocs per %d-window walk, want the %.1f chunks only", allocs, span, perRun)
+	}
+	for i := range s.usage.shards {
+		if s.usage.shards[i].scanned == 0 {
+			t.Fatalf("usage shard %d never ran a prune scan", i)
+		}
+	}
+	if at, _, _ := s.Acquire(1, w, 1); at == w {
+		t.Fatalf("tenant a admitted past its cap %d in window %d after b's backlog", s.Cap(1), w)
 	}
 }
 

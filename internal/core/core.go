@@ -62,7 +62,7 @@ type Config struct {
 	// Epsilon enables statistical QoS when > 0 (§III-B); 0 is deterministic.
 	Epsilon float64
 	// FIM configuration: minimum pair support and mining window. A
-	// MinSupport of 0 keeps the default (2); set UseFIM=false to disable
+	// MinSupport of 0 keeps the default (2); set DisableFIM to disable
 	// mining and use the modulo mapping only.
 	FIMMinSupport int
 	DisableFIM    bool
@@ -294,12 +294,15 @@ func (s *System) Window(t float64) int64 { return s.window(t) }
 
 // WindowCount reports the admitted count currently recorded for window w
 // (test hook).
-func (s *System) WindowCount(w int64) int { return s.ledger.count(w) }
+func (s *System) WindowCount(w int64) int { return s.ledger.Count(w) }
 
 // MaxWindowCount returns the largest admitted count recorded for any
 // tracked window — after quiescence it must never exceed S in
 // deterministic mode (test hook; statistical mode over-admits by design).
-func (s *System) MaxWindowCount() int { return s.ledger.maxCount() }
+func (s *System) MaxWindowCount() int {
+	_, m := s.ledger.Census()
+	return m
+}
 
 // --- Trace replay ---
 

@@ -287,6 +287,7 @@ func (e *engine) submit(arrival float64, dataBlock int64, tenant int32) (out Out
 	b := e.begin(1)
 	e.admitRead(&b, arrival, dataBlock, tenant, &out)
 	e.settle(&b)
+	e.ledger.RaiseFloor(e.window(arrival)) // after admitRead's fold
 	return out
 }
 
@@ -307,6 +308,7 @@ func (e *engine) submitBurst(arrival float64, reqs []BurstReq, outs []Outcome) {
 		b.left--
 	}
 	e.settle(&b)
+	e.ledger.RaiseFloor(e.window(arrival)) // after admitRead's folds
 }
 
 // admitRead is the read-admission scan — the only one. Tenanted requests
@@ -389,7 +391,7 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 			if got == 0 {
 				// Window w is full under the snapshot limit.
 				if e.stat != nil {
-					if e.stat.wouldAdmit(e.ledger.count(w) + 1) {
+					if e.stat.wouldAdmit(e.ledger.Count(w) + 1) {
 						// Statistical path: admit past the deterministic limit;
 						// the request may queue behind busy replicas (§III-B).
 						e.ledger.add(w, 1)
@@ -436,7 +438,7 @@ func (e *engine) admitRead(b *burst, arrival float64, dataBlock int64, tenant in
 			e.place(b, snap, arrival, tAdm, replicas, tenant, true, out)
 			return
 		}
-		if e.stat != nil && e.stat.wouldAdmit(e.ledger.count(w)) {
+		if e.stat != nil && e.stat.wouldAdmit(e.ledger.Count(w)) {
 			// Statistical path with the reservation kept: every replica is
 			// busy, but the estimator accepts the risk and the request
 			// queues. count(w) already includes this request's slot.
@@ -512,6 +514,7 @@ func (e *engine) submitWrite(arrival float64, dataBlock int64, tenant int32) Out
 	if e.stat != nil {
 		e.stat.closeUpTo(e.window(arrival), e.ledger)
 	}
+	e.ledger.RaiseFloor(e.window(arrival))
 	var snap *admission.MCSnap
 	if tenant != 0 {
 		snap = e.tenants.Snapshot()
@@ -640,6 +643,7 @@ func (e *engine) submitBatch(arrival float64, blocks []int64, sc *BatchScratch) 
 	if e.stat != nil {
 		e.stat.closeUpTo(e.window(arrival), e.ledger)
 	}
+	e.ledger.RaiseFloor(e.window(arrival))
 	mask, limit, masked := e.maskLimit()
 	w := e.window(arrival)
 	// Reserve up to the window's remaining capacity.

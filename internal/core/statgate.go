@@ -97,7 +97,7 @@ func (g *statGate) noteDead(w int64) {
 // — full, refused, and closed for good — so folding also runs ahead to the
 // frontier without waiting for arrivals to cross them; under sustained
 // overload that keeps fold progress level with the frontier and lets the
-// ledger reclaim the dead region (notePrunable) instead of carrying an
+// ledger reclaim the dead region (its floor rises with the fold) instead of carrying an
 // ever-growing backlog of frozen counters. Concurrent callers race
 // benignly: the atomic fast path skips closed regions, the recheck under
 // mu guarantees each window is recorded exactly once (nt == lastClosed+1
@@ -118,12 +118,12 @@ func (g *statGate) closeUpTo(w int64, led *shardedLedger) {
 		return
 	}
 	for i := last + 1; i < w; i++ {
-		g.stat.RecordInterval(led.count(i))
+		g.stat.RecordInterval(led.Count(i))
 	}
 	g.lastClosed.Store(w - 1)
-	// Folded windows are never read again; let the ledger reclaim them
-	// (minus its safety margin) so long overloaded runs stay O(1) per op.
-	led.notePrunable(w)
+	// Folded windows are never read again: raise the ledger's reclaim
+	// floor past them so long overloaded runs stay O(1) per op.
+	led.RaiseFloor(w)
 	g.snap.Store(g.stat.Snapshot())
 	g.mu.Unlock()
 }

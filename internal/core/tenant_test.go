@@ -454,3 +454,53 @@ func TestTenantReconfigUnderLoad(t *testing.T) {
 		t.Fatalf("alpha served nothing under churn: %+v ok=%v", ca, ok)
 	}
 }
+
+// TestTenantCapUnderBacklog: one tenant's deep backlog must not cost
+// another tenant its cap. Tenants a/b/c (caps 2/2/1 of S = 5) share 400,000
+// reads, 20 per window: a offers 4 per window on spread blocks, twice its
+// cap, c offers 1, and b floods block 0 with the rest, so b's scan frontier
+// runs far ahead of everyone else's. No tenant may be admitted past its cap
+// in any window.
+func TestTenantCapUnderBacklog(t *testing.T) {
+	cs := tenantSystem(t, Config{},
+		admission.TenantSpec{Name: "a", Reserve: 1, Weight: 1},
+		admission.TenantSpec{Name: "b", Reserve: 1, Weight: 1},
+		admission.TenantSpec{Name: "c", Reserve: 1, Weight: 1})
+	caps := [4]int32{0, 2, 2, 1}
+	snap := cs.tenants.Snapshot()
+	for ti := int32(1); ti <= 3; ti++ {
+		if got := int32(snap.Cap(ti)); got != caps[ti] {
+			t.Fatalf("tenant %d cap %d, want %d", ti, got, caps[ti])
+		}
+	}
+	const reqs, perWindow = 400_000, 20
+	type key struct {
+		tenant int32
+		w      int64
+	}
+	admitted := make(map[key]int32)
+	over := 0
+	for i := 0; i < reqs; i++ {
+		tenant, block := int32(2), int64(0)
+		switch {
+		case i%5 == 0:
+			tenant, block = 1, int64(i)
+		case i%perWindow == 1:
+			tenant, block = 3, int64(i)
+		}
+		out := cs.SubmitTenant(float64(i/perWindow)*cs.IntervalMS(), block, tenant)
+		if out.Rejected {
+			t.Fatalf("request %d (tenant %d) rejected", i, tenant)
+		}
+		k := key{tenant, cs.Window(out.Admitted)}
+		if admitted[k]++; admitted[k] == caps[tenant]+1 {
+			over++
+			if over <= 3 {
+				t.Errorf("tenant %d admitted past its cap %d in window %d", tenant, caps[tenant], k.w)
+			}
+		}
+	}
+	if over > 0 {
+		t.Errorf("%d (tenant, window) pairs over cap", over)
+	}
+}
