@@ -10,10 +10,10 @@
 // Experiments: table1, table2, table3, table4, fig2, fig3, fig4, fig6,
 // fig7, fig8, fig9, fig10, fig11, fig12, guarantees, schemes, fim,
 // maxflow, designs, gc, hetero, failure, arraygc, fairness, mclock,
-// confidence, spatial, closedloop, sweep, shards, statpar, report, all.
-// Use -parallel to run the selection concurrently and -run report for a
-// self-contained markdown report. -cpuprofile/-memprofile write pprof
-// profiles of the run.
+// confidence, spatial, closedloop, sweep, shards, statpar, all.
+// Use -parallel to run the selection concurrently. -cpuprofile/-memprofile
+// write pprof profiles of the run. The output of -run all -scale 0.1
+// -seed 42 is pinned, wall-clock fields masked, by testdata/golden_seed42.txt.
 package main
 
 import (
@@ -25,25 +25,112 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"sync"
 
 	"flashqos/internal/experiments"
 )
 
+// config carries the flags the experiments read.
+type config struct {
+	seed     int64
+	scale    float64
+	requests int // synthetic requests for table3
+	trials   int // sampling trials for fig4/table2
+	seeds    int // seeds for the confidence experiment
+}
+
+// defaults are the flag defaults.
+var defaults = config{seed: 42, scale: 0.1, requests: 10000, trials: 20000, seeds: 5}
+
+// experiment is one qosbench section: its -run name and its printer.
+type experiment struct {
+	name string
+	run  func(w io.Writer, c config) error
+}
+
+// experimentTable lists every experiment in -run all order.
+var experimentTable = []experiment{
+	{"table1", func(w io.Writer, c config) error { return printTable1(w) }},
+	{"fig2", func(w io.Writer, c config) error { return printFig2(w) }},
+	{"fig3", func(w io.Writer, c config) error { return printFig3(w) }},
+	{"fig4", func(w io.Writer, c config) error { return printFig4(w, c.trials, c.seed) }},
+	{"table2", func(w io.Writer, c config) error { return printTable2(w, c.trials, c.seed) }},
+	{"table3", func(w io.Writer, c config) error { return printTable3(w, c.requests, c.seed) }},
+	{"fig7", func(w io.Writer, c config) error { return printFig7(w) }},
+	{"fig6", func(w io.Writer, c config) error { return printFig6(w, c.seed, c.scale) }},
+	{"fig8", func(w io.Writer, c config) error { return printFig89(w, experiments.Exchange, c.seed, c.scale) }},
+	{"fig9", func(w io.Writer, c config) error { return printFig89(w, experiments.TPCE, c.seed, c.scale) }},
+	{"fig10", func(w io.Writer, c config) error { return printFig10(w, c.seed, c.scale) }},
+	{"table4", func(w io.Writer, c config) error { return printTable4(w, c.seed, c.scale) }},
+	{"fig11", func(w io.Writer, c config) error { return printFig11(w, c.seed, c.scale) }},
+	{"fig12", func(w io.Writer, c config) error { return printFig12(w, c.seed, c.scale) }},
+	{"guarantees", func(w io.Writer, c config) error { return printGuarantees(w) }},
+	{"schemes", func(w io.Writer, c config) error { return printSchemes(w, c.seed) }},
+	{"fim", func(w io.Writer, c config) error { return printFIMAblation(w, c.seed, c.scale) }},
+	{"maxflow", func(w io.Writer, c config) error { return printMaxflowAblation(w, c.seed) }},
+	{"designs", func(w io.Writer, c config) error { return printDesigns(w) }},
+	{"gc", func(w io.Writer, c config) error { return printGCAblation(w, c.seed) }},
+	{"hetero", func(w io.Writer, c config) error { return printHeteroAblation(w, c.seed) }},
+	{"failure", func(w io.Writer, c config) error { return printFailureAblation(w, c.seed) }},
+	{"arraygc", func(w io.Writer, c config) error { return printArrayGC(w, c.seed) }},
+	{"fairness", func(w io.Writer, c config) error { return printFairness(w, c.seed) }},
+	{"mclock", func(w io.Writer, c config) error { return printMClock(w, c.seed) }},
+	{"confidence", func(w io.Writer, c config) error { return printConfidence(w, c.seed, c.scale, c.seeds) }},
+	{"spatial", func(w io.Writer, c config) error { return printSpatial(w, c.seed) }},
+	{"closedloop", func(w io.Writer, c config) error { return printClosedLoop(w, c.seed) }},
+	{"sweep", func(w io.Writer, c config) error { return printSweep(w, c.seed, c.scale) }},
+	{"shards", func(w io.Writer, c config) error { return printShardScaling(w) }},
+	{"statpar", func(w io.Writer, c config) error { return printStatParallel(w, c.seed, c.scale) }},
+}
+
+// selectExperiments resolves a -run value ("all" or comma-separated names).
+func selectExperiments(run string) ([]experiment, error) {
+	if run == "all" {
+		return experimentTable, nil
+	}
+	var out []experiment
+	for _, name := range strings.Split(run, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool { return e.name == name })
+		if i < 0 {
+			names := make([]string, len(experimentTable))
+			for j, e := range experimentTable {
+				names[j] = e.name
+			}
+			return nil, fmt.Errorf("unknown experiment %q; known: %s", name, strings.Join(names, ", "))
+		}
+		out = append(out, experimentTable[i])
+	}
+	return out, nil
+}
+
+// writeSection prints one experiment under its banner, followed by a
+// blank line once it succeeds.
+func writeSection(w io.Writer, e experiment, c config) error {
+	fmt.Fprintf(w, "==================== %s ====================\n", e.name)
+	if err := e.run(w, c); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	return nil
+}
+
 func main() {
 	var (
+		c        config
 		run      = flag.String("run", "all", "experiment to run (comma-separated, or 'all')")
-		seed     = flag.Int64("seed", 42, "workload seed")
-		scale    = flag.Float64("scale", 0.1, "trace scale factor (1.0 = full calibrated size)")
-		requests = flag.Int("requests", 10000, "synthetic requests for table3")
-		trials   = flag.Int("trials", 20000, "sampling trials for fig4/table2")
 		parallel = flag.Bool("parallel", false, "run the selected experiments concurrently")
-		seeds    = flag.Int("seeds", 5, "seeds for the confidence experiment")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
+	flag.Int64Var(&c.seed, "seed", defaults.seed, "workload seed")
+	flag.Float64Var(&c.scale, "scale", defaults.scale, "trace scale factor (1.0 = full calibrated size)")
+	flag.IntVar(&c.requests, "requests", defaults.requests, "synthetic requests for table3")
+	flag.IntVar(&c.trials, "trials", defaults.trials, "sampling trials for fig4/table2")
+	flag.IntVar(&c.seeds, "seeds", defaults.seeds, "seeds for the confidence experiment")
 	flag.Parse()
 
 	if *cpuprofile != "" {
@@ -71,78 +158,17 @@ func main() {
 		}()
 	}
 
-	all := map[string]func(io.Writer) error{
-		"table1":     func(w io.Writer) error { return printTable1(w) },
-		"table2":     func(w io.Writer) error { return printTable2(w, *trials, *seed) },
-		"table3":     func(w io.Writer) error { return printTable3(w, *requests, *seed) },
-		"table4":     func(w io.Writer) error { return printTable4(w, *seed, *scale) },
-		"fig2":       func(w io.Writer) error { return printFig2(w) },
-		"fig3":       func(w io.Writer) error { return printFig3(w) },
-		"fig7":       func(w io.Writer) error { return printFig7(w) },
-		"fig4":       func(w io.Writer) error { return printFig4(w, *trials, *seed) },
-		"fig6":       func(w io.Writer) error { return printFig6(w, *seed, *scale) },
-		"fig8":       func(w io.Writer) error { return printFig89(w, experiments.Exchange, *seed, *scale) },
-		"fig9":       func(w io.Writer) error { return printFig89(w, experiments.TPCE, *seed, *scale) },
-		"fig10":      func(w io.Writer) error { return printFig10(w, *seed, *scale) },
-		"fig11":      func(w io.Writer) error { return printFig11(w, *seed, *scale) },
-		"fig12":      func(w io.Writer) error { return printFig12(w, *seed, *scale) },
-		"guarantees": func(w io.Writer) error { return printGuarantees(w) },
-		"schemes":    func(w io.Writer) error { return printSchemes(w, *seed) },
-		"fim":        func(w io.Writer) error { return printFIMAblation(w, *seed, *scale) },
-		"maxflow":    func(w io.Writer) error { return printMaxflowAblation(w, *seed) },
-		"designs":    func(w io.Writer) error { return printDesigns(w) },
-		"gc":         func(w io.Writer) error { return printGCAblation(w, *seed) },
-		"failure":    func(w io.Writer) error { return printFailureAblation(w, *seed) },
-		"arraygc":    func(w io.Writer) error { return printArrayGC(w, *seed) },
-		"fairness":   func(w io.Writer) error { return printFairness(w, *seed) },
-		"mclock":     func(w io.Writer) error { return printMClock(w, *seed) },
-		"confidence": func(w io.Writer) error { return printConfidence(w, *seed, *scale, *seeds) },
-		"spatial":    func(w io.Writer) error { return printSpatial(w, *seed) },
-		"closedloop": func(w io.Writer) error { return printClosedLoop(w, *seed) },
-		"sweep":      func(w io.Writer) error { return printSweep(w, *seed, *scale) },
-		"shards":     func(w io.Writer) error { return printShardScaling(w) },
-		"statpar":    func(w io.Writer) error { return printStatParallel(w, *seed, *scale) },
-		"report": func(w io.Writer) error {
-			return experiments.WriteReport(w, experiments.ReportConfig{Seed: *seed, Scale: *scale, Requests: *requests, Trials: *trials, Seeds: *seeds})
-		},
-		"hetero": func(w io.Writer) error { return printHeteroAblation(w, *seed) },
-	}
-	order := []string{
-		"table1", "fig2", "fig3", "fig4", "table2", "table3", "fig7", "fig6",
-		"fig8", "fig9", "fig10", "table4", "fig11", "fig12",
-		"guarantees", "schemes", "fim", "maxflow", "designs", "gc", "hetero", "failure",
-		"arraygc", "fairness", "mclock", "confidence", "spatial", "closedloop", "sweep",
-		"shards", "statpar",
-	}
-
-	var targets []string
-	if *run == "all" {
-		targets = order
-	} else {
-		targets = strings.Split(*run, ",")
-	}
-	type job struct {
-		name string
-		f    func(io.Writer) error
-	}
-	var jobs []job
-	for _, name := range targets {
-		name = strings.TrimSpace(name)
-		f, ok := all[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s\n", name, strings.Join(order, ", "))
-			os.Exit(2)
-		}
-		jobs = append(jobs, job{name, f})
+	jobs, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if !*parallel {
-		for _, j := range jobs {
-			fmt.Printf("==================== %s ====================\n", j.name)
-			if err := j.f(os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", j.name, err)
+		for _, e := range jobs {
+			if err := writeSection(os.Stdout, e, c); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
 				os.Exit(1)
 			}
-			fmt.Println()
 		}
 		return
 	}
@@ -151,22 +177,20 @@ func main() {
 	bufs := make([]bytes.Buffer, len(jobs))
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
-	for i, j := range jobs {
+	for i, e := range jobs {
 		wg.Add(1)
-		go func(i int, j job) {
+		go func(i int, e experiment) {
 			defer wg.Done()
-			errs[i] = j.f(&bufs[i])
-		}(i, j)
+			errs[i] = writeSection(&bufs[i], e, c)
+		}(i, e)
 	}
 	wg.Wait()
-	for i, j := range jobs {
-		fmt.Printf("==================== %s ====================\n", j.name)
+	for i, e := range jobs {
 		io.Copy(os.Stdout, &bufs[i])
 		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", j.name, errs[i])
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, errs[i])
 			os.Exit(1)
 		}
-		fmt.Println()
 	}
 }
 

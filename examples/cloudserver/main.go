@@ -13,6 +13,7 @@ import (
 	"flashqos/internal/core"
 	"flashqos/internal/design"
 	"flashqos/internal/qosnet"
+	"flashqos/internal/shard"
 )
 
 func main() {
@@ -24,7 +25,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := qosnet.NewServer(sys)
+	arr, err := shard.FromSystems(sys)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := qosnet.NewServerSharded(arr, qosnet.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -25,6 +25,7 @@ import (
 	"flashqos/internal/health"
 	"flashqos/internal/qosnet"
 	"flashqos/internal/retrieval"
+	"flashqos/internal/shard"
 	"flashqos/internal/wire"
 )
 
@@ -56,7 +57,11 @@ func runLive(victim int, rebuildRate float64) {
 	if _, err := sys.NewHealthMonitor(rebuildRate, health.Config{}); err != nil {
 		log.Fatal(err)
 	}
-	srv := qosnet.NewServer(sys)
+	arr, err := shard.FromSystems(sys)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := qosnet.NewServerSharded(arr, qosnet.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

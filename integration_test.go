@@ -14,6 +14,7 @@ import (
 	"flashqos/internal/design"
 	"flashqos/internal/fim"
 	"flashqos/internal/qosnet"
+	"flashqos/internal/shard"
 	"flashqos/internal/trace"
 )
 
@@ -90,7 +91,11 @@ func TestPipelineServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := qosnet.NewServer(sys)
+	arr, err := shard.FromSystems(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := qosnet.NewServerSharded(arr, qosnet.Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -345,7 +345,7 @@ func TestReorderSensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := sampling.Estimate(goldenAlloc, sampling.Options{MaxK: 25, Trials: 5000, Seed: 3, Workers: 4})
+	tab, err := sampling.Estimate(goldenAlloc, sampling.Options{MaxK: 25, Trials: 5000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,11 @@ func New(cfg Config) (*System, error) {
 // Allocator exposes the design-theoretic allocator.
 func (s *System) Allocator() *decluster.DesignTheoretic { return s.alloc }
 
+// Table returns the P_k table statistical admission prices against: the
+// injected Config.Table, or the one sampled at construction. It is nil
+// for a deterministic system unless one was injected.
+func (s *System) Table() *sampling.Table { return s.cfg.Table }
+
 // S returns the admission limit S(M).
 func (s *System) S() int { return s.s }
 

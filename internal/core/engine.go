@@ -115,6 +115,7 @@ func newEngine(cfg Config) (*engine, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}
+			e.cfg.Table = tab
 		}
 		stat, err := admission.NewStatistical(e.s, cfg.Epsilon, tab)
 		if err != nil {

@@ -154,14 +154,13 @@ func compareGolden(t *testing.T, path string, got []byte) {
 }
 
 // goldenStatTable samples the P_k table for the statistical goldens with
-// every degree of freedom pinned — seed, trial count, AND worker count
-// (trials are sharded worker-round-robin with per-worker RNG streams, so
-// the result depends on Workers; per-k counts are summed as int64, so it
-// does not depend on scheduling).
+// every degree of freedom pinned: seed and trial count. (Trials are sharded
+// round-robin over sampling's fixed RNG streams and per-k counts are summed
+// as int64, so the table depends on neither the core count nor scheduling.)
 func goldenStatTable(t *testing.T) *sampling.Table {
 	t.Helper()
 	tab, err := sampling.Estimate(goldenAlloc, sampling.Options{
-		MaxK: 25, Trials: 4000, Seed: 3, Workers: 4,
+		MaxK: 25, Trials: 4000, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

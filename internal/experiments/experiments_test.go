@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -724,29 +722,6 @@ func TestPeriodicShinesOnConsecutiveRuns(t *testing.T) {
 				t.Errorf("periodic 1D range max cost %d, want 1", r.MaxCost)
 			}
 		}
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	var buf bytes.Buffer
-	err := WriteReport(&buf, ReportConfig{Seed: 3, Scale: 0.02, Requests: 2000, Trials: 3000, Seeds: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"# flashqos evaluation report",
-		"## Fig 4", "## Table II", "## Table III",
-		"## Figs 8–9", "## Fig 10", "## Fig 11", "## Fig 12",
-		"Headline metrics across 2 seeds",
-		"design-theoretic (9,3,1)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	if len(out) < 2000 {
-		t.Errorf("report suspiciously short: %d bytes", len(out))
 	}
 }
 

@@ -91,7 +91,7 @@ func ConcurrentStatistical(goroutines int, seed int64, scale, epsilon float64, t
 	}
 	// One pinned table for the statistical run, workers fixed so the P_k
 	// estimate is identical across hosts.
-	tab, err := sampling.Estimate(base.Allocator(), sampling.Options{MaxK: 25, Trials: trials, Seed: 3, Workers: 4})
+	tab, err := sampling.Estimate(base.Allocator(), sampling.Options{MaxK: 25, Trials: trials, Seed: 3})
 	if err != nil {
 		return nil, err
 	}

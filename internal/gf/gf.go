@@ -21,9 +21,8 @@ type Field struct {
 	k     int   // extension degree
 	order int   // p^k
 	irred []int // monic irreducible polynomial of degree k, coefficients over GF(p), len k+1; nil when k == 1
-	// Multiplication and inverse tables, built lazily for extension fields.
+	// Multiplication table of an extension field, built at construction.
 	mulTab []int // order*order entries, nil for prime fields
-	invTab []int // order entries (invTab[0] unused)
 }
 
 // ErrNotPrime is returned when the requested characteristic is not prime.
@@ -105,26 +104,6 @@ func NewOrder(q int) (*Field, error) {
 	return New(p, k)
 }
 
-// Order returns p^k, the number of elements in the field.
-func (f *Field) Order() int { return f.order }
-
-// Characteristic returns the prime p.
-func (f *Field) Characteristic() int { return f.p }
-
-// Degree returns the extension degree k.
-func (f *Field) Degree() int { return f.k }
-
-// Irreducible returns a copy of the modulus polynomial for extension fields,
-// or nil for prime fields. Coefficients are least-significant first.
-func (f *Field) Irreducible() []int {
-	if f.irred == nil {
-		return nil
-	}
-	out := make([]int, len(f.irred))
-	copy(out, f.irred)
-	return out
-}
-
 func (f *Field) check(a int) {
 	if a < 0 || a >= f.order {
 		panic(fmt.Sprintf("gf: element %d out of range [0,%d)", a, f.order))
@@ -151,26 +130,6 @@ func (f *Field) Add(a, b int) int {
 	return sum
 }
 
-// Neg returns the additive inverse of a.
-func (f *Field) Neg(a int) int {
-	f.check(a)
-	if f.k == 1 {
-		return (f.p - a) % f.p
-	}
-	out := 0
-	mult := 1
-	for i := 0; i < f.k; i++ {
-		d := a % f.p
-		a /= f.p
-		out += ((f.p - d) % f.p) * mult
-		mult *= f.p
-	}
-	return out
-}
-
-// Sub returns a - b in the field.
-func (f *Field) Sub(a, b int) int { return f.Add(a, f.Neg(b)) }
-
 // Mul returns a * b in the field.
 func (f *Field) Mul(a, b int) int {
 	f.check(a)
@@ -179,95 +138,6 @@ func (f *Field) Mul(a, b int) int {
 		return (a * b) % f.p
 	}
 	return f.mulTab[a*f.order+b]
-}
-
-// Inv returns the multiplicative inverse of a. It panics if a == 0.
-func (f *Field) Inv(a int) int {
-	f.check(a)
-	if a == 0 {
-		panic("gf: inverse of zero")
-	}
-	if f.k == 1 {
-		// Extended Euclid on (a, p).
-		g, x, _ := egcd(a, f.p)
-		if g != 1 {
-			panic("gf: non-invertible element in prime field")
-		}
-		return ((x % f.p) + f.p) % f.p
-	}
-	return f.invTab[a]
-}
-
-// Div returns a / b. It panics if b == 0.
-func (f *Field) Div(a, b int) int { return f.Mul(a, f.Inv(b)) }
-
-// Pow returns a^e for e >= 0 (a^0 == 1, including 0^0 by convention).
-func (f *Field) Pow(a, e int) int {
-	if e < 0 {
-		panic("gf: negative exponent")
-	}
-	result := 1
-	base := a
-	for e > 0 {
-		if e&1 == 1 {
-			result = f.Mul(result, base)
-		}
-		base = f.Mul(base, base)
-		e >>= 1
-	}
-	return result
-}
-
-// Elements returns all field elements 0..order-1.
-func (f *Field) Elements() []int {
-	out := make([]int, f.order)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// PrimitiveElement returns a generator of the multiplicative group.
-func (f *Field) PrimitiveElement() int {
-	n := f.order - 1
-	factors := distinctPrimeFactors(n)
-	for g := 1; g < f.order; g++ {
-		ok := true
-		for _, q := range factors {
-			if f.Pow(g, n/q) == 1 {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return g
-		}
-	}
-	panic("gf: no primitive element found") // unreachable for a valid field
-}
-
-func distinctPrimeFactors(n int) []int {
-	var out []int
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			out = append(out, d)
-			for n%d == 0 {
-				n /= d
-			}
-		}
-	}
-	if n > 1 {
-		out = append(out, n)
-	}
-	return out
-}
-
-func egcd(a, b int) (g, x, y int) {
-	if b == 0 {
-		return a, 1, 0
-	}
-	g, x1, y1 := egcd(b, a%b)
-	return g, y1, x1 - (a/b)*y1
 }
 
 // --- Extension-field internals ---
@@ -406,19 +276,14 @@ func (f *Field) buildTables() {
 			f.mulTab[b*n+a] = v
 		}
 	}
-	f.invTab = make([]int, n)
+	// A modulus that is not irreducible leaves some element without an
+	// inverse; that would be a bug in the modulus search.
 	for a := 1; a < n; a++ {
-		if f.invTab[a] != 0 {
-			continue
+		inv := false
+		for b := 1; b < n && !inv; b++ {
+			inv = f.mulTab[a*n+b] == 1
 		}
-		for b := 1; b < n; b++ {
-			if f.mulTab[a*n+b] == 1 {
-				f.invTab[a] = b
-				f.invTab[b] = a
-				break
-			}
-		}
-		if f.invTab[a] == 0 {
+		if !inv {
 			panic("gf: element without inverse; modulus not irreducible")
 		}
 	}

@@ -314,7 +314,7 @@ func TestBinaryBatchThenReadOneArrival(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -533,7 +533,7 @@ func TestAppendMetricsAllocs(t *testing.T) {
 	if _, err := sys.NewHealthMonitor(0, health.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	scratch := srv.appendMetrics(make([]byte, 0, 4096), true) // warm the buffer
 	if len(scratch) == 0 {
 		t.Fatal("empty metrics page")

@@ -19,7 +19,7 @@ func startServerOpts(t *testing.T, opts Options) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServerOpts(sys, opts)
+	srv := newTestServer(t, sys, opts)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestNowMonotonicUnderRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	const goroutines, calls = 16, 2000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -83,7 +83,7 @@ func FuzzHandle(f *testing.F) {
 		}
 		// ProtoText keeps the response stream line-oriented even when the
 		// fuzzer discovers inputs starting with the binary magic byte.
-		srv := NewServerOpts(sys, Options{ReadTimeout: 2 * time.Second, MaxLineBytes: 512, Proto: ProtoText})
+		srv := newTestServer(t, sys, Options{ReadTimeout: 2 * time.Second, MaxLineBytes: 512, Proto: ProtoText})
 		client, server := net.Pipe()
 		defer client.Close()
 
@@ -133,7 +133,7 @@ var statFuzzTable = func() *sampling.Table {
 	if err != nil {
 		panic(err)
 	}
-	tab, err := sampling.Estimate(base.Allocator(), sampling.Options{MaxK: 25, Trials: 500, Seed: 3, Workers: 4})
+	tab, err := sampling.Estimate(base.Allocator(), sampling.Options{MaxK: 25, Trials: 500, Seed: 3})
 	if err != nil {
 		panic(err)
 	}
@@ -173,7 +173,7 @@ func FuzzHandleStat(f *testing.F) {
 		if _, err := sys.NewHealthMonitor(1000, health.Config{}); err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServerOpts(sys, Options{ReadTimeout: 2 * time.Second, MaxLineBytes: 512, Proto: ProtoText})
+		srv := newTestServer(t, sys, Options{ReadTimeout: 2 * time.Second, MaxLineBytes: 512, Proto: ProtoText})
 		client, server := net.Pipe()
 		defer client.Close()
 
@@ -255,7 +255,7 @@ func FuzzHandleBinary(f *testing.F) {
 		if _, err := sys.NewHealthMonitor(1000, health.Config{}); err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServerOpts(sys, Options{
+		srv := newTestServer(t, sys, Options{
 			ReadTimeout:     2 * time.Second,
 			MaxPayloadBytes: 1 << 16,
 			Proto:           ProtoBinary,
@@ -337,7 +337,7 @@ func FuzzHandleTenant(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := NewServerOpts(sys, Options{
+		srv := newTestServer(t, sys, Options{
 			ReadTimeout:     2 * time.Second,
 			MaxPayloadBytes: 1 << 16,
 			Proto:           ProtoBinary,

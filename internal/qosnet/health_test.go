@@ -21,7 +21,7 @@ func startHealthServer(t *testing.T, rebuildRate float64) (*Server, string) {
 	if _, err := sys.NewHealthMonitor(rebuildRate, health.Config{}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -92,8 +92,8 @@
 // shard, MAP/FAIL/RECOVER/HEALTH speak global device ids (shard i's local
 // device d is global device i·N + d), STATS aggregates — and METRICS adds
 // a flashqos_shards gauge plus per-shard series labelled {shard="i"}.
-// NewServer wraps a single system as a one-shard array, so a standalone
-// deployment behaves exactly as before.
+// A single system is served as a one-shard array (shard.FromSystems), so a
+// standalone deployment behaves exactly as before.
 package qosnet
 
 import (
@@ -208,8 +208,8 @@ func (st *stripe) addDelay(d float64) {
 }
 
 // Server serves a shard.Array — one or more QoS engines with the block
-// space partitioned across them — over TCP. Create with NewServer (single
-// array), NewServerOpts, or NewServerSharded, then Serve.
+// space partitioned across them — over TCP. Create with NewServerSharded,
+// then Serve.
 type Server struct {
 	arr   *shard.Array
 	start time.Time
@@ -232,22 +232,8 @@ type Server struct {
 	sem    chan struct{} // MaxConns semaphore (nil = unlimited)
 }
 
-// NewServer wraps a QoS system with default Options.
-func NewServer(sys *core.System) *Server {
-	return NewServerOpts(sys, Options{})
-}
-
-// NewServerOpts wraps a QoS system with explicit robustness options. The
-// system is served as a one-shard array.
-func NewServerOpts(sys *core.System, opts Options) *Server {
-	arr, err := shard.FromSystems(sys)
-	if err != nil {
-		panic("qosnet: " + err.Error()) // unreachable: one valid system
-	}
-	return NewServerSharded(arr, opts)
-}
-
-// NewServerSharded serves a pre-built sharded array.
+// NewServerSharded serves a pre-built sharded array. A single core.System
+// is served as a one-shard array built with shard.FromSystems.
 func NewServerSharded(arr *shard.Array, opts Options) *Server {
 	if opts.MaxLineBytes <= 0 {
 		opts.MaxLineBytes = DefaultMaxLineBytes

@@ -11,7 +11,18 @@ import (
 
 	"flashqos/internal/core"
 	"flashqos/internal/design"
+	"flashqos/internal/shard"
 )
+
+// newTestServer serves one system as a one-shard array.
+func newTestServer(t testing.TB, sys *core.System, opts Options) *Server {
+	t.Helper()
+	arr, err := shard.FromSystems(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewServerSharded(arr, opts)
+}
 
 func startServer(t *testing.T) (*Server, string) {
 	t.Helper()
@@ -19,7 +30,7 @@ func startServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +140,7 @@ func TestProtocolErrors(t *testing.T) {
 
 func TestServeBeforeListen(t *testing.T) {
 	sys, _ := core.New(core.Config{Design: design.Paper931()})
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	if err := srv.Serve(); err == nil {
 		t.Error("Serve before Listen should fail")
 	}

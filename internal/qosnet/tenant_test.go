@@ -20,7 +20,7 @@ func startTenantServer(t *testing.T) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(sys)
+	srv := newTestServer(t, sys, Options{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

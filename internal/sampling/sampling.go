@@ -5,8 +5,10 @@
 // paper's "the same design block is allowed to be chosen multiple times for
 // fair results" — can be retrieved in the optimal ⌈k/N⌉ parallel accesses.
 //
-// Estimation is embarrassingly parallel; trials are sharded across worker
-// goroutines with independent deterministic RNG streams.
+// Estimation is embarrassingly parallel; trials are sharded round-robin
+// across a fixed number of deterministic RNG streams, each sampled in its
+// own goroutine, so a table is a function of its Options alone and not of
+// the host's core count.
 package sampling
 
 import (
@@ -14,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"flashqos/internal/decluster"
@@ -46,13 +47,17 @@ func (t *Table) At(k int) float64 {
 	return t.P[len(t.P)-1]
 }
 
-// Options configure the estimator.
+// Options configure the estimator. Seed and Trials fix the table: the same
+// Options give the same P on every host.
 type Options struct {
-	MaxK    int   // largest request size to sample (required, >= 1)
-	Trials  int   // Monte-Carlo trials per size (default 20000)
-	Seed    int64 // base RNG seed (default 1)
-	Workers int   // parallel workers (default GOMAXPROCS)
+	MaxK   int   // largest request size to sample (required, >= 1)
+	Trials int   // Monte-Carlo trials per size (default 20000)
+	Seed   int64 // base RNG seed (default 1)
 }
+
+// streams is the number of RNG streams trials are sharded across. Stream s
+// is seeded Seed + s·7919 and takes trials s, s+streams, s+2·streams, ...
+const streams = 4
 
 // Estimate computes the optimal-retrieval probability table for an
 // allocation scheme.
@@ -63,9 +68,6 @@ func Estimate(a decluster.Allocator, opt Options) (*Table, error) {
 	if opt.Trials <= 0 {
 		opt.Trials = 20000
 	}
-	if opt.Workers <= 0 {
-		opt.Workers = runtime.GOMAXPROCS(0)
-	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
@@ -75,21 +77,20 @@ func Estimate(a decluster.Allocator, opt Options) (*Table, error) {
 	counts := make([]int64, opt.MaxK+1) // optimal outcomes per k
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
+	for st := 0; st < streams; st++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func(stream int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(opt.Seed + int64(worker)*7919))
+			rng := rand.New(rand.NewSource(opt.Seed + int64(stream)*7919))
 			local := make([]int64, opt.MaxK+1)
 			replicas := make([][]int, 0, opt.MaxK)
-			// Each worker owns a Solver (single-goroutine reuse contract),
+			// Each stream owns a Solver (single-goroutine reuse contract),
 			// so the Monte-Carlo loop rewrites one preallocated feasibility
 			// network per trial instead of building a fresh graph: zero
 			// allocations per trial in the steady state.
 			solver := maxflow.NewSolver(opt.MaxK, n)
 			for k := 1; k <= opt.MaxK; k++ {
-				// Shard trials across workers.
-				for trial := worker; trial < opt.Trials; trial += opt.Workers {
+				for trial := stream; trial < opt.Trials; trial += streams {
 					replicas = replicas[:0]
 					for i := 0; i < k; i++ {
 						replicas = append(replicas, a.Replicas(rng.Intn(rows)))
@@ -105,7 +106,7 @@ func Estimate(a decluster.Allocator, opt Options) (*Table, error) {
 				counts[k] += local[k]
 			}
 			mu.Unlock()
-		}(w)
+		}(st)
 	}
 	wg.Wait()
 

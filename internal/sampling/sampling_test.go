@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -79,11 +80,35 @@ func TestEstimateValidation(t *testing.T) {
 
 func TestEstimateDeterministicSeed(t *testing.T) {
 	dt, _ := decluster.NewDesignTheoretic(design.Paper931())
-	t1, _ := Estimate(dt, Options{MaxK: 6, Trials: 2000, Seed: 5, Workers: 4})
-	t2, _ := Estimate(dt, Options{MaxK: 6, Trials: 2000, Seed: 5, Workers: 4})
+	t1, _ := Estimate(dt, Options{MaxK: 6, Trials: 2000, Seed: 5})
+	t2, _ := Estimate(dt, Options{MaxK: 6, Trials: 2000, Seed: 5})
 	for k := range t1.P {
 		if t1.P[k] != t2.P[k] {
-			t.Fatal("same seed+workers should reproduce exactly")
+			t.Fatal("same seed should reproduce exactly")
+		}
+	}
+}
+
+// TestEstimateIndependentOfGOMAXPROCS checks that the table is a function
+// of its Options alone: a host's core count must not change what an
+// ε > 0 array admits against.
+func TestEstimateIndependentOfGOMAXPROCS(t *testing.T) {
+	dt, _ := decluster.NewDesignTheoretic(design.Paper931())
+	opt := Options{MaxK: 12, Trials: 3001, Seed: 42}
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+	one, err := Estimate(dt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GOMAXPROCS(4)
+	four, err := Estimate(dt, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range one.P {
+		if one.P[k] != four.P[k] {
+			t.Fatalf("P[%d] = %v at GOMAXPROCS 1, %v at GOMAXPROCS 4", k, one.P[k], four.P[k])
 		}
 	}
 }

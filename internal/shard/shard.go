@@ -47,11 +47,13 @@ func New(k int, cfg core.Config) (*Array, error) {
 		cfg.DeviceBase = 0
 		if i > 0 {
 			// Later shards reuse shard 0's immutable allocator (one shared
-			// replica table instead of k cache-competing copies) and number
-			// their devices from their own global base.
+			// replica table instead of k cache-competing copies) and P_k
+			// table (sampled once per array, not once per shard), and
+			// number their devices from their own global base.
 			cfg.DeviceBase = i * systems[0].Design().N
 			cfg.Allocator = systems[0].Allocator()
 			cfg.Design = systems[0].Design()
+			cfg.Table = systems[0].Table()
 		}
 		sys, err := core.New(cfg)
 		if err != nil {

@@ -252,6 +252,20 @@ func TestShardConstructors(t *testing.T) {
 	}
 }
 
+// TestShardsShareSampledTable checks that an ε > 0 array samples its P_k
+// table once: the shards share the design, so a second Monte-Carlo pass
+// over identical inputs would only repeat the first.
+func TestShardsShareSampledTable(t *testing.T) {
+	a := newArray(t, 2, core.Config{Epsilon: 0.01, SampleTrials: 500})
+	t0, t1 := a.System(0).Table(), a.System(1).Table()
+	if t0 == nil {
+		t.Fatal("ε > 0 shard has no P_k table")
+	}
+	if t0 != t1 {
+		t.Fatal("shards sampled separate P_k tables")
+	}
+}
+
 func TestShardWriteRouting(t *testing.T) {
 	a := newArray(t, 2, core.Config{})
 	at := 0.0
