@@ -7,11 +7,22 @@ import (
 	"sort"
 )
 
+// compactMinGarbage is the background compactor's floor: a volume is due
+// once its garbage reaches half its live bytes and at least this much, so
+// a volume stays under about 1.5× its live bytes and small stores are left
+// alone.
+const compactMinGarbage = 1 << 20
+
+// compactSuffix names a volume's rewrite in progress; Open deletes one
+// left behind by a crash.
+const compactSuffix = ".compact"
+
 // Compact rewrites device dev's volume with only its live needles —
 // superseded records are dropped — and atomically swaps it in place
 // (write to a temp file, fsync, rename over the volume, fsync the
 // directory). Concurrent gets and puts on other devices proceed; the
-// device being compacted blocks for the duration.
+// device being compacted blocks for the duration. Closing the store
+// abandons the rewrite.
 func (s *Store) Compact(dev int) error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -20,7 +31,7 @@ func (s *Store) Compact(dev int) error {
 	if err != nil {
 		return err
 	}
-	return v.compact(s.opts.MaxPayload)
+	return v.compact(s.opts.MaxPayload, s.stop)
 }
 
 // CompactAll compacts every volume whose garbage exceeds minGarbage bytes.
@@ -36,13 +47,65 @@ func (s *Store) CompactAll(minGarbage int64) error {
 	return nil
 }
 
-func (v *volume) compact(maxPayload int) error {
+// compactLoop is the background compactor of a synced store: it rewrites
+// the volumes the syncer hands it, one at a time. A volume whose
+// compaction fails is left as it was and not handed over again; its fault
+// surfaces through its reads and Puts.
+func (s *Store) compactLoop() {
+	defer s.wg.Done()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case v := <-s.compactq:
+			if err := v.compact(s.opts.MaxPayload, s.stop); err != nil {
+				v.compactFailed.Store(true)
+			}
+		}
+	}
+}
+
+// offerCompaction hands the due volume with the most garbage to the
+// compactor if it is idle; a busy compactor is not waited for.
+func (s *Store) offerCompaction() {
+	var due *volume
+	var most int64
+	for _, v := range s.vols {
+		if g := v.compactDue(); g > most {
+			due, most = v, g
+		}
+	}
+	if due == nil {
+		return
+	}
+	select {
+	case s.compactq <- due:
+	default:
+	}
+}
+
+// compactDue returns v's garbage if the background trigger holds, else 0.
+// It never waits for the volume lock.
+func (v *volume) compactDue() int64 {
+	if v.compacting.Load() > 0 || v.compactFailed.Load() || !v.mu.TryRLock() {
+		return 0
+	}
+	defer v.mu.RUnlock()
+	if v.closed || v.garbage < compactMinGarbage || 2*v.garbage < v.size-v.garbage {
+		return 0
+	}
+	return v.garbage
+}
+
+func (v *volume) compact(maxPayload int, stop <-chan struct{}) error {
+	v.compacting.Add(1)
+	defer v.compacting.Add(-1)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.closed {
 		return ErrClosed
 	}
-	tmpPath := v.path + ".compact"
+	tmpPath := v.path + compactSuffix
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("pack: %w", err)
@@ -69,6 +132,11 @@ func (v *volume) compact(maxPayload int) error {
 		newIndex = make(map[int64]rec, len(ents))
 	)
 	for _, e := range ents {
+		select {
+		case <-stop:
+			return fail(ErrClosed)
+		default:
+		}
 		total := needleHeaderSize + int(e.r.size)
 		if total > cap(buf) {
 			buf = make([]byte, total)

@@ -25,7 +25,11 @@
 //     the same sync window (Options.SyncInterval / Options.SyncBytes), so
 //     the per-PUT fsync cost amortizes across concurrent writers.
 //   - Superseded needles (block overwrites) stay in the file as garbage
-//     until Compact rewrites the live set and swaps the volume in place.
+//     until a compaction rewrites the live set and swaps the volume in
+//     place: Compact on demand, or — on a synced store — the background
+//     compactor, which takes one volume at a time once its garbage reaches
+//     half its live bytes (and at least 1 MiB), so no volume grows past
+//     about 1.5× what it holds.
 //
 // All Store methods are safe for concurrent use.
 package pack
@@ -92,11 +96,12 @@ type Store struct {
 	opts Options
 	vols []*volume
 
-	dirty  atomic.Int64 // unsynced bytes since the last sync pass
-	kick   chan struct{}
-	stop   chan struct{}
-	wg     sync.WaitGroup
-	closed atomic.Bool
+	dirty    atomic.Int64 // unsynced bytes since the last sync pass
+	kick     chan struct{}
+	compactq chan *volume // syncer → compactor hand-off (unbuffered)
+	stop     chan struct{}
+	wg       sync.WaitGroup
+	closed   atomic.Bool
 }
 
 // Open creates or reopens a store of `devices` volumes under dir,
@@ -110,11 +115,12 @@ func Open(dir string, devices int, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("pack: %w", err)
 	}
 	s := &Store{
-		dir:  dir,
-		opts: opts,
-		vols: make([]*volume, devices),
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
+		dir:      dir,
+		opts:     opts,
+		vols:     make([]*volume, devices),
+		kick:     make(chan struct{}, 1),
+		compactq: make(chan *volume),
+		stop:     make(chan struct{}),
 	}
 	for d := range s.vols {
 		v, err := openVolume(filepath.Join(dir, fmt.Sprintf("vol-%04d.pack", d)), opts.MaxPayload)
@@ -133,8 +139,9 @@ func Open(dir string, devices int, opts Options) (*Store, error) {
 			s.Close()
 			return nil, err
 		}
-		s.wg.Add(1)
+		s.wg.Add(2)
 		go s.syncLoop()
+		go s.compactLoop()
 	}
 	return s, nil
 }
@@ -151,27 +158,58 @@ func (s *Store) vol(dev int) (*volume, error) {
 
 // Put appends a needle for block on device dev and, unless NoSync is set,
 // blocks until a group fsync covers it: when Put returns nil the payload
-// is durable on that device.
+// is durable on that device. It is PutAll over one device.
 func (s *Store) Put(dev int, block int64, payload []byte) error {
-	v, err := s.vol(dev)
-	if err != nil {
-		return err
+	devs, errs := [1]int{dev}, [1]error{}
+	s.PutAll(devs[:], block, payload, errs[:])
+	return errs[0]
+}
+
+// PutAll stores block's payload on every device in devs: it appends the
+// needle to each volume first and only then waits, so one group commit —
+// whose sync pass fsyncs the dirty volumes concurrently — covers all the
+// replicas instead of one commit each. errs must be at least as long as
+// devs; errs[i] receives devs[i]'s outcome, nil meaning the payload is
+// durable on that device (with NoSync: appended). wrote counts the nils.
+func (s *Store) PutAll(devs []int, block int64, payload []byte, errs []error) (wrote int) {
+	type mark struct {
+		v   *volume
+		end int64
+		gen uint64
 	}
-	if len(payload) > s.opts.MaxPayload {
-		return fmt.Errorf("%w (%d > %d bytes)", ErrTooLarge, len(payload), s.opts.MaxPayload)
+	var buf [4]mark
+	marks := buf[:0]
+	var appended int64
+	for i, dev := range devs {
+		var m mark
+		v, err := s.vol(dev)
+		if err == nil && len(payload) > s.opts.MaxPayload {
+			err = fmt.Errorf("%w (%d > %d bytes)", ErrTooLarge, len(payload), s.opts.MaxPayload)
+		}
+		if err == nil {
+			m.v = v
+			if m.end, m.gen, err = v.append(block, payload); err == nil {
+				appended += int64(needleHeaderSize + len(payload))
+			}
+		}
+		errs[i] = err
+		marks = append(marks, m)
 	}
-	end, gen, err := v.append(block, payload)
-	if err != nil {
-		return err
-	}
-	if s.opts.NoSync {
-		v.markSynced(end, gen, nil)
-		return nil
-	}
-	if s.dirty.Add(int64(needleHeaderSize+len(payload))) >= int64(s.opts.SyncBytes) {
+	if !s.opts.NoSync && appended > 0 && s.dirty.Add(appended) >= int64(s.opts.SyncBytes) {
 		s.kickSync()
 	}
-	return v.waitSynced(end, gen)
+	for i, m := range marks {
+		if errs[i] != nil {
+			continue
+		}
+		if s.opts.NoSync {
+			m.v.markSynced(m.end, m.gen, nil)
+		} else if errs[i] = m.v.waitSynced(m.end, m.gen); errs[i] != nil {
+			continue
+		}
+		wrote++
+	}
+	return wrote
 }
 
 // Get appends block's payload on device dev to dst and returns the
@@ -208,10 +246,11 @@ func (s *Store) Blocks(dev int, dst []int64) []int64 {
 // copyBufPool recycles the transfer buffer Copy stages payloads through.
 var copyBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// Copy replicates one block's payload from device `from` to device `to`
-// with full Put durability — the primitive reprotect/resilver move bytes
-// with.
-func (s *Store) Copy(from, to int, block int64) error {
+// Copy replicates one block's payload from device `from` onto every device
+// in to — read once, then one PutAll with its durability — the primitive
+// reprotect/resilver move bytes with. The error joins the read error, or
+// every target's write error.
+func (s *Store) Copy(from int, to []int, block int64) error {
 	buf := copyBufPool.Get().(*[]byte)
 	defer copyBufPool.Put(buf)
 	b, err := s.Get(from, block, (*buf)[:0])
@@ -219,7 +258,9 @@ func (s *Store) Copy(from, to int, block int64) error {
 	if err != nil {
 		return err
 	}
-	return s.Put(to, block, b)
+	errs := make([]error, len(to))
+	s.PutAll(to, block, b, errs)
+	return errors.Join(errs...)
 }
 
 // DeviceStats reports one volume's space accounting.
@@ -254,8 +295,9 @@ func (s *Store) Sync() error {
 	return nil
 }
 
-// Close stops the syncer, flushes every volume, and closes the files.
-// Puts acknowledged before Close returns are durable.
+// Close stops the syncer and the compactor (abandoning a compaction in
+// flight), flushes every volume, and closes the files. Puts acknowledged
+// before Close returns are durable.
 func (s *Store) Close() error {
 	if s.closed.Swap(true) {
 		return nil
@@ -300,6 +342,7 @@ func (s *Store) kickSync() {
 
 // syncLoop is the group-commit pump: one fsync pass per SyncInterval tick
 // (or early kick) covers every append that landed since the previous pass.
+// After each pass it offers the compactor a volume that is due.
 func (s *Store) syncLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.opts.SyncInterval)
@@ -312,16 +355,26 @@ func (s *Store) syncLoop() {
 		case <-s.kick:
 		}
 		s.syncPass()
+		s.offerCompaction()
 	}
 }
 
-// syncPass fsyncs every volume with unsynced appends and advances its
-// durable watermark, releasing the Puts waiting on it.
+// syncPass fsyncs every volume with unsynced appends — concurrently, so a
+// pass costs about one fsync rather than one per dirty volume — and
+// advances each durable watermark, releasing the Puts waiting on it.
 func (s *Store) syncPass() {
 	s.dirty.Store(0)
+	var wg sync.WaitGroup
 	for _, v := range s.vols {
-		v.syncIfDirty()
+		if v.needsSync() {
+			wg.Add(1)
+			go func(v *volume) {
+				defer wg.Done()
+				v.syncIfDirty()
+			}(v)
+		}
 	}
+	wg.Wait()
 }
 
 // syncDir fsyncs a directory so renames and creations in it are durable.

@@ -3,12 +3,14 @@ package pack
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // rec locates one live needle in the volume file.
@@ -35,6 +37,9 @@ type volume struct {
 	scratch []byte // append-side encode buffer, guarded by mu
 	closed  bool
 
+	compacting    atomic.Int32 // compactions holding or waiting for mu
+	compactFailed atomic.Bool  // the background compactor leaves this volume alone
+
 	sm      sync.Mutex // guards the durable watermark; cond.L
 	cond    *sync.Cond
 	synced  int64  // bytes covered by fsync
@@ -43,6 +48,11 @@ type volume struct {
 }
 
 func openVolume(path string, maxPayload int) (*volume, error) {
+	// A compaction cut short by a crash leaves its temp file behind; the
+	// volume it was rewriting is still whole.
+	if err := os.Remove(path + compactSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("pack: %w", err)
+	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pack: %w", err)
@@ -205,6 +215,20 @@ func (v *volume) stats() DeviceStats {
 	return DeviceStats{Blocks: len(v.index), Bytes: v.size, Garbage: v.garbage}
 }
 
+// needsSync reports whether v holds appends no fsync covers yet. A volume
+// being compacted is passed over: compaction holds mu for the whole
+// rewrite, so an fsync queued behind it would hold up the sync pass — and
+// every Put in the store — while the swap, which marks everything durable
+// itself, needs no fsync from the syncer.
+func (v *volume) needsSync() bool {
+	if v.compacting.Load() > 0 {
+		return false
+	}
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	return !v.closed && v.size > v.syncedEnd()
+}
+
 // syncIfDirty fsyncs under the read lock (so compaction cannot swap the
 // handle mid-syscall; concurrent gets proceed, appends briefly queue) and
 // advances the durable watermark. The generation is captured under the
@@ -212,6 +236,9 @@ func (v *volume) stats() DeviceStats {
 // markSynced, the stale (end, gen) pair is discarded there rather than
 // advancing the watermark past the rewritten (smaller) file.
 func (v *volume) syncIfDirty() {
+	if v.compacting.Load() > 0 {
+		return // see needsSync; re-checked here, just before the lock
+	}
 	v.mu.RLock()
 	end := v.size
 	gen := v.generation()

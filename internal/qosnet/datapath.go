@@ -14,15 +14,17 @@ import (
 // data verbs — the surface pack.Store implements. Device ids are global
 // (shard·N + local), matching the outcome's Device field. Get appends the
 // payload to dst and returns the extended slice; on error dst comes back
-// with its length unchanged. A missing block is pack.ErrNotFound (or an
-// error wrapping it); any other Get/Put error is treated as a media fault
-// and fed to the device's health monitor.
+// with its length unchanged. PutAll stores one payload durably on every
+// listed device under one group commit, reporting each device's outcome
+// in errs. A missing block is pack.ErrNotFound (or an error wrapping it);
+// any other Get/PutAll error is treated as a media fault and fed to the
+// device's health monitor.
 type BlockStore interface {
 	Get(dev int, block int64, dst []byte) ([]byte, error)
-	Put(dev int, block int64, payload []byte) error
+	PutAll(devs []int, block int64, payload []byte, errs []error) (wrote int)
 	Has(dev int, block int64) bool
 	Blocks(dev int, dst []int64) []int64
-	Copy(from, to int, block int64) error
+	Copy(from int, to []int, block int64) error
 }
 
 // errNoReplica answers a GET for a block no available replica holds.
@@ -113,12 +115,15 @@ func (s *Server) dataGet(st *stripe, block int64, hasHealth bool, arrival float6
 }
 
 // dataPut runs one payload write: QoS admission prices it like a
-// timing-only WRITE (all replicas touched), then the payload is stored
-// durably on every available replica of the block. Unavailable replicas
-// are skipped — that is the degraded write the resilver pass catches up —
-// and a replica whose write faults reports a health error. The ack
-// contract: a nil error means the payload is group-commit fsynced on at
-// least one replica and every available replica was attempted.
+// timing-only WRITE (all replicas touched), then one PutAll stores the
+// payload on every available replica of the block — every append first,
+// then one group commit covering them all, as the engine prices the c
+// replicas served together. Unavailable replicas are skipped — that is
+// the degraded write the resilver pass catches up — and a replica whose
+// write faults reports a health error. The ack contract: a nil error
+// means the payload is group-commit fsynced on at least one replica,
+// every available replica was attempted, and every replica appended to
+// was waited on.
 func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, arrival float64) (core.Outcome, error) {
 	out := s.submitAt(st, true, block, arrival)
 	if out.Rejected {
@@ -130,33 +135,36 @@ func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, a
 	if mon := s.arr.Monitor(sh); mon != nil {
 		mask = mon.Mask()
 	}
-	wrote := 0
-	var lastErr error
+	var devBuf [8]int
+	var errBuf [8]error
+	devs, errs := devBuf[:0], errBuf[:0]
 	for _, d := range s.arr.System(sh).Replicas(block) {
-		if mask != nil && !mask.Has(d) {
+		if mask == nil || mask.Has(d) {
+			devs = append(devs, base+d)
+			errs = append(errs, nil)
+		}
+	}
+	if len(devs) == 0 {
+		return out, fmt.Errorf("no available replica for block %d", block)
+	}
+	wrote := s.opts.Store.PutAll(devs, block, data, errs)
+	var lastErr error
+	for i, g := range devs {
+		if errs[i] != nil {
+			lastErr = errs[i]
+		}
+		if !hasHealth {
 			continue
 		}
-		g := base + d
-		if err := s.opts.Store.Put(g, block, data); err != nil {
-			lastErr = err
-			if hasHealth {
-				if m, local := s.monitorFor(g); m != nil {
-					m.ReportError(local)
-				}
-			}
-			continue
-		}
-		wrote++
-		if hasHealth {
-			if m, local := s.monitorFor(g); m != nil {
+		if m, local := s.monitorFor(g); m != nil {
+			if errs[i] != nil {
+				m.ReportError(local)
+			} else {
 				m.ReportSuccess(local, out.Response())
 			}
 		}
 	}
 	if wrote == 0 {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("no available replica for block %d", block)
-		}
 		return out, lastErr
 	}
 	return out, nil
@@ -205,6 +213,7 @@ func RebuildCopy(arr *shard.Array, store BlockStore) func(sh, dev, bucket int, k
 			return
 		}
 		var blocks []int64
+		var to []int
 		for _, src := range reps {
 			// The device under repair is outside the mask, so it is never a
 			// source; a reprotect target can be, for blocks the others miss.
@@ -216,11 +225,15 @@ func RebuildCopy(arr *shard.Array, store BlockStore) func(sh, dev, bucket int, k
 				if sys.Mapper().DesignBlock(b) != bucket {
 					continue
 				}
+				to = to[:0]
 				for _, t := range targets {
-					if t == src || store.Has(base+t, b) {
-						continue
+					if t != src && !store.Has(base+t, b) {
+						to = append(to, base+t)
 					}
-					store.Copy(base+src, base+t, b)
+				}
+				if len(to) > 0 {
+					// One read, one commit for every target that lacks it.
+					store.Copy(base+src, to, b)
 				}
 			}
 		}

@@ -141,8 +141,9 @@ func TestDataPathWithoutStore(t *testing.T) {
 // devices with a media error.
 type faultStore struct {
 	BlockStore
-	mu      sync.Mutex
-	badRead map[int]bool
+	mu       sync.Mutex
+	badRead  map[int]bool
+	badWrite map[int]bool
 }
 
 func (f *faultStore) setBadRead(dev int, bad bool) {
@@ -152,6 +153,39 @@ func (f *faultStore) setBadRead(dev int, bad bool) {
 		f.badRead = make(map[int]bool)
 	}
 	f.badRead[dev] = bad
+}
+
+func (f *faultStore) setBadWrite(dev int, bad bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.badWrite == nil {
+		f.badWrite = make(map[int]bool)
+	}
+	f.badWrite[dev] = bad
+}
+
+// PutAll fails the bad devices and hands the rest to the wrapped store
+// in one call, so their commit stays shared.
+func (f *faultStore) PutAll(devs []int, block int64, payload []byte, errs []error) int {
+	var good, at []int
+	f.mu.Lock()
+	for i, d := range devs {
+		if f.badWrite[d] {
+			errs[i] = fmt.Errorf("injected write fault on device %d", d)
+		} else {
+			good, at = append(good, d), append(at, i)
+		}
+	}
+	f.mu.Unlock()
+	goodErrs := make([]error, len(good))
+	wrote := 0
+	if len(good) > 0 {
+		wrote = f.BlockStore.PutAll(good, block, payload, goodErrs)
+	}
+	for j, i := range at {
+		errs[i] = goodErrs[j]
+	}
+	return wrote
 }
 
 func (f *faultStore) Get(dev int, block int64, dst []byte) ([]byte, error) {
@@ -298,4 +332,168 @@ func holdsReplica(c *BinaryClient, t *testing.T, block int64, dev int) bool {
 		}
 	}
 	return false
+}
+
+// TestDataPutOneCommit pins the fan-out commit: a 3-replica PUT appends
+// every replica before it waits, so it waits out one group commit, not
+// one per replica. With a 50 ms commit interval a serial PUT needs at
+// least two full intervals; the best of three PUTs here must finish
+// within one interval plus slack.
+func TestDataPutOneCommit(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	arr, err := shard.New(1, core.Config{Design: design.Paper931()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := pack.Open(t.TempDir(), arr.Devices(), pack.Options{SyncInterval: interval})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	srv := NewServerSharded(arr, Options{Store: store})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	t.Cleanup(srv.Close)
+	c := dialBinT(t, addr.String())
+
+	best := time.Hour
+	for b := int64(0); b < 3; b++ {
+		start := time.Now()
+		r, err := c.Put(b, blockPayload(b, 8192))
+		if err != nil || r.Rejected {
+			t.Fatalf("put %d: %v (rejected %v)", b, err, r.Rejected)
+		}
+		best = min(best, time.Since(start))
+		_, devs, err := c.Map(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range devs {
+			if !store.Has(d, b) {
+				t.Fatalf("block %d missing on replica %d", b, d)
+			}
+		}
+	}
+	if limit := interval * 8 / 5; best > limit {
+		t.Fatalf("fastest 3-replica PUT took %v, want <= %v (one %v commit plus slack)", best, limit, interval)
+	}
+}
+
+// TestDataPutReplicaFaults: a PUT whose replica faults is acked off the
+// others and reports the fault to health; a PUT every replica of which
+// faults fails.
+func TestDataPutReplicaFaults(t *testing.T) {
+	arr, err := shard.New(1, core.Config{Design: design.Paper931()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := pack.Open(t.TempDir(), arr.Devices(), pack.Options{SyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	fs := &faultStore{BlockStore: store}
+	if err := arr.NewHealthMonitors(0, health.Config{SuspectAfter: 1, FailAfter: 100}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerSharded(arr, Options{Store: fs})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	t.Cleanup(srv.Close)
+	c := dialBinT(t, addr.String())
+	mon := arr.Monitor(0)
+
+	const block = 9
+	_, devs, err := c.Map(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := devs[1]
+	fs.setBadWrite(bad, true)
+	if r, err := c.Put(block, blockPayload(block, 64)); err != nil || r.Rejected {
+		t.Fatalf("put with one faulting replica: %v (rejected %v)", err, r.Rejected)
+	}
+	for _, d := range devs {
+		if got := store.Has(d, block); got == (d == bad) {
+			t.Fatalf("device %d holds the block: %v, want %v", d, got, d != bad)
+		}
+		want := health.Healthy
+		if d == bad {
+			want = health.Suspect
+		}
+		if st := mon.State(d); st != want {
+			t.Fatalf("device %d state %v, want %v", d, st, want)
+		}
+	}
+
+	for _, d := range devs {
+		fs.setBadWrite(d, true)
+	}
+	if _, err := c.Put(block, blockPayload(block+1, 64)); err == nil {
+		t.Fatal("put with every replica faulting was acked")
+	}
+}
+
+// copyCounter records every Copy the rebuild pass makes.
+type copyCounter struct {
+	BlockStore
+	mu    sync.Mutex
+	calls map[int64][][]int // block → the target lists it was copied to
+}
+
+func (c *copyCounter) Copy(from int, to []int, block int64) error {
+	c.mu.Lock()
+	c.calls[block] = append(c.calls[block], append([]int(nil), to...))
+	c.mu.Unlock()
+	return c.BlockStore.Copy(from, to, block)
+}
+
+// TestReprotectCopiesOncePerBlock: with c = 4 a reprotect has three
+// targets. A block only one of them holds must reach the other two in one
+// Copy — one read and one commit — not one per target.
+func TestReprotectCopiesOncePerBlock(t *testing.T) {
+	d, err := design.ForParams(13, 4) // PG(2,3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := shard.New(1, core.Config{Design: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := pack.Open(t.TempDir(), arr.Devices(), pack.Options{SyncInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	sys := arr.System(0)
+	bucket := sys.Mapper().DesignBlock(0)
+	reps := sys.Allocator().Replicas(bucket)
+	failed, src := reps[0], reps[1]
+	var blocks []int64
+	for b := int64(0); len(blocks) < 5; b++ {
+		if sys.Mapper().DesignBlock(b) == bucket {
+			blocks = append(blocks, b)
+			if err := store.Put(src, b, blockPayload(b, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cc := &copyCounter{BlockStore: store, calls: make(map[int64][][]int)}
+	RebuildCopy(arr, cc)(0, failed, bucket, health.Reprotect)
+	for _, b := range blocks {
+		if calls := cc.calls[b]; len(calls) != 1 || len(calls[0]) != 2 {
+			t.Fatalf("block %d copied as %v, want one Copy to 2 targets", b, calls)
+		}
+		for _, d := range reps[2:] {
+			if got, err := store.Get(d, b, nil); err != nil || !bytes.Equal(got, blockPayload(b, 100)) {
+				t.Fatalf("block %d on target %d: %v", b, d, err)
+			}
+		}
+	}
 }
