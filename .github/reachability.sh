@@ -5,7 +5,8 @@
 # Fails when that list differs from .github/unreached.txt, whose entries read
 # "name  # reason": a new unreached function fails, and so does an entry that
 # is now reached or gone. Run from anywhere: bash .github/reachability.sh
-set -euo pipefail
+set -Eeuo pipefail
+trap 'echo "reachability: line $LINENO failed: $BASH_COMMAND" >&2' ERR
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -27,12 +28,13 @@ tr -s ' ' '\n' <"$tmp/dep" | grep '^flashqos/internal/' |
 	sort -u >"$tmp/reached"
 
 # Declared: "internal/pkg.Func" or "internal/pkg.Type.Method", init excluded.
+# A file may declare no function (or only init), so neither grep may fail.
 for f in $(find internal -name '*.go' -not -name '*_test.go' | sort); do
 	pkg=$(dirname "$f")
-	grep -E '^func ' "$f" |
+	{ grep -E '^func ' "$f" || true; } |
 		sed -E -n 's/^func \([A-Za-z0-9_]* ?\*?([A-Za-z0-9_]+)(\[[^]]*\])?\) ([A-Za-z0-9_]+).*/\1.\3/p;
 			s/^func ([A-Za-z0-9_]+).*/\1/p' |
-		grep -vx init | sed "s|^|$pkg.|"
+		{ grep -vx init || true; } | sed "s|^|$pkg.|"
 done | sort -u >"$tmp/declared"
 
 comm -23 "$tmp/declared" "$tmp/reached" >"$tmp/unreached"

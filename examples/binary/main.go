@@ -23,6 +23,7 @@ import (
 	"log"
 	"net"
 	"strings"
+	"sync"
 	"time"
 
 	"flashqos/internal/core"
@@ -53,14 +54,21 @@ func main() {
 	go srv.Serve()
 	defer srv.Close()
 
-	c, err := qosnet.DialBinary(addr.String())
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		log.Fatal(err)
 	}
+	bc := &burstConn{Conn: conn}
+	c := qosnet.NewBinaryClient(bc)
 	defer c.Close()
 
 	// 1. Pipelined burst: enqueue every read before reading any result.
+	// The server stamps one arrival time per socket fill, so the burst is
+	// gathered into one write: the admission outcome (S reads served at
+	// once, the rest delayed) is then the same on every run, however the
+	// client's flusher or a busy machine would have split it.
 	fmt.Printf("== %d pipelined reads over one binary connection ==\n", *burst)
+	bc.gather(*burst * (wire.HeaderSize + 8))
 	chans := make([]<-chan qosnet.SubmitResult, *burst)
 	for i := range chans {
 		chans[i] = c.SubmitAsync(int64(i * 7))
@@ -102,6 +110,37 @@ func main() {
 	binOps := binaryThroughput(addr.String(), *compareOps)
 	fmt.Printf("  text   %10.0f ops/s\n", textOps)
 	fmt.Printf("  binary %10.0f ops/s  (%.2fx)\n", binOps, binOps/textOps)
+}
+
+// burstConn gathers the next want written bytes and sends them in one
+// write; other writes pass straight through.
+type burstConn struct {
+	net.Conn
+	mu   sync.Mutex
+	want int
+	buf  []byte
+}
+
+func (c *burstConn) gather(n int) {
+	c.mu.Lock()
+	c.want = n
+	c.mu.Unlock()
+}
+
+func (c *burstConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.want == 0 {
+		return c.Conn.Write(p)
+	}
+	c.buf = append(c.buf, p...)
+	if len(c.buf) < c.want {
+		return len(p), nil
+	}
+	c.want = 0
+	_, err := c.Conn.Write(c.buf)
+	c.buf = nil
+	return len(p), err
 }
 
 // textThroughput pipelines n READ lines over one text connection and

@@ -12,25 +12,28 @@
 //     replica devices (retrieval);
 //   - admission prices every request at one per-block read/write service
 //     time (Config.ServiceMS, flashsim's 0.132507 ms by default);
-//     ReplayOriginal replays the unadmitted "original stand" on flashsim.
+//     ReplayOriginal replays the unadmitted "original stand" on the same
+//     FCFS device timeline (retrieval.Online) the engine schedules on.
 //
 // One admission/retrieval engine implements the submit paths (engine.go)
 // in one configuration; System is its public face. Submit, SubmitWrite,
 // SubmitBatch and SubmitBurst are the online API the examples and the
 // network layer use; ReplayTrace (online retrieval) and ReplayAligned
 // (interval-aligned) drive a whole trace through the pipeline and produce
-// the per-interval report behind the paper's Figs 8–12.
+// the per-interval report behind the paper's Figs 8–12, in the one tally
+// ReplayOriginal fills too.
 package core
 
 import (
 	"fmt"
+	"sort"
 
 	"flashqos/internal/admission"
 	"flashqos/internal/blockmap"
 	"flashqos/internal/decluster"
 	"flashqos/internal/design"
 	"flashqos/internal/fim"
-	"flashqos/internal/flashsim"
+	"flashqos/internal/retrieval"
 	"flashqos/internal/sampling"
 	"flashqos/internal/stats"
 	"flashqos/internal/trace"
@@ -322,29 +325,82 @@ type IntervalReport struct {
 	DelayedPct  float64 // % of requests delayed
 	AvgDelay    float64 // mean delay of the delayed requests, ms
 	AvgDelayAll float64 // mean delay over ALL requests (Fig 12 metric), ms
-	MaxDelay    float64
-	FIMMatchPct float64 // % of mined blocks seen again this interval (Fig 11)
-	FIMPairs    int     // frequent pairs mined from the previous interval
 }
 
-// Report is the result of a trace replay.
+// Report is the result of a trace replay. The embedded IntervalReport
+// holds the overall aggregates, over every read of the trace.
 type Report struct {
 	Name      string
 	Intervals []IntervalReport
-	// Overall aggregates.
-	Requests    int
-	Rejected    int
-	AvgResponse float64
-	MaxResponse float64
-	DelayedPct  float64
-	AvgDelay    float64 // over delayed requests
-	AvgDelayAll float64 // over all requests (Fig 12 metric)
+	IntervalReport
 	Utilization float64 // mean device busy fraction over the replayed span
 	// Write extension accounting (reads populate the fields above, keeping
 	// the paper's read-only figures comparable).
-	WriteRequests   int
-	WriteAvgResp    float64
-	WriteDelayedPct float64
+	WriteRequests int
+	WriteAvgResp  float64
+}
+
+// scope accumulates the reads of one report scope: one reporting interval,
+// or the whole trace.
+type scope struct {
+	resp, delay stats.Summary
+	rejected    int
+}
+
+func (sc *scope) add(out Outcome) {
+	if out.Rejected {
+		sc.rejected++
+		return
+	}
+	sc.resp.Add(out.Response())
+	if out.Delayed {
+		sc.delay.Add(out.Delay)
+	}
+}
+
+func (sc *scope) report(index int) IntervalReport {
+	ir := IntervalReport{
+		Index:       index,
+		Requests:    sc.resp.N() + sc.rejected,
+		Rejected:    sc.rejected,
+		AvgResponse: sc.resp.Mean(),
+		MaxResponse: sc.resp.Max(),
+		AvgDelay:    sc.delay.Mean(),
+	}
+	if ir.Requests > 0 {
+		ir.DelayedPct = 100 * float64(sc.delay.N()) / float64(ir.Requests)
+		ir.AvgDelayAll = sc.delay.Mean() * float64(sc.delay.N()) / float64(ir.Requests)
+	}
+	return ir
+}
+
+// tally is the accumulator every replay shares: one scope per reporting
+// interval and one over the whole trace.
+type tally struct {
+	intervals []scope
+	all       scope
+}
+
+func newTally(intervals int) *tally { return &tally{intervals: make([]scope, intervals)} }
+
+// add records a read's outcome under reporting interval iv; an arrival past
+// the last interval counts in the last one.
+func (t *tally) add(iv int, out Outcome) {
+	if iv >= len(t.intervals) {
+		iv = len(t.intervals) - 1
+	}
+	if iv >= 0 {
+		t.intervals[iv].add(out)
+	}
+	t.all.add(out)
+}
+
+func (t *tally) report(name string) *Report {
+	rep := &Report{Name: name, IntervalReport: t.all.report(0)}
+	for i := range t.intervals {
+		rep.Intervals = append(rep.Intervals, t.intervals[i].report(i))
+	}
+	return rep
 }
 
 // ReplayTrace drives a trace through the pipeline: before each reporting
@@ -353,78 +409,27 @@ type Report struct {
 // mining"); every read request then passes admission and retrieval.
 func (s *System) ReplayTrace(tr *trace.Trace) *Report {
 	tr.Sort() // replay is deterministic in arrival order
-	rep := &Report{Name: tr.Name}
-	var respAll, delayAll stats.Summary
-	delayedTotal := 0
 	n := tr.NumIntervals()
-	var wResp stats.Summary
-	writeDelayed := 0
+	t := newTally(n)
+	var writes stats.Summary
 	for i := 0; i < n; i++ {
-		recs := tr.Interval(i)
-		ir := IntervalReport{Index: i}
 		if i > 0 {
-			ir.FIMPairs = s.Remap(tr.Interval(i - 1))
+			s.Remap(tr.Interval(i - 1))
 		}
-		ir.FIMMatchPct = 100 * s.mapper.MappedSeenFraction(trace.DistinctBlocks(recs))
-		var resp, delay stats.Summary
-		delayed := 0
-		for _, r := range recs {
-			if r.Write {
-				wout := s.SubmitWrite(r.Arrival, r.Block)
-				if !wout.Rejected {
-					wResp.Add(wout.Response())
-					if wout.Delayed {
-						writeDelayed++
-					}
-				}
-				continue
-			}
-			out := s.Submit(r.Arrival, r.Block)
-			if out.Rejected {
-				ir.Rejected++
-				rep.Rejected++
-				continue
-			}
-			resp.Add(out.Response())
-			respAll.Add(out.Response())
-			if out.Delayed {
-				delayed++
-				delayedTotal++
-				delay.Add(out.Delay)
-				delayAll.Add(out.Delay)
+		for _, r := range tr.Interval(i) {
+			if !r.Write {
+				t.add(i, s.Submit(r.Arrival, r.Block))
+			} else if out := s.SubmitWrite(r.Arrival, r.Block); !out.Rejected {
+				writes.Add(out.Response())
 			}
 		}
-		ir.Requests = resp.N() + ir.Rejected
-		ir.AvgResponse = resp.Mean()
-		ir.MaxResponse = resp.Max()
-		if ir.Requests > 0 {
-			ir.DelayedPct = 100 * float64(delayed) / float64(ir.Requests)
-		}
-		ir.AvgDelay = delay.Mean()
-		ir.MaxDelay = delay.Max()
-		if ir.Requests > 0 {
-			ir.AvgDelayAll = delay.Mean() * float64(delay.N()) / float64(ir.Requests)
-		}
-		rep.Intervals = append(rep.Intervals, ir)
 	}
-	rep.Requests = respAll.N() + rep.Rejected
-	rep.AvgResponse = respAll.Mean()
-	rep.MaxResponse = respAll.Max()
-	if rep.Requests > 0 {
-		rep.DelayedPct = 100 * float64(delayedTotal) / float64(rep.Requests)
-	}
-	rep.AvgDelay = delayAll.Mean()
-	if rep.Requests > 0 {
-		rep.AvgDelayAll = delayAll.Mean() * float64(delayAll.N()) / float64(rep.Requests)
-	}
+	rep := t.report(tr.Name)
 	if n > 0 && tr.IntervalMS > 0 {
 		rep.Utilization = s.sched.Utilization(float64(n) * tr.IntervalMS)
 	}
-	rep.WriteRequests = wResp.N()
-	rep.WriteAvgResp = wResp.Mean()
-	if wResp.N() > 0 {
-		rep.WriteDelayedPct = 100 * float64(writeDelayed) / float64(wResp.N())
-	}
+	rep.WriteRequests = writes.N()
+	rep.WriteAvgResp = writes.Mean()
 	return rep
 }
 
@@ -436,10 +441,8 @@ func (s *System) ReplayTrace(tr *trace.Trace) *Report {
 // Writes are skipped.
 func (s *System) ReplayAligned(tr *trace.Trace) *Report {
 	tr.Sort() // replay is deterministic in arrival order
-	rep := &Report{Name: tr.Name}
-	var respAll, delayAll stats.Summary
-	delayedTotal := 0
 	n := tr.NumIntervals()
+	t := newTally(n)
 
 	type pending struct {
 		arrival  float64
@@ -447,10 +450,6 @@ func (s *System) ReplayAligned(tr *trace.Trace) *Report {
 		replicas []int
 	}
 	var backlog []pending
-	perInterval := make([]IntervalReport, n)
-	var respI = make([]stats.Summary, n)
-	var delayI = make([]stats.Summary, n)
-	delayedI := make([]int, n)
 
 	// flush retrieves up to S of the batch at time `at` and returns the
 	// overflow, which is delayed to the next window (paper: "delayed to the
@@ -468,18 +467,9 @@ func (s *System) ReplayAligned(tr *trace.Trace) *Report {
 		for i, p := range now {
 			replicas[i] = p.replicas
 		}
-		cs := s.sched.IntervalBatch(at, replicas)
-		for i, c := range cs {
-			p := now[i]
-			d := at - p.arrival
-			respI[p.interval].Add(c.Finish - at)
-			respAll.Add(c.Finish - at)
-			if d > delayTol {
-				delayedI[p.interval]++
-				delayedTotal++
-				delayI[p.interval].Add(d)
-				delayAll.Add(d)
-			}
+		for i, c := range s.sched.IntervalBatch(at, replicas) {
+			d := at - now[i].arrival
+			t.add(now[i].interval, Outcome{Admitted: at, Finish: c.Finish, Delay: d, Delayed: d > delayTol})
 		}
 		return rest
 	}
@@ -502,7 +492,7 @@ func (s *System) ReplayAligned(tr *trace.Trace) *Report {
 		if tr.IntervalMS > 0 {
 			curIv := int(wStart / tr.IntervalMS)
 			if curIv > lastRemapIv && curIv < n {
-				perInterval[curIv].FIMPairs = s.Remap(tr.Interval(curIv - 1))
+				s.Remap(tr.Interval(curIv - 1))
 				lastRemapIv = curIv
 			}
 		}
@@ -513,11 +503,7 @@ func (s *System) ReplayAligned(tr *trace.Trace) *Report {
 			if r.Write {
 				continue
 			}
-			iv := tr.IntervalOf(r)
-			if iv >= n {
-				iv = n - 1
-			}
-			p := pending{arrival: r.Arrival, interval: iv, replicas: s.Replicas(r.Block)}
+			p := pending{arrival: r.Arrival, interval: tr.IntervalOf(r), replicas: s.Replicas(r.Block)}
 			if r.Arrival-wStart <= delayTol {
 				boundary = append(boundary, p)
 			} else {
@@ -533,89 +519,46 @@ func (s *System) ReplayAligned(tr *trace.Trace) *Report {
 			w++
 		}
 	}
-	for i := 0; i < n; i++ {
-		ir := &perInterval[i]
-		ir.Index = i
-		ir.Requests = respI[i].N()
-		ir.AvgResponse = respI[i].Mean()
-		ir.MaxResponse = respI[i].Max()
-		if ir.Requests > 0 {
-			ir.DelayedPct = 100 * float64(delayedI[i]) / float64(ir.Requests)
-		}
-		ir.AvgDelay = delayI[i].Mean()
-		ir.MaxDelay = delayI[i].Max()
-		if ir.Requests > 0 {
-			ir.AvgDelayAll = delayI[i].Mean() * float64(delayI[i].N()) / float64(ir.Requests)
-		}
-		ir.FIMMatchPct = 0 // not tracked per-interval in aligned mode
-		rep.Intervals = append(rep.Intervals, *ir)
-	}
-	rep.Requests = respAll.N()
-	rep.AvgResponse = respAll.Mean()
-	rep.MaxResponse = respAll.Max()
-	if rep.Requests > 0 {
-		rep.DelayedPct = 100 * float64(delayedTotal) / float64(rep.Requests)
-	}
-	rep.AvgDelay = delayAll.Mean()
-	if rep.Requests > 0 {
-		rep.AvgDelayAll = delayAll.Mean() * float64(delayAll.N()) / float64(rep.Requests)
-	}
-	return rep
+	return t.report(tr.Name)
 }
 
 // ReplayOriginal replays a trace "as stated" (the paper's original stand,
-// §V-D): every request goes to the device named in the trace record, FCFS,
-// with no admission control, on the flashsim discrete-event model. The
-// response times include queueing delay. A serviceMS <= 0 uses flashsim's
-// default read latency.
+// §V-D): every read goes to the device named in the trace record, FCFS in
+// arrival order, with no admission control. It runs on the engine's own
+// device timeline, retrieval.Online, with the record's device as the only
+// replica, so the response times include queueing delay. A serviceMS <= 0
+// uses flashsim's default read latency.
 func ReplayOriginal(tr *trace.Trace, devices int, serviceMS float64) (*Report, error) {
 	if devices < 1 {
 		return nil, fmt.Errorf("core: devices must be >= 1")
 	}
 	serviceMS, _ = normalizeService(MemBackend{}, serviceMS, 0)
-	arr, err := flashsim.New(flashsim.Config{Modules: devices, ReadLatency: serviceMS})
-	if err != nil {
-		return nil, err
+	tr.Sort() // a device serves its queue in arrival order
+	sched := retrieval.NewOnline(devices, serviceMS)
+	type served struct {
+		interval int
+		out      Outcome
 	}
-	var id int64
+	var done []served
 	for _, r := range tr.Records {
 		if r.Write {
 			continue
 		}
 		// A negative record device survives the modulo; reject it here
-		// rather than letting flashsim panic deep in its event loop.
+		// rather than letting the scheduler index out of range.
 		dev := r.Device % devices
 		if dev < 0 {
-			return nil, fmt.Errorf("core: flashsim backend device %d out of range [0,%d)", dev, devices)
+			return nil, fmt.Errorf("core: device %d out of range [0,%d)", dev, devices)
 		}
-		id++
-		arr.Submit(flashsim.Request{ID: id, Arrival: r.Arrival, Module: dev, Block: r.Block})
+		c := sched.Submit(r.Arrival, []int{dev})
+		done = append(done, served{tr.IntervalOf(r), Outcome{Admitted: r.Arrival, Finish: c.Finish}})
 	}
-	rep := &Report{Name: tr.Name + " (original)"}
-	n := tr.NumIntervals()
-	respI := make([]stats.Summary, n)
-	var respAll stats.Summary
-	for _, c := range arr.Run() {
-		iv := 0
-		if tr.IntervalMS > 0 {
-			iv = int(c.Arrival / tr.IntervalMS)
-		}
-		if iv >= n {
-			iv = n - 1
-		}
-		respI[iv].Add(c.Response())
-		respAll.Add(c.Response())
+	// Tally in finish order, the order a device array reports completions
+	// in: each mean depends on its summation order in the last bit.
+	sort.SliceStable(done, func(i, j int) bool { return done[i].out.Finish < done[j].out.Finish })
+	t := newTally(tr.NumIntervals())
+	for _, d := range done {
+		t.add(d.interval, d.out)
 	}
-	for i := 0; i < n; i++ {
-		rep.Intervals = append(rep.Intervals, IntervalReport{
-			Index:       i,
-			Requests:    respI[i].N(),
-			AvgResponse: respI[i].Mean(),
-			MaxResponse: respI[i].Max(),
-		})
-	}
-	rep.Requests = respAll.N()
-	rep.AvgResponse = respAll.Mean()
-	rep.MaxResponse = respAll.Max()
-	return rep, nil
+	return t.report(tr.Name + " (original)"), nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -308,36 +309,88 @@ func TestReplayOriginalValidation(t *testing.T) {
 }
 
 // TestReplayOriginalPinned pins the original-stand replay behind Figs 8/9
-// to exact floats on a seeded trace, so any change to the device model,
-// the completion order or the per-interval bucketing shows.
+// to exact floats on a seeded trace of each paper workload, so any change
+// to the device model, the completion order or the per-interval bucketing
+// shows. TPC-E's denser queues carry more equal finish times, which guards
+// the finish-order tally's tie rule.
 func TestReplayOriginalPinned(t *testing.T) {
-	tr, err := trace.ExchangeLike(7, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ReplayOriginal(tr, 9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Name != "exchange-like (original)" || rep.Requests != 10394 ||
-		rep.AvgResponse != 0.14591926529239824 || rep.MaxResponse != 0.6025792479902066 ||
-		len(rep.Intervals) != 96 {
-		t.Fatalf("report %q: %d requests, avg %v, max %v, %d intervals; want 10394, 0.14591926529239824, 0.6025792479902066, 96",
-			rep.Name, rep.Requests, rep.AvgResponse, rep.MaxResponse, len(rep.Intervals))
-	}
-	for _, want := range []IntervalReport{
-		{Index: 0, Requests: 18, AvgResponse: 0.13709994935660733, MaxResponse: 0.21518008841892744},
-		{Index: 29, Requests: 174, AvgResponse: 0.14734705001496004, MaxResponse: 0.542587563099346},
-		{Index: 95, Requests: 9, AvgResponse: 0.13250700000003235, MaxResponse: 0.13250700000003235},
+	for _, tc := range []struct {
+		mk        func(int64, float64) (*trace.Trace, error)
+		devices   int
+		name      string
+		requests  int
+		avg, max  float64
+		intervals int
+		pinned    []IntervalReport
+	}{
+		{trace.ExchangeLike, 9, "exchange-like (original)", 10394, 0.14591926529239824, 0.6025792479902066, 96, []IntervalReport{
+			{Index: 0, Requests: 18, AvgResponse: 0.13709994935660733, MaxResponse: 0.21518008841892744},
+			{Index: 29, Requests: 174, AvgResponse: 0.14734705001496004, MaxResponse: 0.542587563099346},
+			{Index: 95, Requests: 9, AvgResponse: 0.13250700000003235, MaxResponse: 0.13250700000003235},
+		}},
+		{trace.TPCELike, 13, "tpce-like (original)", 4017, 0.14575764974754352, 0.4356436114400566, 6, []IntervalReport{
+			{Index: 0, Requests: 650, AvgResponse: 0.1443652893853652, MaxResponse: 0.4356436114400566},
+			{Index: 1, Requests: 666, AvgResponse: 0.14536579960724746, MaxResponse: 0.36556699814211413},
+			{Index: 2, Requests: 711, AvgResponse: 0.14708710198737882, MaxResponse: 0.36637033526706375},
+			{Index: 3, Requests: 581, AvgResponse: 0.14149849401281325, MaxResponse: 0.407419184712154},
+			{Index: 4, Requests: 768, AvgResponse: 0.14844840094007414, MaxResponse: 0.37571177416180035},
+			{Index: 5, Requests: 641, AvgResponse: 0.14673867697428944, MaxResponse: 0.4230035360758393},
+		}},
 	} {
-		if got := rep.Intervals[want.Index]; got != want {
-			t.Errorf("interval %d = %+v, want %+v", want.Index, got, want)
+		tr, err := tc.mk(7, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ReplayOriginal(tr, tc.devices, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Name != tc.name || rep.Requests != tc.requests ||
+			rep.AvgResponse != tc.avg || rep.MaxResponse != tc.max || len(rep.Intervals) != tc.intervals {
+			t.Fatalf("report %q: %d requests, avg %v, max %v, %d intervals; want %q, %d, %v, %v, %d",
+				rep.Name, rep.Requests, rep.AvgResponse, rep.MaxResponse, len(rep.Intervals),
+				tc.name, tc.requests, tc.avg, tc.max, tc.intervals)
+		}
+		for _, want := range tc.pinned {
+			if got := rep.Intervals[want.Index]; got != want {
+				t.Errorf("%s interval %d = %+v, want %+v", tc.name, want.Index, got, want)
+			}
 		}
 	}
 }
 
+// TestReplayOriginalUnsortedTrace checks the original stand replays a
+// shuffled trace exactly like the sorted one: each device serves its queue
+// in arrival order, and the interval count comes from the latest arrival,
+// not from whichever record happens to be last.
+func TestReplayOriginalUnsortedTrace(t *testing.T) {
+	sorted, err := trace.ExchangeLike(7, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := &trace.Trace{Name: sorted.Name, IntervalMS: sorted.IntervalMS,
+		Records: append([]trace.Record(nil), sorted.Records...)}
+	rand.New(rand.NewSource(1)).Shuffle(len(shuffled.Records), func(i, j int) {
+		shuffled.Records[i], shuffled.Records[j] = shuffled.Records[j], shuffled.Records[i]
+	})
+	want, err := ReplayOriginal(sorted, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReplayOriginal(shuffled, 9, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Intervals) != len(want.Intervals) {
+		t.Fatalf("shuffled trace: %d intervals, want %d", len(got.Intervals), len(want.Intervals))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("shuffled trace report differs from the sorted trace's:\n got %+v\nwant %+v", got.IntervalReport, want.IntervalReport)
+	}
+}
+
 // TestReplayOriginalDeviceRange checks a negative trace device is answered
-// with an error naming the range, not a panic inside flashsim.
+// with an error naming the range, not an index panic in the scheduler.
 func TestReplayOriginalDeviceRange(t *testing.T) {
 	tr := &trace.Trace{Name: "bad", IntervalMS: 10, Records: []trace.Record{
 		{Arrival: 0, Block: 1, Device: 2},
@@ -401,6 +454,10 @@ func TestAlignedDelaysExceedOnline(t *testing.T) {
 	}
 }
 
+// TestFIMMatchReported remaps at each interval boundary as ReplayTrace does
+// (default pair support 2) and checks how many mined blocks the next
+// interval reads again: none before any mining history, most of them on
+// TPC-E-like traffic.
 func TestFIMMatchReported(t *testing.T) {
 	tr, err := trace.TPCELike(9, 0.02)
 	if err != nil {
@@ -410,19 +467,21 @@ func TestFIMMatchReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := s.ReplayTrace(tr)
-	if len(rep.Intervals) != 6 {
-		t.Fatalf("got %d intervals, want 6", len(rep.Intervals))
+	tr.Sort()
+	n := tr.NumIntervals()
+	if n != 6 {
+		t.Fatalf("got %d intervals, want 6", n)
 	}
-	if rep.Intervals[0].FIMMatchPct != 0 {
-		t.Error("first interval has no mining history; match must be 0")
+	if m := s.Mapper().MappedSeenFraction(trace.DistinctBlocks(tr.Interval(0))); m != 0 {
+		t.Errorf("first interval has no mining history; match %.3f, want 0", m)
 	}
 	// TPC-E-like: strong hot-set persistence → high match afterwards.
 	var mean float64
-	for _, iv := range rep.Intervals[1:] {
-		mean += iv.FIMMatchPct
+	for i := 1; i < n; i++ {
+		s.Remap(tr.Interval(i - 1))
+		mean += 100 * s.Mapper().MappedSeenFraction(trace.DistinctBlocks(tr.Interval(i)))
 	}
-	mean /= float64(len(rep.Intervals) - 1)
+	mean /= float64(n - 1)
 	if mean < 50 {
 		t.Errorf("TPC-E mean FIM match %.1f%%, want high (paper: ~87%%)", mean)
 	}

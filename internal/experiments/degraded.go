@@ -5,7 +5,6 @@ import (
 
 	"flashqos/internal/core"
 	"flashqos/internal/design"
-	"flashqos/internal/flashsim"
 	"flashqos/internal/health"
 )
 
@@ -25,8 +24,8 @@ type DegradedReport struct {
 }
 
 // DegradedScenario drives the whole stack against an injected device
-// failure: the core system schedules mask-aware reads, a flashsim array
-// with a per-module fault serves them, completions feed the health
+// failure: the core system schedules mask-aware reads, every read it serves
+// on the victim errors while the fault is on, completions feed the health
 // detectors, the detectors take the faulty device out of service (admission
 // drops S → S'), the token-bucket rebuild re-replicates its buckets, and —
 // once the fault is cleared and the device recovered — a resilver brings it
@@ -69,42 +68,26 @@ func DegradedScenario(requests, victim int, rebuildRate float64) (*DegradedRepor
 	if err != nil {
 		return nil, err
 	}
-	arr, err := flashsim.New(flashsim.Config{Modules: 9})
-	if err != nil {
-		return nil, err
-	}
 	rep.SBefore = sys.EffectiveS()
 
 	const faultAt = 40 // healthy warm-up before the device starts erroring
-	faultCleared := false
+	faulty := false
 	rebuildStartMS := 0.0
-	var id int64
 	for reqIndex = 0; reqIndex < requests; reqIndex++ {
 		if reqIndex == faultAt {
-			if err := arr.SetFault(victim, flashsim.Fault{ErrorProb: 1}); err != nil {
-				return nil, err
-			}
+			faulty = true
 		}
 		out := sys.Submit(clock, int64(reqIndex%36))
 		if out.Unavailable {
 			rep.Unavailable++
 		} else if !out.Rejected {
-			// Serve the admitted request on the simulated array at the
-			// device the QoS scheduler chose, and feed the completion back
-			// into the health detectors — the full loop a real deployment
-			// closes through the storage backend.
-			at := out.Admitted
-			if now := arr.Now(); at < now {
-				at = now
-			}
-			id++
-			arr.Submit(flashsim.Request{ID: id, Arrival: at, Module: out.Device, Block: int64(reqIndex % 36)})
-			for _, c := range arr.Run() {
-				if c.Failed {
-					mon.ReportError(c.Module)
-				} else {
-					mon.ReportSuccess(c.Module, c.Finish-c.Start)
-				}
+			// Feed the served read back into the health detectors — the
+			// loop a real deployment closes through the storage backend.
+			// While the fault is on, every read on the victim errors.
+			if faulty && out.Device == victim {
+				mon.ReportError(out.Device)
+			} else {
+				mon.ReportSuccess(out.Device, out.Finish-out.Start)
 			}
 		}
 		if rep.FailedAt >= 0 && rep.SDegraded == 0 {
@@ -120,10 +103,9 @@ func DegradedScenario(requests, victim int, rebuildRate float64) (*DegradedRepor
 			}
 			// Reprotect drained and the fault is still active: clear it and
 			// bring the device back, starting the resilver.
-			if pending == 0 && !faultCleared && rep.FailedAt >= 0 && mon.State(victim) == health.Failed {
+			if pending == 0 && faulty && rep.FailedAt >= 0 && mon.State(victim) == health.Failed {
 				rep.ReprotectCopies = done
-				arr.ClearFault(victim)
-				faultCleared = true
+				faulty = false
 				if err := mon.Recover(victim); err != nil {
 					return nil, err
 				}

@@ -8,10 +8,11 @@ import (
 // This file models the inside of one flash module the way the MSR SSD
 // extension does (paper §II-A, Fig 1): channels of packages of planes, a
 // page-mapping FTL with log-structured writes, and greedy garbage
-// collection. The array-level simulator treats a module as a fixed-latency
-// server, which is accurate for read-only workloads (the paper's traces);
-// the SSD model quantifies when that abstraction holds — reads are
-// perfectly predictable until programs and erases contend for planes.
+// collection. The device timeline (retrieval.Online) treats a module as a
+// fixed-latency server, which is accurate for read-only workloads (the
+// paper's traces); the SSD model quantifies when that abstraction holds —
+// reads are perfectly predictable until programs and erases contend for
+// planes.
 
 // SSDConfig describes one flash module's geometry and timing. Times are in
 // milliseconds to match the rest of the simulator (typical values: read
