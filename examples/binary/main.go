@@ -1,7 +1,7 @@
 // Binary: drive the framed binary wire protocol end to end — pipelined
-// submissions, out-of-order completion by request ID, and (with -compare)
-// a head-to-head throughput measurement against the text line protocol on
-// the same server.
+// submissions and out-of-order completion by request ID. The text and
+// binary throughput comparison lives in qosnet's BenchmarkServerThroughput
+// and BenchmarkBinaryThroughput.
 //
 // The demo starts an in-process server accepting both protocols, then:
 //
@@ -11,20 +11,14 @@
 //     engine finishes them, not in submission order.
 //  2. Exercises the control verbs (MAP, STATS, HEALTH) over the same
 //     multiplexed connection while data requests are still in flight.
-//  3. With -compare, measures ops/s for N pipelined submissions over the
-//     text protocol and the binary protocol and prints the ratio — the
-//     framing, not the admission engine, is the variable.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"net"
-	"strings"
 	"sync"
-	"time"
 
 	"flashqos/internal/core"
 	"flashqos/internal/health"
@@ -35,8 +29,6 @@ import (
 
 func main() {
 	burst := flag.Int("burst", 12, "pipelined reads for the out-of-order demo")
-	compare := flag.Bool("compare", false, "measure text vs binary protocol throughput")
-	compareOps := flag.Int("compare-ops", 30000, "submissions per protocol for -compare")
 	flag.Parse()
 
 	arr, err := shard.New(1, core.Config{N: 9, C: 3, M: 1})
@@ -99,17 +91,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  HEALTH    -> %d/%d devices alive, S'=%d\n", h.Alive, h.Devices, h.EffectiveS)
-
-	if !*compare {
-		return
-	}
-
-	// 3. Same server, same pipeline depth, two framings.
-	fmt.Printf("== text vs binary, %d pipelined submissions each ==\n", *compareOps)
-	textOps := textThroughput(addr.String(), *compareOps)
-	binOps := binaryThroughput(addr.String(), *compareOps)
-	fmt.Printf("  text   %10.0f ops/s\n", textOps)
-	fmt.Printf("  binary %10.0f ops/s  (%.2fx)\n", binOps, binOps/textOps)
 }
 
 // burstConn gathers the next want written bytes and sends them in one
@@ -141,81 +122,4 @@ func (c *burstConn) Write(p []byte) (int, error) {
 	_, err := c.Conn.Write(c.buf)
 	c.buf = nil
 	return len(p), err
-}
-
-// textThroughput pipelines n READ lines over one text connection and
-// returns ops/s.
-func textThroughput(addr string, n int) float64 {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
-	const window = 256
-	w := bufio.NewWriterSize(conn, 32768)
-	r := bufio.NewReaderSize(conn, 32768)
-	start := time.Now()
-	inFlight := 0
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(w, "READ %d\n", i)
-		inFlight++
-		if inFlight == window {
-			w.Flush()
-			for ; inFlight > 0; inFlight-- {
-				line, err := r.ReadString('\n')
-				if err != nil {
-					log.Fatal(err)
-				}
-				if strings.HasPrefix(line, "ERR") {
-					log.Fatalf("text protocol: %s", line)
-				}
-			}
-		}
-	}
-	w.Flush()
-	for ; inFlight > 0; inFlight-- {
-		if _, err := r.ReadString('\n'); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return float64(n) / time.Since(start).Seconds()
-}
-
-// binaryThroughput pipelines n OpSubmit frames over one binary connection
-// and returns ops/s.
-func binaryThroughput(addr string, n int) float64 {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer conn.Close()
-	const window = 256
-	w := bufio.NewWriterSize(conn, 32768)
-	rd := wire.NewReader(bufio.NewReaderSize(conn, 32768), 0)
-	var frame [wire.HeaderSize + 8]byte
-	start := time.Now()
-	inFlight := 0
-	for i := 0; i < n; i++ {
-		payload := wire.AppendBlock(frame[wire.HeaderSize:wire.HeaderSize], int64(i))
-		wire.PutHeader(frame[:], wire.Header{
-			Opcode: wire.OpSubmit, ID: uint64(i), Len: uint32(len(payload)),
-		})
-		w.Write(frame[:])
-		inFlight++
-		if inFlight == window {
-			w.Flush()
-			for ; inFlight > 0; inFlight-- {
-				if _, _, err := rd.Next(); err != nil {
-					log.Fatal(err)
-				}
-			}
-		}
-	}
-	w.Flush()
-	for ; inFlight > 0; inFlight-- {
-		if _, _, err := rd.Next(); err != nil {
-			log.Fatal(err)
-		}
-	}
-	return float64(n) / time.Since(start).Seconds()
 }

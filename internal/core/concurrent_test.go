@@ -32,6 +32,25 @@ func newConcurrent(t testing.TB, cfg Config) *System {
 	return sys
 }
 
+// engineTable samples the P_k table the way New samples it for cfg (MaxK
+// 2N+S, seed cfg.Seed+1) but with a test-sized trial count, so a system
+// given it as Config.Table decides exactly as one that sampled that many
+// trials itself.
+func engineTable(t testing.TB, cfg Config, trials int) *sampling.Table {
+	t.Helper()
+	cfg.Epsilon = 0
+	sys := newConcurrent(t, cfg)
+	tab, err := sampling.Estimate(sys.Allocator(), sampling.Options{
+		MaxK:   2*sys.Design().N + sys.S(),
+		Trials: trials,
+		Seed:   cfg.Seed + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
+}
+
 // TestConcurrentSubmitStress floods a System from many
 // goroutines at ~5× the admission capacity S/T and asserts the paper's
 // core invariant survives the concurrency: every request is admitted
@@ -163,7 +182,7 @@ func TestConcurrentMixedReadWriteStress(t *testing.T) {
 // estimator has folded every closed window exactly once
 // (nt == lastClosed+1 — a double or dropped merge breaks it).
 func TestConcurrentStatisticalStress(t *testing.T) {
-	cs := newConcurrent(t, Config{Epsilon: 0.05, SampleTrials: 2000})
+	cs := newConcurrent(t, Config{Epsilon: 0.05, Table: engineTable(t, Config{}, 2000)})
 	const goroutines, perG = 8, 300
 	var clock atomic.Int64
 	var wg sync.WaitGroup
@@ -205,7 +224,7 @@ func TestConcurrentStatisticalStress(t *testing.T) {
 // proof for statGate; the exactly-once fold invariant is re-asserted after
 // the storm.
 func TestConcurrentStatisticalMergeStress(t *testing.T) {
-	cs := newConcurrent(t, Config{Epsilon: 0.05, SampleTrials: 1000})
+	cs := newConcurrent(t, Config{Epsilon: 0.05, Table: engineTable(t, Config{}, 1000)})
 	const goroutines = 8
 	const windows = 200
 	T := cs.IntervalMS()
@@ -522,7 +541,7 @@ func BenchmarkTenantSubmit(b *testing.B) {
 	}{
 		{"untagged", Config{}, twoTenants, false},
 		{"tagged", Config{}, twoTenants, true},
-		{"stat-tagged", Config{Epsilon: 0.05, SampleTrials: 2000}, benchTenants, true},
+		{"stat-tagged", Config{Epsilon: 0.05, Table: engineTable(b, Config{}, 2000)}, benchTenants, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			cs := newConcurrent(b, bc.cfg)
@@ -553,7 +572,7 @@ func BenchmarkTenantSubmit(b *testing.B) {
 // throughput (the old implementation serialized every ε > 0 submit behind
 // a global mutex).
 func BenchmarkConcurrentStatistical(b *testing.B) {
-	cs := newConcurrent(b, Config{Epsilon: 0.05, SampleTrials: 2000})
+	cs := newConcurrent(b, Config{Epsilon: 0.05, Table: engineTable(b, Config{}, 2000)})
 	var clock atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		i := int64(0)

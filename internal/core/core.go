@@ -71,10 +71,9 @@ type Config struct {
 	DisableFIM    bool
 	// Table optionally injects a precomputed optimal-retrieval probability
 	// table for statistical QoS; when nil and Epsilon > 0, one is sampled
-	// at construction (SampleTrials trials, default 20000).
-	Table        *sampling.Table
-	SampleTrials int
-	Seed         int64
+	// at construction with sampling's default 20000 trials per size.
+	Table *sampling.Table
+	Seed  int64
 	// Backend fills whichever of ServiceMS and WriteServiceMS is left zero.
 	//
 	// Deprecated: set ServiceMS and WriteServiceMS. The field survives only
@@ -107,9 +106,6 @@ func (c *Config) applyDefaults() {
 	c.ServiceMS, c.WriteServiceMS = normalizeService(c.Backend, c.ServiceMS, c.WriteServiceMS)
 	if c.FIMMinSupport == 0 {
 		c.FIMMinSupport = 2
-	}
-	if c.SampleTrials == 0 {
-		c.SampleTrials = 20000
 	}
 }
 

@@ -107,11 +107,7 @@ func newEngine(cfg Config) (*engine, error) {
 	if cfg.Epsilon > 0 {
 		tab := cfg.Table
 		if tab == nil {
-			tab, err = sampling.Estimate(alloc, sampling.Options{
-				MaxK:   2*d.N + e.s,
-				Trials: cfg.SampleTrials,
-				Seed:   cfg.Seed + 1,
-			})
+			tab, err = sampling.Estimate(alloc, sampling.Options{MaxK: 2*d.N + e.s, Seed: cfg.Seed + 1})
 			if err != nil {
 				return nil, fmt.Errorf("core: %w", err)
 			}

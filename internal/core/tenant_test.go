@@ -317,7 +317,7 @@ var benchTenants = []admission.TenantSpec{
 func TestTenantCapsConcurrentOverload(t *testing.T) {
 	for _, eps := range []float64{0, 0.002} {
 		t.Run(fmt.Sprintf("eps=%g", eps), func(t *testing.T) {
-			cs := newConcurrent(t, Config{Epsilon: eps, SampleTrials: 2000})
+			cs := newConcurrent(t, Config{Epsilon: eps, Table: engineTable(t, Config{}, 2000)})
 			if err := cs.SetTenants(benchTenants); err != nil {
 				t.Fatal(err)
 			}

@@ -20,7 +20,7 @@ type DegradedReport struct {
 	ReprotectCopies int64 // rebuild copies when the reprotect pass drained
 	TotalCopies     int64 // rebuild copies at the end (reprotect + resilver)
 	Unavailable     int   // requests lost for lack of a live replica (must be 0)
-	RateCapOK       bool  // copies never exceeded Burst + rate·t (token bucket)
+	RateCapOK       bool  // copies never exceeded 1 + rate·t (token bucket of depth 1)
 }
 
 // DegradedScenario drives the whole stack against an injected device
@@ -95,8 +95,8 @@ func DegradedScenario(requests, victim int, rebuildRate float64) (*DegradedRepor
 			rebuildStartMS = clock
 		}
 		mon.Step()
-		// Token-bucket invariant: at most Burst + rate·t copies in any
-		// interval of length t since rebuild work existed (Burst is 1 here).
+		// Token-bucket invariant: at most 1 + rate·t copies in any interval
+		// of length t since rebuild work existed (the bucket holds 1 token).
 		if pending, done := mon.RebuildProgress(); pending > 0 || done > 0 {
 			if allowed := 1 + rebuildRate*(clock-rebuildStartMS)/1000; rep.FailedAt >= 0 && float64(done) > allowed+1e-9 {
 				rep.RateCapOK = false

@@ -11,6 +11,7 @@ package experiments
 import (
 	"fmt"
 
+	"flashqos/internal/admission"
 	"flashqos/internal/decluster"
 	"flashqos/internal/design"
 	"flashqos/internal/maxflow"
@@ -36,13 +37,23 @@ type TableIResult struct {
 }
 
 // TableI replays the paper's Table I admission example and the Fig 5
-// retrieval schedule: three applications with request sizes 2, 2, 1 fill
-// the S=5 limit of the (9,3,1) design at M=1; the four periods' request
-// sets retrieve in one access each (T3 after remapping).
+// retrieval schedule: applications with request sizes 2, 2, 1, 1 ask an
+// admission.Registry for the S=5 limit of the (9,3,1) design at M=1, and
+// the first three fill it; the four periods' request sets retrieve in one
+// access each (T3 after remapping).
 func TableI() TableIResult {
-	res := TableIResult{
-		AdmittedApps: []string{"app1 (size 2)", "app2 (size 2)", "app3 (size 1)"},
-		RejectedApps: []string{"app4 (size 1): system full until an application leaves"},
+	var res TableIResult
+	reg, _ := admission.NewRegistry(design.Paper931().S(1)) // S = 5 ≥ 1: cannot fail
+	for _, app := range []struct {
+		name string
+		size int
+	}{{"app1", 2}, {"app2", 2}, {"app3", 1}, {"app4", 1}} {
+		line := fmt.Sprintf("%s (size %d)", app.name, app.size)
+		if reg.Admit(app.name, app.size) != nil {
+			res.RejectedApps = append(res.RejectedApps, line+": system full until an application leaves")
+			continue
+		}
+		res.AdmittedApps = append(res.AdmittedApps, line)
 	}
 	periods := []struct {
 		name string

@@ -14,21 +14,24 @@ import (
 // reads are perfectly predictable until programs and erases contend for
 // planes.
 
-// SSDConfig describes one flash module's geometry and timing. Times are in
-// milliseconds to match the rest of the simulator (typical values: read
-// 0.025, program 0.2, erase 1.5, transfer 0.1).
+// Every module's timing, in milliseconds to match the rest of the
+// simulator, and its garbage-collection trigger.
+const (
+	readMS     = 0.025  // flash array read (cell → register)
+	programMS  = 0.2    // register → cell program
+	eraseMS    = 1.5    // block erase
+	transferMS = 0.1075 // page transfer over the channel; read+transfer ≈ DefaultReadLatency
+	// gcLowWater triggers garbage collection when a plane's free blocks
+	// drop to this count.
+	gcLowWater = 2
+)
+
+// SSDConfig describes one flash module's geometry.
 type SSDConfig struct {
 	Channels       int // independent buses
 	PlanesPerChan  int // planes (concurrent flash operations) per channel
-	BlocksPerPlane int
+	BlocksPerPlane int // at least 2·(gcLowWater+1), so GC has room to work
 	PagesPerBlock  int
-	ReadMS         float64 // flash array read (cell → register)
-	ProgramMS      float64 // register → cell program
-	EraseMS        float64 // block erase
-	TransferMS     float64 // page transfer over the channel
-	// GCLowWater triggers garbage collection when a plane's free blocks
-	// drop to this count (default 2).
-	GCLowWater int
 }
 
 func (c *SSDConfig) applyDefaults() {
@@ -44,32 +47,11 @@ func (c *SSDConfig) applyDefaults() {
 	if c.PagesPerBlock == 0 {
 		c.PagesPerBlock = 64
 	}
-	if c.ReadMS == 0 {
-		c.ReadMS = 0.025
-	}
-	if c.ProgramMS == 0 {
-		c.ProgramMS = 0.2
-	}
-	if c.EraseMS == 0 {
-		c.EraseMS = 1.5
-	}
-	if c.TransferMS == 0 {
-		c.TransferMS = 0.1075 // read+transfer ≈ DefaultReadLatency
-	}
-	if c.GCLowWater == 0 {
-		c.GCLowWater = 2
-	}
 }
 
 func (c *SSDConfig) validate() error {
-	if c.Channels < 1 || c.PlanesPerChan < 1 || c.BlocksPerPlane < 4 || c.PagesPerBlock < 1 {
+	if c.Channels < 1 || c.PlanesPerChan < 1 || c.BlocksPerPlane < 2*(gcLowWater+1) || c.PagesPerBlock < 1 {
 		return fmt.Errorf("flashsim: bad SSD geometry %+v", *c)
-	}
-	if c.ReadMS <= 0 || c.ProgramMS <= 0 || c.EraseMS <= 0 || c.TransferMS < 0 {
-		return fmt.Errorf("flashsim: bad SSD timing %+v", *c)
-	}
-	if c.GCLowWater < 1 || c.GCLowWater >= c.BlocksPerPlane/2 {
-		return fmt.Errorf("flashsim: GC low-water %d out of range", c.GCLowWater)
 	}
 	return nil
 }
@@ -135,7 +117,7 @@ func NewSSD(cfg SSDConfig) (*SSD, error) {
 // Capacity returns the number of logical pages the module can hold while
 // keeping GC functional (geometry minus one block per plane of slack).
 func (s *SSD) Capacity() int64 {
-	perPlane := (s.cfg.BlocksPerPlane - s.cfg.GCLowWater - 1) * s.cfg.PagesPerBlock
+	perPlane := (s.cfg.BlocksPerPlane - gcLowWater - 1) * s.cfg.PagesPerBlock
 	return int64(perPlane * len(s.planes))
 }
 
@@ -174,8 +156,8 @@ func (s *SSD) Read(t float64, lpn int64) float64 {
 		plane = loc.plane
 	}
 	// Plane busy for read, channel busy for the transfer that follows.
-	start := s.busy(plane, t, s.cfg.ReadMS+s.cfg.TransferMS, s.cfg.ReadMS+s.cfg.TransferMS)
-	return start + s.cfg.ReadMS + s.cfg.TransferMS
+	start := s.busy(plane, t, readMS+transferMS, readMS+transferMS)
+	return start + readMS + transferMS
 }
 
 // Write services a logical-page write arriving at time t, allocating a new
@@ -214,7 +196,7 @@ func (s *SSD) program(plane int, t float64, lpn int64) float64 {
 		ps.freeBlocks = ps.freeBlocks[1:]
 		ps.frontierPg = 0
 	}
-	start := s.busy(plane, t, s.cfg.ProgramMS+s.cfg.TransferMS, s.cfg.TransferMS)
+	start := s.busy(plane, t, programMS+transferMS, transferMS)
 	loc := ppn{plane: plane, block: ps.frontier, page: ps.frontierPg}
 	ps.frontierPg++
 	ps.valid[loc.block][loc.page] = true
@@ -224,12 +206,12 @@ func (s *SSD) program(plane int, t float64, lpn int64) float64 {
 	}
 	s.p2l[plane][loc.block][loc.page] = lpn
 	s.l2p[lpn] = loc
-	return start + s.cfg.ProgramMS + s.cfg.TransferMS
+	return start + programMS + transferMS
 }
 
 // maybeGC runs garbage collection if the plane is at or below low water.
 func (s *SSD) maybeGC(plane int, t float64) {
-	if len(s.planes[plane].freeBlocks) <= s.cfg.GCLowWater {
+	if len(s.planes[plane].freeBlocks) <= gcLowWater {
 		s.collect(plane, t)
 	}
 }
@@ -276,7 +258,7 @@ func (s *SSD) collect(plane int, t float64) {
 		ps.valid[victim][pg] = false
 		ps.liveCount[victim]--
 		delete(s.p2l[plane][victim], pg)
-		s.busy(plane, ps.nextFree, s.cfg.ReadMS, 0)
+		s.busy(plane, ps.nextFree, readMS, 0)
 	}
 	if ps.liveCount[victim] != 0 {
 		panic("flashsim: GC accounting broken — live pages remain after relocation")
@@ -284,7 +266,7 @@ func (s *SSD) collect(plane int, t float64) {
 	// Erase the (now fully invalid) victim BEFORE re-programming, so the
 	// relocated pages are guaranteed a destination and the erase can never
 	// destroy freshly moved data.
-	s.busy(plane, ps.nextFree, s.cfg.EraseMS, 0)
+	s.busy(plane, ps.nextFree, eraseMS, 0)
 	ps.freeBlocks = append(ps.freeBlocks, victim)
 	for _, lpn := range lpns {
 		s.program(plane, ps.nextFree, lpn)

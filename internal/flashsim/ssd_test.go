@@ -19,16 +19,17 @@ func newSSD(t testing.TB, cfg SSDConfig) *SSD {
 func tinySSD(t testing.TB) *SSD {
 	return newSSD(t, SSDConfig{
 		Channels: 2, PlanesPerChan: 2, BlocksPerPlane: 8, PagesPerBlock: 4,
-		ReadMS: 0.025, ProgramMS: 0.2, EraseMS: 1.5, TransferMS: 0.1, GCLowWater: 2,
 	})
 }
+
+// idleRead is one read's latency on an idle plane and channel.
+const idleRead = readMS + transferMS
 
 func TestSSDConfigValidation(t *testing.T) {
 	bad := []SSDConfig{
 		{Channels: -1},
 		{Channels: 1, PlanesPerChan: 1, BlocksPerPlane: 2, PagesPerBlock: 4},
-		{Channels: 1, PlanesPerChan: 1, BlocksPerPlane: 8, PagesPerBlock: 4, ReadMS: -1},
-		{Channels: 1, PlanesPerChan: 1, BlocksPerPlane: 8, PagesPerBlock: 4, GCLowWater: 7},
+		{Channels: 1, PlanesPerChan: 1, BlocksPerPlane: 5, PagesPerBlock: 4}, // no room above gcLowWater
 	}
 	for i, cfg := range bad {
 		if _, err := NewSSD(cfg); err == nil {
@@ -43,9 +44,8 @@ func TestSSDConfigValidation(t *testing.T) {
 func TestSSDReadLatencyIdle(t *testing.T) {
 	s := tinySSD(t)
 	fin := s.Read(0, 42)
-	want := 0.025 + 0.1
-	if math.Abs(fin-want) > 1e-12 {
-		t.Errorf("idle read finished at %g, want %g", fin, want)
+	if math.Abs(fin-idleRead) > 1e-12 {
+		t.Errorf("idle read finished at %g, want %g", fin, idleRead)
 	}
 	// Default geometry approximates the paper's one-block read time.
 	d := newSSD(t, SSDConfig{})
@@ -64,8 +64,8 @@ func TestSSDWriteReadRoundTrip(t *testing.T) {
 	// The read must go to the plane the FTL placed the page on, costing a
 	// normal read after the write completes.
 	rfin := s.Read(fin, 7)
-	if rfin < fin+0.125-1e-12 {
-		t.Errorf("read after write finished at %g, want >= %g", rfin, fin+0.125)
+	if rfin < fin+idleRead-1e-12 {
+		t.Errorf("read after write finished at %g, want >= %g", rfin, fin+idleRead)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestSSDReadsAreDeterministicWithoutWrites(t *testing.T) {
 	tNow := 0.0
 	for i := int64(0); i < 100; i++ {
 		fin := s.Read(tNow, i)
-		if math.Abs(fin-tNow-0.125) > 1e-9 {
-			t.Fatalf("read %d latency %g, want 0.125", i, fin-tNow)
+		if math.Abs(fin-tNow-idleRead) > 1e-9 {
+			t.Fatalf("read %d latency %g, want %g", i, fin-tNow, idleRead)
 		}
 		tNow = fin + 0.2 // leave the module idle before the next read
 	}
@@ -118,7 +118,7 @@ func TestSSDGCDisturbsReadLatency(t *testing.T) {
 			}
 		}
 	}
-	if worst <= 0.125+1e-9 {
+	if worst <= idleRead+1e-9 {
 		t.Errorf("read tail %g never exceeded the idle latency — GC interference missing", worst)
 	}
 }
@@ -163,8 +163,7 @@ func TestSSDLiveDataConsistency(t *testing.T) {
 
 func TestSSDOverfillPanics(t *testing.T) {
 	s := newSSD(t, SSDConfig{
-		Channels: 1, PlanesPerChan: 1, BlocksPerPlane: 4, PagesPerBlock: 2,
-		ReadMS: 0.025, ProgramMS: 0.2, EraseMS: 1.5, GCLowWater: 1,
+		Channels: 1, PlanesPerChan: 1, BlocksPerPlane: 2 * (gcLowWater + 1), PagesPerBlock: 2,
 	})
 	defer func() {
 		if recover() == nil {
@@ -185,7 +184,6 @@ func TestQuickSSDConservation(t *testing.T) {
 		s, err := NewSSD(SSDConfig{
 			Channels: 1 + rng.Intn(2), PlanesPerChan: 1 + rng.Intn(2),
 			BlocksPerPlane: 8, PagesPerBlock: 4,
-			ReadMS: 0.025, ProgramMS: 0.2, EraseMS: 1.5, TransferMS: 0.1, GCLowWater: 2,
 		})
 		if err != nil {
 			return false

@@ -91,6 +91,19 @@ func (m *Mask) Unavailable() int { return m.N - m.Alive }
 // Full reports whether every device is available.
 func (m *Mask) Full() bool { return m.Alive == m.N }
 
+// The detector's fixed thresholds.
+const (
+	// recoverAfter is the consecutive-success streak that moves a Suspect
+	// device back to Healthy (provided its EWMA is below the latency
+	// threshold).
+	recoverAfter = 16
+	// suspectFactor trips the latency detector when the EWMA exceeds
+	// suspectFactor × BaselineMS.
+	suspectFactor = 4
+	// ewmaAlpha is the smoothing factor of the latency EWMA.
+	ewmaAlpha = 0.25
+)
+
 // Config configures a Monitor. The zero value of every optional field
 // selects the documented default.
 type Config struct {
@@ -104,19 +117,10 @@ type Config struct {
 	// FailAfter is the consecutive-error streak that moves a Suspect
 	// device to Failed. Must be >= SuspectAfter. Default 10.
 	FailAfter int
-	// RecoverAfter is the consecutive-success streak that moves a Suspect
-	// device back to Healthy (provided its EWMA is below the latency
-	// threshold). Default 16.
-	RecoverAfter int
 
 	// BaselineMS is the expected per-operation latency; 0 disables the
 	// latency detector (error streaks still work).
 	BaselineMS float64
-	// SuspectFactor trips the latency detector when the EWMA exceeds
-	// SuspectFactor × BaselineMS. Default 4.
-	SuspectFactor float64
-	// EWMAAlpha is the smoothing factor of the latency EWMA. Default 0.25.
-	EWMAAlpha float64
 
 	// MaxUnavailable caps how many devices may leave the mask at once —
 	// both the detector and manual Fail refuse to cross it, because c-1 is
@@ -129,9 +133,6 @@ type Config struct {
 	// zero value disables it (Recover promotes straight to Healthy).
 	Rebuild RebuildConfig
 
-	// OnMaskChange, if set, is called (under the transition lock, new
-	// snapshot already published) whenever the availability mask changes.
-	OnMaskChange func(m *Mask)
 	// OnTransition, if set, is called (under the transition lock) for
 	// every state transition.
 	OnTransition func(dev int, from, to State)
@@ -147,15 +148,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.FailAfter == 0 {
 		c.FailAfter = 10
-	}
-	if c.RecoverAfter == 0 {
-		c.RecoverAfter = 16
-	}
-	if c.SuspectFactor == 0 {
-		c.SuspectFactor = 4
-	}
-	if c.EWMAAlpha == 0 {
-		c.EWMAAlpha = 0.25
 	}
 	if c.MaxUnavailable == 0 {
 		c.MaxUnavailable = c.Devices - 1
@@ -253,7 +245,7 @@ func (m *Monitor) ReportSuccess(d int, latencyMS float64) {
 			m.transition(d, Healthy, Suspect)
 		}
 	case Suspect:
-		if int(oks) >= m.cfg.RecoverAfter && !m.latencySuspect(ew) {
+		if int(oks) >= recoverAfter && !m.latencySuspect(ew) {
 			m.transition(d, Suspect, Healthy)
 		}
 	}
@@ -286,7 +278,7 @@ func (m *Monitor) updateEWMA(dev *device, x float64) float64 {
 		prev := math.Float64frombits(old)
 		next := x
 		if old != 0 {
-			next = m.cfg.EWMAAlpha*x + (1-m.cfg.EWMAAlpha)*prev
+			next = ewmaAlpha*x + (1-ewmaAlpha)*prev
 		}
 		if dev.ewma.CompareAndSwap(old, math.Float64bits(next)) {
 			return next
@@ -295,7 +287,7 @@ func (m *Monitor) updateEWMA(dev *device, x float64) float64 {
 }
 
 func (m *Monitor) latencySuspect(ewma float64) bool {
-	return m.cfg.BaselineMS > 0 && ewma > m.cfg.SuspectFactor*m.cfg.BaselineMS
+	return m.cfg.BaselineMS > 0 && ewma > suspectFactor*m.cfg.BaselineMS
 }
 
 // Fail force-transitions device d to Failed (the FAIL admin command, or an
@@ -398,11 +390,7 @@ func (m *Monitor) transitionLocked(d int, from, to State) {
 		}
 	}
 	if from.available() != to.available() {
-		mask := buildMask(m.devs)
-		m.mask.Store(mask)
-		if m.cfg.OnMaskChange != nil {
-			m.cfg.OnMaskChange(mask)
-		}
+		m.mask.Store(buildMask(m.devs))
 	}
 	if m.cfg.OnTransition != nil {
 		m.cfg.OnTransition(d, from, to)

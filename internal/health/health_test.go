@@ -70,23 +70,26 @@ func TestSuccessStreakResetsErrors(t *testing.T) {
 }
 
 func TestLatencyDetectorSuspectAndRecover(t *testing.T) {
-	m := mustMonitor(t, Config{
-		Devices: 9, BaselineMS: 0.1, SuspectFactor: 4,
-		EWMAAlpha: 0.5, RecoverAfter: 4,
-	})
+	m := mustMonitor(t, Config{Devices: 9, BaselineMS: 0.1})
 	// Sustained 10x latency spikes must trip the EWMA detector.
-	for i := 0; i < 10 && m.State(2) == Healthy; i++ {
+	spikes := 0
+	for ; spikes < 10 && m.State(2) == Healthy; spikes++ {
 		m.ReportSuccess(2, 1.0)
 	}
 	if got := m.State(2); got != Suspect {
 		t.Fatalf("latency spike did not suspect: %v (ewma %g)", got, m.EWMA(2))
 	}
-	// Back to baseline: needs both the EWMA to decay and a success streak.
-	for i := 0; i < 40 && m.State(2) == Suspect; i++ {
+	// Back to baseline: needs both the EWMA to decay below suspectFactor ×
+	// BaselineMS and a streak of recoverAfter successes, spikes included.
+	calm := 0
+	for ; calm < 40 && m.State(2) == Suspect; calm++ {
 		m.ReportSuccess(2, 0.1)
 	}
 	if got := m.State(2); got != Healthy {
 		t.Fatalf("device did not recover from suspect: %v (ewma %g)", got, m.EWMA(2))
+	}
+	if spikes+calm != recoverAfter {
+		t.Fatalf("recovered after %d successes, want the streak of %d", spikes+calm, recoverAfter)
 	}
 }
 
@@ -171,7 +174,6 @@ func TestRebuildFlowAndRateCap(t *testing.T) {
 		NowMS: func() float64 { return now },
 		Rebuild: RebuildConfig{
 			RatePerSec: 1000, // 1 bucket per ms
-			Burst:      2,
 			BucketsOf:  bucketsOf12,
 			Copy:       func(dev, bucket int, kind RebuildKind) { copies = append(copies, kind) },
 		},
@@ -183,8 +185,8 @@ func TestRebuildFlowAndRateCap(t *testing.T) {
 		t.Fatalf("re-protect queue = %d, want 12", pending)
 	}
 	// Rate cap: at t=0 only the burst is available.
-	if n := m.Step(); n != 2 {
-		t.Fatalf("burst step did %d copies, want 2", n)
+	if n := m.Step(); n != rebuildBurst {
+		t.Fatalf("burst step did %d copies, want %d", n, rebuildBurst)
 	}
 	if n := m.Step(); n != 0 {
 		t.Fatalf("no-time step did %d copies, want 0", n)
@@ -197,10 +199,10 @@ func TestRebuildFlowAndRateCap(t *testing.T) {
 		}
 	}
 	// A long idle stretch refills at most the burst — the invariant that
-	// rebuild I/O can never dump more than Burst copies into one step.
+	// rebuild I/O can never dump more than rebuildBurst copies into one step.
 	now = 1e6
-	if n := m.Step(); n != 2 {
-		t.Fatalf("post-idle step did %d copies, want burst=2", n)
+	if n := m.Step(); n != rebuildBurst {
+		t.Fatalf("post-idle step did %d copies, want burst=%d", n, rebuildBurst)
 	}
 	for i := 0; i < 10; i++ {
 		now += 5
@@ -261,7 +263,6 @@ func TestRebuildCopyRunsUnlocked(t *testing.T) {
 		NowMS: func() float64 { return now },
 		Rebuild: RebuildConfig{
 			RatePerSec: 1000,
-			Burst:      4,
 			BucketsOf:  func(dev int) []int { return []int{0, 1} },
 			Copy: func(dev, bucket int, kind RebuildKind) {
 				// Both take the transition lock; with Step still holding it
@@ -274,16 +275,25 @@ func TestRebuildCopyRunsUnlocked(t *testing.T) {
 	if err := m.Fail(3); err != nil {
 		t.Fatal(err)
 	}
-	if n := m.Step(); n != 2 {
-		t.Fatalf("step performed %d copies, want 2", n)
+	// One copy per step and per ms: rebuildBurst is 1 and the rate 1/ms.
+	for i := 0; i < 2; i++ {
+		if n := m.Step(); n != 1 {
+			t.Fatalf("step %d performed %d copies, want 1", i, n)
+		}
+		now++
 	}
 	// The resilver path promotes only after the (unlocked) copies ran.
 	if err := m.Recover(3); err != nil {
 		t.Fatal(err)
 	}
-	now += 10
-	if n := m.Step(); n != 2 {
-		t.Fatalf("resilver step performed %d copies, want 2", n)
+	for i := 0; i < 2; i++ {
+		if got := m.State(3); got != Rebuilding {
+			t.Fatalf("state before resilver copy %d = %v, want rebuilding", i, got)
+		}
+		if n := m.Step(); n != 1 {
+			t.Fatalf("resilver step %d performed %d copies, want 1", i, n)
+		}
+		now++
 	}
 	if got := m.State(3); got != Healthy {
 		t.Fatalf("state after resilver = %v, want healthy", got)
@@ -295,7 +305,7 @@ func TestFailDuringResilverCancelsWork(t *testing.T) {
 	m := mustMonitor(t, Config{
 		Devices: 9, MaxUnavailable: 2,
 		NowMS:   func() float64 { return now },
-		Rebuild: RebuildConfig{RatePerSec: 100, Burst: 1, BucketsOf: bucketsOf12},
+		Rebuild: RebuildConfig{RatePerSec: 100, BucketsOf: bucketsOf12},
 	})
 	if err := m.Fail(3); err != nil {
 		t.Fatal(err)
@@ -315,25 +325,33 @@ func TestFailDuringResilverCancelsWork(t *testing.T) {
 	}
 }
 
-func TestMaskChangeCallbackAndTransitions(t *testing.T) {
-	var maskChanges int
+func TestMaskChangesAndTransitions(t *testing.T) {
 	var seq []State
 	m := mustMonitor(t, Config{
 		Devices: 9, MaxUnavailable: 2,
-		OnMaskChange: func(*Mask) { maskChanges++ },
 		OnTransition: func(dev int, from, to State) { seq = append(seq, to) },
 	})
+	// The mask is a new snapshot exactly when availability changes: fail
+	// and recover publish one each, Suspect keeps the old one.
+	full := m.Mask()
 	m.ReportError(0)
 	m.ReportError(0)
 	m.ReportError(0) // → Suspect (no mask change)
+	if m.Mask() != full {
+		t.Fatal("suspect published a new mask")
+	}
 	if err := m.Fail(0); err != nil {
 		t.Fatal(err)
+	}
+	failed := m.Mask()
+	if failed == full || failed.Has(0) || failed.Alive != 8 {
+		t.Fatalf("fail did not publish a mask without device 0: %+v", failed)
 	}
 	if err := m.Recover(0); err != nil {
 		t.Fatal(err)
 	}
-	if maskChanges != 2 {
-		t.Fatalf("mask changes = %d, want 2 (fail + recover)", maskChanges)
+	if got := m.Mask(); got == failed || !got.Full() {
+		t.Fatalf("recover did not publish a full mask: %+v", got)
 	}
 	want := []State{Suspect, Failed, Healthy}
 	if len(seq) != len(want) {
@@ -371,7 +389,7 @@ func TestConcurrentReportsRace(t *testing.T) {
 	m := mustMonitor(t, Config{
 		Devices: 9, SuspectAfter: 2, FailAfter: 4, MaxUnavailable: 2,
 		BaselineMS: 0.1,
-		Rebuild:    RebuildConfig{RatePerSec: 1e6, Burst: 64, BucketsOf: bucketsOf12},
+		Rebuild:    RebuildConfig{RatePerSec: 1e6, BucketsOf: bucketsOf12},
 	})
 	stop := make(chan struct{})
 	var reporters sync.WaitGroup

@@ -10,19 +10,16 @@ package health
 //     bucket by bucket before it rejoins the retrieval mask.
 //
 // The rate-limit invariant: in any interval of length t the scheduler
-// performs at most Burst + RatePerSec·t/1000 bucket copies. Foreground QoS
-// traffic therefore loses at most that much device time to repair I/O per
-// interval, which keeps the degraded guarantee S' honest — rebuild can be
-// made arbitrarily polite by lowering the rate, at the cost of a longer
-// repair window (the classic MTTR-vs-interference trade-off).
+// performs at most rebuildBurst + RatePerSec·t/1000 bucket copies.
+// Foreground QoS traffic therefore loses at most that much device time to
+// repair I/O per interval, which keeps the degraded guarantee S' honest —
+// rebuild can be made arbitrarily polite by lowering the rate, at the cost
+// of a longer repair window (the classic MTTR-vs-interference trade-off).
 
 // RebuildConfig configures the background re-replication scheduler.
 type RebuildConfig struct {
 	// RatePerSec is the sustained bucket-copy rate; 0 disables rebuild.
 	RatePerSec float64
-	// Burst is the token-bucket depth (max copies in one Step after an
-	// idle stretch). Values < 1 are raised to 1 so progress is possible.
-	Burst float64
 	// BucketsOf returns the design buckets holding a replica on a device;
 	// required when RatePerSec > 0. The slice is read once at enqueue.
 	BucketsOf func(dev int) []int
@@ -32,6 +29,10 @@ type RebuildConfig struct {
 	// stalling detector transitions or mask reads.
 	Copy func(dev, bucket int, kind RebuildKind)
 }
+
+// rebuildBurst is the token-bucket depth: the most copies one Step makes
+// after an idle stretch.
+const rebuildBurst = 1
 
 // RebuildKind distinguishes the two repair flows.
 type RebuildKind int
@@ -61,10 +62,7 @@ type rebuilder struct {
 }
 
 func newRebuilder(cfg RebuildConfig) *rebuilder {
-	if cfg.Burst < 1 {
-		cfg.Burst = 1
-	}
-	return &rebuilder{cfg: cfg, tokens: cfg.Burst}
+	return &rebuilder{cfg: cfg, tokens: rebuildBurst}
 }
 
 // enqueue queues one repair flow for a device.
@@ -101,9 +99,7 @@ func (r *rebuilder) take(nowMS float64) (jobs []rebuildJob, drained []int) {
 	}
 	if dt := nowMS - r.lastMS; dt > 0 {
 		r.tokens += r.cfg.RatePerSec * dt / 1000
-		if r.tokens > r.cfg.Burst {
-			r.tokens = r.cfg.Burst
-		}
+		r.tokens = min(r.tokens, rebuildBurst)
 	}
 	r.lastMS = nowMS
 	for len(r.queue) > 0 && r.tokens >= 1 {

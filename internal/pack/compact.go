@@ -31,7 +31,7 @@ func (s *Store) Compact(dev int) error {
 	if err != nil {
 		return err
 	}
-	return v.compact(s.opts.MaxPayload, s.stop)
+	return v.compact(s.stop)
 }
 
 // CompactAll compacts every volume whose garbage exceeds minGarbage bytes.
@@ -58,7 +58,7 @@ func (s *Store) compactLoop() {
 		case <-s.stop:
 			return
 		case v := <-s.compactq:
-			if err := v.compact(s.opts.MaxPayload, s.stop); err != nil {
+			if err := v.compact(s.stop); err != nil {
 				v.compactFailed.Store(true)
 			}
 		}
@@ -97,7 +97,7 @@ func (v *volume) compactDue() int64 {
 	return v.garbage
 }
 
-func (v *volume) compact(maxPayload int, stop <-chan struct{}) error {
+func (v *volume) compact(stop <-chan struct{}) error {
 	v.compacting.Add(1)
 	defer v.compacting.Add(-1)
 	v.mu.Lock()
@@ -147,7 +147,7 @@ func (v *volume) compact(maxPayload int, stop <-chan struct{}) error {
 		}
 		// A live needle that no longer validates is real corruption, not
 		// garbage — keep the volume as-is and surface it.
-		if _, _, _, err := DecodeNeedle(b, maxPayload); err != nil {
+		if _, _, _, err := DecodeNeedle(b, DefaultMaxPayload); err != nil {
 			return fail(fmt.Errorf("pack: compact %s block %d at %d: %w", filepath.Base(v.path), e.block, e.r.off, err))
 		}
 		if _, err := tmp.WriteAt(b, off); err != nil {

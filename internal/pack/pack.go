@@ -73,9 +73,6 @@ type Options struct {
 	// throwaway test stores). A crash loses unsynced appends — exactly the
 	// data the recovery scan truncates.
 	NoSync bool
-	// MaxPayload caps one needle's payload. Default DefaultMaxPayload
-	// (1 MiB), matching the wire protocol's frame cap.
-	MaxPayload int
 }
 
 func (o *Options) applyDefaults() {
@@ -84,9 +81,6 @@ func (o *Options) applyDefaults() {
 	}
 	if o.SyncBytes <= 0 {
 		o.SyncBytes = DefaultSyncBytes
-	}
-	if o.MaxPayload <= 0 {
-		o.MaxPayload = DefaultMaxPayload
 	}
 }
 
@@ -123,7 +117,7 @@ func Open(dir string, devices int, opts Options) (*Store, error) {
 		stop:     make(chan struct{}),
 	}
 	for d := range s.vols {
-		v, err := openVolume(filepath.Join(dir, fmt.Sprintf("vol-%04d.pack", d)), opts.MaxPayload)
+		v, err := openVolume(filepath.Join(dir, fmt.Sprintf("vol-%04d.pack", d)))
 		if err != nil {
 			for _, prev := range s.vols[:d] {
 				prev.f.Close()
@@ -183,8 +177,8 @@ func (s *Store) PutAll(devs []int, block int64, payload []byte, errs []error) (w
 	for i, dev := range devs {
 		var m mark
 		v, err := s.vol(dev)
-		if err == nil && len(payload) > s.opts.MaxPayload {
-			err = fmt.Errorf("%w (%d > %d bytes)", ErrTooLarge, len(payload), s.opts.MaxPayload)
+		if err == nil && len(payload) > DefaultMaxPayload {
+			err = fmt.Errorf("%w (%d > %d bytes)", ErrTooLarge, len(payload), DefaultMaxPayload)
 		}
 		if err == nil {
 			m.v = v

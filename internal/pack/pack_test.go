@@ -325,15 +325,15 @@ func TestDeviceBounds(t *testing.T) {
 }
 
 func TestPayloadTooLarge(t *testing.T) {
-	s, err := Open(t.TempDir(), 1, Options{NoSync: true, MaxPayload: 128})
+	s, err := Open(t.TempDir(), 1, Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Put(0, 0, make([]byte, 129)); !errors.Is(err, ErrTooLarge) {
+	if err := s.Put(0, 0, make([]byte, DefaultMaxPayload+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized put: err = %v, want ErrTooLarge", err)
 	}
-	if err := s.Put(0, 0, make([]byte, 128)); err != nil {
+	if err := s.Put(0, 0, make([]byte, DefaultMaxPayload)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -47,7 +47,7 @@ type volume struct {
 	syncErr error  // sticky: first fsync failure fails the volume fail-stop
 }
 
-func openVolume(path string, maxPayload int) (*volume, error) {
+func openVolume(path string) (*volume, error) {
 	// A compaction cut short by a crash leaves its temp file behind; the
 	// volume it was rewriting is still whole.
 	if err := os.Remove(path + compactSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -59,7 +59,7 @@ func openVolume(path string, maxPayload int) (*volume, error) {
 	}
 	v := &volume{f: f, path: path, index: make(map[int64]rec)}
 	v.cond = sync.NewCond(&v.sm)
-	if err := v.recover(maxPayload); err != nil {
+	if err := v.recover(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func openVolume(path string, maxPayload int) (*volume, error) {
 // tail of an append cut short by a crash. Every record before the failure
 // point checksummed, so the re-established invariant is: every byte below
 // size belongs to a fully-written needle.
-func (v *volume) recover(maxPayload int) error {
+func (v *volume) recover() error {
 	st, err := v.f.Stat()
 	if err != nil {
 		return fmt.Errorf("pack: %w", err)
@@ -92,7 +92,7 @@ func (v *volume) recover(maxPayload int) error {
 			break
 		}
 		length := binary.LittleEndian.Uint32(hdr[12:16])
-		if length > uint32(maxPayload) {
+		if length > DefaultMaxPayload {
 			break
 		}
 		total := int64(needleHeaderSize) + int64(length)

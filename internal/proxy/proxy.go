@@ -56,8 +56,6 @@ type Options struct {
 	EjectAfter int
 	// ReadTimeout is the per-frame client read deadline (0 = none).
 	ReadTimeout time.Duration
-	// MaxPayloadBytes caps client frame payloads (0 = wire default).
-	MaxPayloadBytes int
 }
 
 // Defaults for Options zero values.
@@ -315,89 +313,6 @@ func (p *Proxy) probe(b *backend) {
 	}
 }
 
-// connWriter serializes response frames onto one client connection.
-// Completions arrive concurrently from every backend pool's demultiplexer,
-// so writes take a mutex; a kick-driven flusher goroutine coalesces each
-// burst of completions into one flush, mirroring BinaryClient's write
-// side.
-type connWriter struct {
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	wr   *wire.Writer
-	err  error
-	kick chan struct{}
-	done chan struct{}
-	once sync.Once
-}
-
-func newConnWriter(conn net.Conn) *connWriter {
-	w := &connWriter{
-		bw:   bufio.NewWriterSize(conn, 32768),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
-	w.wr = wire.NewWriter(w.bw)
-	go w.flusher()
-	return w
-}
-
-func (w *connWriter) flusher() {
-	for {
-		select {
-		case <-w.done:
-			return
-		case <-w.kick:
-			w.mu.Lock()
-			if w.err == nil {
-				w.err = w.bw.Flush()
-			}
-			w.mu.Unlock()
-		}
-	}
-}
-
-func (w *connWriter) kickFlush() {
-	select {
-	case w.kick <- struct{}{}:
-	default:
-	}
-}
-
-func (w *connWriter) stop() { w.once.Do(func() { close(w.done) }) }
-
-func (w *connWriter) failed() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err != nil
-}
-
-func (w *connWriter) writeFrame(h wire.Header, payload []byte) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = w.wr.WriteFrame(h, payload)
-	}
-	w.mu.Unlock()
-	w.kickFlush()
-}
-
-func (w *connWriter) writeOutcome(h wire.Header, o wire.Outcome) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = w.wr.WriteOutcome(h, o)
-	}
-	w.mu.Unlock()
-	w.kickFlush()
-}
-
-func (w *connWriter) writeError(h wire.Header, msg string) {
-	w.mu.Lock()
-	if w.err == nil {
-		w.err = w.wr.WriteError(h, msg)
-	}
-	w.mu.Unlock()
-	w.kickFlush()
-}
-
 // call runs one synchronous round trip on a pooled client and unwraps
 // error frames. The response payload is copied out of the demultiplexer
 // into dst's backing (grown as needed; pass nil for a fresh allocation),
@@ -422,9 +337,10 @@ func call(c *qosnet.BinaryClient, op uint8, payload, dst []byte) ([]byte, error)
 // handle serves one client connection.
 func (p *Proxy) handle(conn net.Conn) {
 	defer conn.Close()
-	rd := wire.NewReader(bufio.NewReaderSize(conn, 32768), p.opts.MaxPayloadBytes)
-	w := newConnWriter(conn)
-	defer w.stop()
+	rd := wire.NewReader(bufio.NewReaderSize(conn, 32768), wire.DefaultMaxPayload)
+	done := make(chan struct{})
+	defer close(done)
+	w := qosnet.NewFrameWriter(conn, done)
 	for {
 		if p.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(p.opts.ReadTimeout))
@@ -433,7 +349,7 @@ func (p *Proxy) handle(conn net.Conn) {
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
-				w.writeError(wire.Header{}, err.Error())
+				w.WriteError(wire.Header{}, err.Error())
 			}
 			return
 		}
@@ -463,10 +379,10 @@ func (p *Proxy) handle(conn net.Conn) {
 		case wire.OpQuit:
 			return
 		default:
-			w.writeError(wire.Header{Opcode: h.Opcode, ID: h.ID},
+			w.WriteError(wire.Header{Opcode: h.Opcode, ID: h.ID},
 				"unknown opcode "+strconv.Itoa(int(h.Opcode)))
 		}
-		if w.failed() {
+		if w.Err() != nil {
 			return
 		}
 	}
@@ -479,7 +395,7 @@ func (p *Proxy) handle(conn net.Conn) {
 // forwarded with its flag and payload unchanged — the backend owns tenant
 // validation and answers an unknown index with the error frame relayed
 // below — the proxy only decodes the block id to route.
-func (p *Proxy) forwardSubmit(w *connWriter, h wire.Header, payload []byte) {
+func (p *Proxy) forwardSubmit(w *qosnet.FrameWriter, h wire.Header, payload []byte) {
 	resp := wire.Header{Opcode: h.Opcode, ID: h.ID}
 	var (
 		block int64
@@ -492,12 +408,12 @@ func (p *Proxy) forwardSubmit(w *connWriter, h wire.Header, payload []byte) {
 		block, err = wire.ParseBlock(payload)
 	}
 	if err != nil {
-		w.writeError(resp, "bad block payload")
+		w.WriteError(resp, "bad block payload")
 		return
 	}
 	b := p.route(block)
 	if !b.up.Load() {
-		w.writeError(resp, "backend down: "+b.addr)
+		w.WriteError(resp, "backend down: "+b.addr)
 		return
 	}
 	off := int32(b.offset)
@@ -506,22 +422,22 @@ func (p *Proxy) forwardSubmit(w *connWriter, h wire.Header, payload []byte) {
 	b.client().CallFlags(h.Opcode, flags, payload,
 		func(rh wire.Header, rp []byte, rerr error) {
 			if rerr != nil {
-				w.writeError(resp, rerr.Error())
+				w.WriteError(resp, rerr.Error())
 				return
 			}
 			if rh.Flags&wire.FlagError != 0 {
-				w.writeError(resp, string(rp))
+				w.WriteError(resp, string(rp))
 				return
 			}
 			o, _, perr := wire.ParseOutcome(rp)
 			if perr != nil {
-				w.writeError(resp, "bad backend outcome")
+				w.WriteError(resp, "bad backend outcome")
 				return
 			}
 			if o.Device >= 0 {
 				o.Device += off
 			}
-			w.writeOutcome(resp, o)
+			w.WriteOutcome(resp, o)
 		})
 }
 
@@ -535,7 +451,7 @@ func (p *Proxy) forwardSubmit(w *connWriter, h wire.Header, payload []byte) {
 // payload into its write buffer before returning and the connection
 // writer copies the response payload likewise, so the scratch can go back
 // to the pool as soon as this function returns.
-func (p *Proxy) forwardBatch(w *connWriter, h wire.Header, payload []byte) {
+func (p *Proxy) forwardBatch(w *qosnet.FrameWriter, h wire.Header, payload []byte) {
 	resp := wire.Header{Opcode: wire.OpBatch, ID: h.ID}
 	sc := batchPool.Get().(*batchScratch)
 	defer batchPool.Put(sc)
@@ -544,7 +460,7 @@ func (p *Proxy) forwardBatch(w *connWriter, h wire.Header, payload []byte) {
 		sc.blocks = blocks
 	}
 	if err != nil {
-		w.writeError(resp, "bad batch payload")
+		w.WriteError(resp, "bad batch payload")
 		return
 	}
 	splitBatch(blocks, len(p.backends), sc)
@@ -591,41 +507,41 @@ func (p *Proxy) forwardBatch(w *connWriter, h wire.Header, payload []byte) {
 	}
 	wg.Wait()
 	if ferr != nil {
-		w.writeError(resp, ferr.Error())
+		w.WriteError(resp, ferr.Error())
 		return
 	}
 	sc.resp = wire.AppendBatchResp(sc.resp[:0], outs)
-	w.writeFrame(resp, sc.resp)
+	w.WriteFrame(resp, sc.resp)
 }
 
 // forwardMap routes a MAP to the owning backend and globalizes the replica
 // device ids.
-func (p *Proxy) forwardMap(w *connWriter, h wire.Header, payload []byte) {
+func (p *Proxy) forwardMap(w *qosnet.FrameWriter, h wire.Header, payload []byte) {
 	resp := wire.Header{Opcode: wire.OpMap, ID: h.ID}
 	block, err := wire.ParseBlock(payload)
 	if err != nil {
-		w.writeError(resp, "bad block payload")
+		w.WriteError(resp, "bad block payload")
 		return
 	}
 	b := p.route(block)
 	if !b.up.Load() {
-		w.writeError(resp, "backend down: "+b.addr)
+		w.WriteError(resp, "backend down: "+b.addr)
 		return
 	}
 	rp, err := call(b.client(), wire.OpMap, wire.AppendBlock(nil, block), nil)
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
 	m, err := wire.ParseMapResp(rp)
 	if err != nil {
-		w.writeError(resp, "bad backend map response")
+		w.WriteError(resp, "bad backend map response")
 		return
 	}
 	for i := range m.Devices {
 		m.Devices[i] += int32(b.offset)
 	}
-	w.writeFrame(resp, wire.AppendMapResp(nil, m))
+	w.WriteFrame(resp, wire.AppendMapResp(nil, m))
 }
 
 // upBackends snapshots the live backends.
@@ -662,23 +578,23 @@ func (p *Proxy) gatherStats() (wire.Stats, error) {
 	return agg, nil
 }
 
-func (p *Proxy) aggregateStats(w *connWriter, h wire.Header) {
+func (p *Proxy) aggregateStats(w *qosnet.FrameWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpStats, ID: h.ID}
 	agg, err := p.gatherStats()
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
-	w.writeFrame(resp, wire.AppendStats(nil, agg))
+	w.WriteFrame(resp, wire.AppendStats(nil, agg))
 }
 
 // metrics renders the proxy-level exposition: topology and liveness
 // gauges plus the aggregated request counters.
-func (p *Proxy) metrics(w *connWriter, h wire.Header) {
+func (p *Proxy) metrics(w *qosnet.FrameWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpMetrics, ID: h.ID}
 	agg, err := p.gatherStats()
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
 	buf := make([]byte, 0, 512)
@@ -729,39 +645,39 @@ func (p *Proxy) metrics(w *connWriter, h wire.Header) {
 		appendSeries("flashqos_proxy_tenant_rejected_total", func(e wire.TenantEntry) int64 { return e.Rejected })
 		appendSeries("flashqos_proxy_tenant_over_limit_total", func(e wire.TenantEntry) int64 { return e.OverLimit })
 	}
-	w.writeFrame(resp, buf)
+	w.WriteFrame(resp, buf)
 }
 
 // forwardAdmin routes FAIL/RECOVER by global device id and passes the
 // owning backend's response through.
-func (p *Proxy) forwardAdmin(w *connWriter, h wire.Header, payload []byte) {
+func (p *Proxy) forwardAdmin(w *qosnet.FrameWriter, h wire.Header, payload []byte) {
 	resp := wire.Header{Opcode: h.Opcode, ID: h.ID}
 	dev, err := wire.ParseDevice(payload)
 	if err != nil {
-		w.writeError(resp, "bad device payload")
+		w.WriteError(resp, "bad device payload")
 		return
 	}
 	b, local, ok := p.deviceBackend(int(dev))
 	if !ok {
-		w.writeError(resp, "bad device "+strconv.Itoa(int(dev)))
+		w.WriteError(resp, "bad device "+strconv.Itoa(int(dev)))
 		return
 	}
 	if !b.up.Load() {
-		w.writeError(resp, "backend down: "+b.addr)
+		w.WriteError(resp, "backend down: "+b.addr)
 		return
 	}
 	rp, err := call(b.client(), h.Opcode, wire.AppendDevice(nil, uint32(local)), nil)
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
-	w.writeFrame(resp, rp)
+	w.WriteFrame(resp, rp)
 }
 
 // aggregateHealth merges every backend's HEALTH report into the global
 // device numbering. Ejected backends contribute their configured device
 // count as unreachable devices, so the summary degrades instead of lying.
-func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
+func (p *Proxy) aggregateHealth(w *qosnet.FrameWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpHealth, ID: h.ID}
 	reports, err := fanOut(p.backends, func(b *backend) (*wire.Health, error) {
 		if !b.up.Load() {
@@ -771,7 +687,7 @@ func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
 		return &hs, err
 	})
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
 	var agg wire.Health
@@ -796,23 +712,23 @@ func (p *Proxy) aggregateHealth(w *connWriter, h wire.Header) {
 			agg.States = append(agg.States, d)
 		}
 	}
-	w.writeFrame(resp, wire.AppendHealth(nil, agg))
+	w.WriteFrame(resp, wire.AppendHealth(nil, agg))
 }
 
 // aggregateShardStats concatenates the per-shard gauges of every live
 // backend in backend order.
-func (p *Proxy) aggregateShardStats(w *connWriter, h wire.Header) {
+func (p *Proxy) aggregateShardStats(w *qosnet.FrameWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpShardStats, ID: h.ID}
 	parts, err := fanOut(p.upBackends(), func(b *backend) ([]wire.ShardGauge, error) {
 		return b.client().ShardStats()
 	})
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
 	var all []wire.ShardGauge
 	for _, gs := range parts {
 		all = append(all, gs...)
 	}
-	w.writeFrame(resp, wire.AppendShardStats(nil, all))
+	w.WriteFrame(resp, wire.AppendShardStats(nil, all))
 }

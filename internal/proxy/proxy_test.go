@@ -13,7 +13,7 @@ import (
 
 // startBackend runs one in-process qosd-shaped backend: a single-shard
 // (9,3,1) array with a health monitor, served over the binary protocol.
-func startBackend(t *testing.T) (*qosnet.Server, string) {
+func startBackend(t testing.TB) (*qosnet.Server, string) {
 	t.Helper()
 	arr, err := shard.New(1, core.Config{N: 9, C: 3, M: 1})
 	if err != nil {
@@ -34,7 +34,7 @@ func startBackend(t *testing.T) (*qosnet.Server, string) {
 }
 
 // startProxy fronts the given backends and returns a connected client.
-func startProxy(t *testing.T, opts Options, addrs ...string) (*Proxy, *qosnet.BinaryClient) {
+func startProxy(t testing.TB, opts Options, addrs ...string) (*Proxy, *qosnet.BinaryClient) {
 	t.Helper()
 	p, err := New(addrs, opts)
 	if err != nil {
@@ -270,5 +270,29 @@ func TestProxyBackendEjection(t *testing.T) {
 	}
 	if !strings.Contains(m, "\"} 0\n") {
 		t.Errorf("METRICS missing a backend_up 0 gauge:\n%s", m)
+	}
+}
+
+// BenchmarkProxyForward measures the router tier's hot path: pipelined
+// READs from one client through an in-process proxy to one backend, 64 in
+// flight at a time. Each op is one READ forwarded, admitted and answered
+// back through the proxy's response writer.
+func BenchmarkProxyForward(b *testing.B) {
+	_, addr := startBackend(b)
+	_, c := startProxy(b, Options{ProbeInterval: -1}, addr)
+	const window = 64
+	inflight := make([]<-chan qosnet.SubmitResult, 0, window)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		inflight = append(inflight, c.SubmitAsync(int64(i)))
+		if len(inflight) == window || i == b.N-1 {
+			for _, ch := range inflight {
+				if r := <-ch; r.Err != nil {
+					b.Fatal(r.Err)
+				}
+			}
+			inflight = inflight[:0]
+		}
 	}
 }

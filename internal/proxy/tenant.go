@@ -4,6 +4,7 @@ import (
 	"errors"
 	"sync"
 
+	"flashqos/internal/qosnet"
 	"flashqos/internal/wire"
 )
 
@@ -56,48 +57,48 @@ func fanOut[T any](bs []*backend, fn func(*backend) (T, error)) ([]T, error) {
 // demands they agree on every index — 0 (unknown) included — before
 // answering, so a client-cached index means the same tenant on whichever
 // backend a block routes to.
-func (p *Proxy) forwardTenantHello(w *connWriter, h wire.Header, payload []byte) {
+func (p *Proxy) forwardTenantHello(w *qosnet.FrameWriter, h wire.Header, payload []byte) {
 	resp := wire.Header{Opcode: wire.OpTenantHello, ID: h.ID}
 	names, err := wire.ParseTenantHelloReq(payload)
 	if err != nil {
-		w.writeError(resp, "bad tenant hello payload")
+		w.WriteError(resp, "bad tenant hello payload")
 		return
 	}
 	bs := p.upBackends()
 	if len(bs) == 0 {
-		w.writeError(resp, errNoBackends.Error())
+		w.WriteError(resp, errNoBackends.Error())
 		return
 	}
 	res, err := fanOut(bs, func(b *backend) ([]int32, error) {
 		return b.client().TenantHello(names)
 	})
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
 	for _, idx := range res[1:] {
 		for j := range idx {
 			if idx[j] != res[0][j] {
-				w.writeError(resp, "tenant index mismatch across backends for "+names[j])
+				w.WriteError(resp, "tenant index mismatch across backends for "+names[j])
 				return
 			}
 		}
 	}
-	w.writeFrame(resp, wire.AppendTenantHelloResp(nil, res[0]))
+	w.WriteFrame(resp, wire.AppendTenantHelloResp(nil, res[0]))
 }
 
 // forwardTenant broadcasts SET/DEL to every live backend and serves GET
 // from the merged per-backend gauges.
-func (p *Proxy) forwardTenant(w *connWriter, h wire.Header, payload []byte) {
+func (p *Proxy) forwardTenant(w *qosnet.FrameWriter, h wire.Header, payload []byte) {
 	resp := wire.Header{Opcode: wire.OpTenant, ID: h.ID}
 	cmd, spec, err := wire.ParseTenantReq(payload)
 	if err != nil {
-		w.writeError(resp, "bad tenant payload")
+		w.WriteError(resp, "bad tenant payload")
 		return
 	}
 	bs := p.upBackends()
 	if len(bs) == 0 {
-		w.writeError(resp, errNoBackends.Error())
+		w.WriteError(resp, errNoBackends.Error())
 		return
 	}
 	switch cmd {
@@ -106,30 +107,30 @@ func (p *Proxy) forwardTenant(w *connWriter, h wire.Header, payload []byte) {
 			return b.client().TenantSet(spec)
 		})
 		if err != nil {
-			w.writeError(resp, err.Error())
+			w.WriteError(resp, err.Error())
 			return
 		}
 		for _, idx := range idxs[1:] {
 			if idx != idxs[0] {
-				w.writeError(resp, "tenant index mismatch across backends for "+spec.Name)
+				w.WriteError(resp, "tenant index mismatch across backends for "+spec.Name)
 				return
 			}
 		}
-		w.writeFrame(resp, wire.AppendInt32(nil, idxs[0]))
+		w.WriteFrame(resp, wire.AppendInt32(nil, idxs[0]))
 	case wire.TenantCmdDel:
 		if _, err := fanOut(bs, func(b *backend) (struct{}, error) {
 			return struct{}{}, b.client().TenantDel(spec.Name)
 		}); err != nil {
-			w.writeError(resp, err.Error())
+			w.WriteError(resp, err.Error())
 			return
 		}
-		w.writeFrame(resp, nil)
+		w.WriteFrame(resp, nil)
 	case wire.TenantCmdGet:
 		entries, err := fanOut(bs, func(b *backend) (wire.TenantEntry, error) {
 			return b.client().TenantGet(spec.Name)
 		})
 		if err != nil {
-			w.writeError(resp, err.Error())
+			w.WriteError(resp, err.Error())
 			return
 		}
 		agg := entries[0]
@@ -139,7 +140,7 @@ func (p *Proxy) forwardTenant(w *connWriter, h wire.Header, payload []byte) {
 			agg.OverLimit += e.OverLimit
 			agg.Deficit += e.Deficit
 		}
-		w.writeFrame(resp, wire.AppendTenantStats(nil, []wire.TenantEntry{agg}))
+		w.WriteFrame(resp, wire.AppendTenantStats(nil, []wire.TenantEntry{agg}))
 	}
 }
 
@@ -176,12 +177,12 @@ func (p *Proxy) gatherTenantStats() ([]wire.TenantEntry, error) {
 	return merged, nil
 }
 
-func (p *Proxy) aggregateTenantStats(w *connWriter, h wire.Header) {
+func (p *Proxy) aggregateTenantStats(w *qosnet.FrameWriter, h wire.Header) {
 	resp := wire.Header{Opcode: wire.OpTenantStats, ID: h.ID}
 	merged, err := p.gatherTenantStats()
 	if err != nil {
-		w.writeError(resp, err.Error())
+		w.WriteError(resp, err.Error())
 		return
 	}
-	w.writeFrame(resp, wire.AppendTenantStats(nil, merged))
+	w.WriteFrame(resp, wire.AppendTenantStats(nil, merged))
 }

@@ -408,7 +408,7 @@ func (c *session) health() []byte {
 // syscall, grouped by shard — request IDs are echoed on every response,
 // so the protocol permits the reordering (BinaryClient demuxes by ID).
 func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
-	rd := wire.NewReader(r, s.opts.MaxPayloadBytes)
+	rd := wire.NewReader(r, wire.DefaultMaxPayload)
 	c := s.newSession(st)
 	for {
 		if s.opts.ReadTimeout > 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -33,20 +34,101 @@ type SubmitResult struct {
 	Err error
 }
 
+// FrameWriter serializes frames onto one connection from any number of
+// goroutines: BinaryClient's requests, and the proxy's responses, which
+// arrive from every backend's demultiplexer. A write lands in the buffer
+// under a mutex and kicks a flusher goroutine; the kick channel holds one
+// token, so a burst of writes between wakeups coalesces into one flush —
+// one write syscall per burst, not one per frame. The first write or flush
+// error is sticky: every later write returns it and writes nothing.
+type FrameWriter struct {
+	mu   sync.Mutex
+	bw   *bufio.Writer
+	wr   *wire.Writer
+	err  error
+	kick chan struct{}
+}
+
+// NewFrameWriter starts a FrameWriter over w whose flusher runs until done
+// is closed.
+func NewFrameWriter(w io.Writer, done <-chan struct{}) *FrameWriter {
+	fw := &FrameWriter{bw: bufio.NewWriterSize(w, connReadBuf), kick: make(chan struct{}, 1)}
+	fw.wr = wire.NewWriter(fw.bw)
+	go fw.flusher(done)
+	return fw
+}
+
+func (fw *FrameWriter) flusher(done <-chan struct{}) {
+	for {
+		select {
+		case <-done:
+			return
+		case <-fw.kick:
+			fw.Flush()
+		}
+	}
+}
+
+// Flush writes out the buffered frames now and returns the sticky error.
+func (fw *FrameWriter) Flush() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	if fw.err == nil {
+		fw.err = fw.bw.Flush()
+	}
+	return fw.err
+}
+
+// Err returns the sticky error, nil while every write has succeeded.
+func (fw *FrameWriter) Err() error {
+	fw.mu.Lock()
+	defer fw.mu.Unlock()
+	return fw.err
+}
+
+// write runs one frame encoder under the lock unless a write has already
+// failed, then wakes the flusher.
+func (fw *FrameWriter) write(frame func(*wire.Writer) error) error {
+	fw.mu.Lock()
+	if fw.err == nil {
+		fw.err = frame(fw.wr)
+	}
+	err := fw.err
+	fw.mu.Unlock()
+	if err == nil {
+		select {
+		case fw.kick <- struct{}{}:
+		default:
+		}
+	}
+	return err
+}
+
+// WriteFrame buffers one frame; see wire.Writer.WriteFrame.
+func (fw *FrameWriter) WriteFrame(h wire.Header, payload []byte) error {
+	return fw.write(func(wr *wire.Writer) error { return wr.WriteFrame(h, payload) })
+}
+
+// WriteOutcome buffers one outcome frame; see wire.Writer.WriteOutcome.
+func (fw *FrameWriter) WriteOutcome(h wire.Header, o wire.Outcome) error {
+	return fw.write(func(wr *wire.Writer) error { return wr.WriteOutcome(h, o) })
+}
+
+// WriteError buffers one error frame; see wire.Writer.WriteError.
+func (fw *FrameWriter) WriteError(h wire.Header, msg string) error {
+	return fw.write(func(wr *wire.Writer) error { return wr.WriteError(h, msg) })
+}
+
 // BinaryClient speaks the framed binary protocol over one connection with
 // arbitrarily deep pipelining: SubmitAsync enqueues a request and returns a
 // channel, a demultiplexer goroutine routes completions back by request
-// ID, and a flusher goroutine batches the pending writes into few
-// syscalls. All methods are safe for concurrent use; the synchronous
-// verbs (Read, Stats, Health, ...) are thin wrappers that wait for their
-// own completion and may interleave with async traffic.
+// ID, and a FrameWriter batches the pending writes into few syscalls. All
+// methods are safe for concurrent use; the synchronous verbs (Read, Stats,
+// Health, ...) are thin wrappers that wait for their own completion and
+// may interleave with async traffic.
 type BinaryClient struct {
 	conn net.Conn
-
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	wr   *wire.Writer
-	werr error
+	w    *FrameWriter
 
 	nextID atomic.Uint64
 
@@ -54,7 +136,6 @@ type BinaryClient struct {
 	pending map[uint64]func(h wire.Header, payload []byte, err error)
 	failed  error // terminal demux error; set once under pmu
 
-	kick chan struct{}
 	done chan struct{}
 	once sync.Once
 }
@@ -73,14 +154,11 @@ func DialBinary(addr string) (*BinaryClient, error) {
 func NewBinaryClient(conn net.Conn) *BinaryClient {
 	c := &BinaryClient{
 		conn:    conn,
-		bw:      bufio.NewWriterSize(conn, connReadBuf),
 		pending: make(map[uint64]func(wire.Header, []byte, error)),
-		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
-	c.wr = wire.NewWriter(c.bw)
+	c.w = NewFrameWriter(conn, c.done)
 	go c.demux()
-	go c.flusher()
 	return c
 }
 
@@ -132,34 +210,6 @@ func (c *BinaryClient) Err() error {
 // Done is closed when the connection dies or Close is called.
 func (c *BinaryClient) Done() <-chan struct{} { return c.done }
 
-// flusher drains buffered writes after each enqueue kick. Because the
-// kick channel has capacity one, a burst of enqueues between wakeups
-// coalesces into a single flush — pipelined submissions cost one write
-// syscall per burst, not one per request.
-func (c *BinaryClient) flusher() {
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-c.kick:
-			c.wmu.Lock()
-			if c.werr == nil {
-				if err := c.bw.Flush(); err != nil {
-					c.werr = err
-				}
-			}
-			c.wmu.Unlock()
-		}
-	}
-}
-
-func (c *BinaryClient) kickFlush() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
-}
-
 // call registers cb for request id and frames the request; the payload
 // bytes are copied into the write buffer before call returns. cb runs
 // exactly once: on the demultiplexer goroutine with the response header
@@ -176,15 +226,7 @@ func (c *BinaryClient) call(id uint64, op, flags uint8, payload []byte, cb func(
 		cb(wire.Header{}, nil, err)
 		return
 	}
-	c.wmu.Lock()
-	if err = c.werr; err == nil {
-		if err = c.wr.WriteFrame(wire.Header{Opcode: op, Flags: flags, ID: id}, payload); err != nil {
-			c.werr = err
-		}
-	}
-	c.wmu.Unlock()
-	if err == nil {
-		c.kickFlush()
+	if err = c.w.WriteFrame(wire.Header{Opcode: op, Flags: flags, ID: id}, payload); err == nil {
 		return
 	}
 	// Withdraw the registration — unless a failing demultiplexer has
@@ -201,12 +243,8 @@ func (c *BinaryClient) call(id uint64, op, flags uint8, payload []byte, cb func(
 // Close sends OpQuit and closes the connection. In-flight requests
 // complete with a connection-lost error.
 func (c *BinaryClient) Close() error {
-	c.wmu.Lock()
-	if c.werr == nil {
-		c.wr.WriteFrame(wire.Header{Opcode: wire.OpQuit, ID: c.nextID.Add(1)}, nil)
-		c.bw.Flush()
-	}
-	c.wmu.Unlock()
+	c.w.WriteFrame(wire.Header{Opcode: wire.OpQuit, ID: c.nextID.Add(1)}, nil)
+	c.w.Flush()
 	c.once.Do(func() { close(c.done) })
 	return c.conn.Close()
 }

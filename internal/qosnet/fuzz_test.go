@@ -256,9 +256,8 @@ func FuzzHandleBinary(f *testing.F) {
 			t.Fatal(err)
 		}
 		srv := newTestServer(t, sys, Options{
-			ReadTimeout:     2 * time.Second,
-			MaxPayloadBytes: 1 << 16,
-			Proto:           ProtoBinary,
+			ReadTimeout: 2 * time.Second,
+			Proto:       ProtoBinary,
 		})
 		client, server := net.Pipe()
 		defer client.Close()
@@ -338,9 +337,8 @@ func FuzzHandleTenant(f *testing.F) {
 			t.Fatal(err)
 		}
 		srv := newTestServer(t, sys, Options{
-			ReadTimeout:     2 * time.Second,
-			MaxPayloadBytes: 1 << 16,
-			Proto:           ProtoBinary,
+			ReadTimeout: 2 * time.Second,
+			Proto:       ProtoBinary,
 		})
 		if _, err := srv.arr.TenantSet(admission.TenantSpec{Name: "alpha", Reserve: 3, Limit: 8, Weight: 1}); err != nil {
 			t.Fatal(err)

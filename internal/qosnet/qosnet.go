@@ -144,8 +144,10 @@ const (
 
 // Options configures the server's backpressure and robustness controls.
 // The zero value means: unlimited connections, no read deadline,
-// DefaultMaxLineBytes per request line, wire.DefaultMaxPayload per binary
-// frame, and both protocols enabled.
+// DefaultMaxLineBytes per request line, and both protocols enabled. A
+// binary frame announcing more than wire.DefaultMaxPayload bytes is a
+// protocol violation: the stream cannot be resynchronized, so the
+// connection is closed after an error frame.
 type Options struct {
 	// MaxConns caps concurrent connections; excess connections are sent
 	// "ERR server busy" and closed. 0 means unlimited.
@@ -162,11 +164,6 @@ type Options struct {
 	// line spans multiple bufio fills (bufio.ErrBufferFull). 0 means
 	// DefaultMaxLineBytes.
 	MaxLineBytes int
-	// MaxPayloadBytes caps a binary frame's payload length. A frame
-	// announcing more is a protocol violation: the stream cannot be
-	// resynchronized, so the connection is closed after an error frame.
-	// 0 means wire.DefaultMaxPayload.
-	MaxPayloadBytes int
 	// Proto restricts the accepted protocols (default ProtoBoth).
 	Proto Proto
 	// Store attaches a payload engine (internal/pack) behind the QoS

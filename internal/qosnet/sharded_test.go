@@ -8,6 +8,7 @@ import (
 	"flashqos/internal/core"
 	"flashqos/internal/design"
 	"flashqos/internal/health"
+	"flashqos/internal/sampling"
 	"flashqos/internal/shard"
 )
 
@@ -130,7 +131,16 @@ func TestShardedServerMetrics(t *testing.T) {
 // reports one probability per shard, the value the shard's live controller
 // publishes. On a deterministic server every shard reports exactly 0.
 func TestShardedServerShardQ(t *testing.T) {
-	arr, err := shard.New(2, core.Config{Design: design.Paper931(), Epsilon: 0.05, SampleTrials: 500})
+	// Inject the P_k table shard 0 would sample, at a test-sized 500 trials.
+	base, err := core.New(core.Config{Design: design.Paper931()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := sampling.Estimate(base.Allocator(), sampling.Options{MaxK: 2*base.Design().N + base.S(), Trials: 500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr, err := shard.New(2, core.Config{Design: design.Paper931(), Epsilon: 0.05, Table: tab})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,19 +17,6 @@ type HeteroResult struct {
 	Assignment []int   // Assignment[i] = device retrieving block i
 }
 
-// MinResponseTime computes the minimal-makespan retrieval of the given
-// blocks when device d takes svc[d] per block. replicas[i] lists the
-// devices holding block i. Panics on invalid input (empty replica lists,
-// non-positive service times).
-//
-// This is a convenience wrapper that builds a throwaway Scheduler per
-// call; hot paths should hold a Scheduler and call
-// Scheduler.MinResponseTime to reuse the feasibility network across the
-// makespan binary search and across requests.
-func MinResponseTime(replicas [][]int, svc []float64) HeteroResult {
-	return NewScheduler().MinResponseTime(replicas, svc)
-}
-
 func dedupFloats(xs []float64) []float64 {
 	out := xs[:0]
 	for i, x := range xs {

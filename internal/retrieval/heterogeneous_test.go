@@ -7,12 +7,18 @@ import (
 	"testing/quick"
 )
 
+// minResponseTime solves on a fresh Scheduler, so no case shares scratch
+// with another.
+func minResponseTime(replicas [][]int, svc []float64) HeteroResult {
+	return NewScheduler().MinResponseTime(replicas, svc)
+}
+
 func TestHeteroEmptyAndSingle(t *testing.T) {
-	r := MinResponseTime(nil, []float64{1, 1})
+	r := minResponseTime(nil, []float64{1, 1})
 	if r.Makespan != 0 || len(r.Assignment) != 0 {
 		t.Error("empty request should have zero makespan")
 	}
-	r = MinResponseTime([][]int{{1}}, []float64{1, 2})
+	r = minResponseTime([][]int{{1}}, []float64{1, 2})
 	if r.Makespan != 2 || r.Assignment[0] != 1 {
 		t.Errorf("single block on device 1: %+v", r)
 	}
@@ -29,7 +35,7 @@ func TestHeteroUniformMatchesHomogeneous(t *testing.T) {
 			perm := rng.Perm(9)
 			replicas[i] = perm[:3]
 		}
-		h := MinResponseTime(replicas, svc)
+		h := minResponseTime(replicas, svc)
 		o := Optimal(replicas, 9)
 		if math.Abs(h.Makespan-float64(o.Accesses)) > 1e-9 {
 			t.Fatalf("uniform: makespan %g != optimal accesses %d", h.Makespan, o.Accesses)
@@ -42,7 +48,7 @@ func TestHeteroPrefersFastDevice(t *testing.T) {
 	// at most one block on the slow device (makespan 4 vs 2 if two go fast).
 	replicas := [][]int{{0, 1}, {0, 1}, {0, 1}}
 	svc := []float64{4, 1}
-	r := MinResponseTime(replicas, svc)
+	r := minResponseTime(replicas, svc)
 	// Best: all three on device 1 → 3; or split 1 slow + 2 fast → max(4,2)=4.
 	if r.Makespan != 3 {
 		t.Errorf("makespan %g, want 3 (all on the fast device)", r.Makespan)
@@ -58,7 +64,7 @@ func TestHeteroDegradedModule(t *testing.T) {
 	// A module degraded by GC (2x service) shifts load to its partners.
 	svc := []float64{1, 1, 2}
 	replicas := [][]int{{0, 2}, {1, 2}, {2, 0}, {2, 1}}
-	r := MinResponseTime(replicas, svc)
+	r := minResponseTime(replicas, svc)
 	// Feasible at makespan 2: devices 0,1 take two blocks each... blocks:
 	// {0,2},{1,2},{2,0},{2,1} → 0 gets blocks 0,2; 1 gets 1,3; dev2 idle →
 	// makespan 2.
@@ -69,9 +75,9 @@ func TestHeteroDegradedModule(t *testing.T) {
 
 func TestHeteroPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { MinResponseTime([][]int{{0}}, []float64{0}) },
-		func() { MinResponseTime([][]int{{}}, []float64{1}) },
-		func() { MinResponseTime([][]int{{3}}, []float64{1, 1}) },
+		func() { minResponseTime([][]int{{0}}, []float64{0}) },
+		func() { minResponseTime([][]int{{}}, []float64{1}) },
+		func() { minResponseTime([][]int{{3}}, []float64{1, 1}) },
 	} {
 		func() {
 			defer func() {
@@ -102,7 +108,7 @@ func TestQuickHeteroOptimality(t *testing.T) {
 			perm := rng.Perm(n)
 			replicas[i] = perm[:c]
 		}
-		r := MinResponseTime(replicas, svc)
+		r := minResponseTime(replicas, svc)
 		// Feasibility.
 		load := make([]int, n)
 		for i, d := range r.Assignment {
@@ -165,6 +171,6 @@ func BenchmarkHetero27(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MinResponseTime(replicas, svc)
+		minResponseTime(replicas, svc)
 	}
 }

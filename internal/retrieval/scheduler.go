@@ -83,10 +83,12 @@ func (s *Scheduler) Optimal(replicas [][]int, n int) Result {
 	return Result{Accesses: m, Assignment: a}
 }
 
-// MinResponseTime computes the minimal-makespan retrieval on heterogeneous
-// devices using the Scheduler's scratch and solver. Semantics match the
-// package-level MinResponseTime; the returned assignment is valid only
-// until the next call.
+// MinResponseTime computes the minimal-makespan retrieval of the given
+// blocks when device d takes svc[d] per block, reusing the Scheduler's
+// feasibility network across the makespan search. replicas[i] lists the
+// devices holding block i. Panics on invalid input (empty replica lists,
+// non-positive service times). The returned assignment is valid only until
+// the next call.
 func (s *Scheduler) MinResponseTime(replicas [][]int, svc []float64) HeteroResult {
 	n := len(svc)
 	for d, sv := range svc {

@@ -254,9 +254,10 @@ func TestShardConstructors(t *testing.T) {
 
 // TestShardsShareSampledTable checks that an ε > 0 array samples its P_k
 // table once: the shards share the design, so a second Monte-Carlo pass
-// over identical inputs would only repeat the first.
+// over identical inputs would only repeat the first. The small (4,2,1)
+// design keeps the full-size sampling pass cheap.
 func TestShardsShareSampledTable(t *testing.T) {
-	a := newArray(t, 2, core.Config{Epsilon: 0.01, SampleTrials: 500})
+	a := newArray(t, 2, core.Config{N: 4, C: 2, Epsilon: 0.01})
 	t0, t1 := a.System(0).Table(), a.System(1).Table()
 	if t0 == nil {
 		t.Fatal("ε > 0 shard has no P_k table")
