@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"io"
 	"os"
 	"os/exec"
@@ -310,6 +311,120 @@ func TestPackCrashRecovery(t *testing.T) {
 	}
 	if _, _, err := c2.Get(999_999); err == nil {
 		t.Fatal("torn needle visible after recovery")
+	}
+	c2.Close()
+	stopClean(t, cmd2, stdout2)
+}
+
+// versionPayload is version's bytes for block: the version in the first
+// eight bytes, a pattern derived from both behind it.
+func versionPayload(block, version int64) []byte {
+	b := packPayload(block*7919+version, 512)
+	binary.LittleEndian.PutUint64(b, uint64(version))
+	return b
+}
+
+// TestPackCrashPipelined is the crash test under pipelining: one
+// connection keeps 16 overwrites of a small block set in flight, so the
+// server appends later PUTs while earlier ones wait out their commit, and
+// SIGKILL lands mid-flood. After restart every block must read back
+// intact at a version no older than the newest one acknowledged.
+func TestPackCrashPipelined(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the qosd binary")
+	}
+	const (
+		depth  = 16
+		blocks = 24
+	)
+	bin := buildQosd(t)
+	dir := t.TempDir()
+	cmd, addr, stdout := startPackQosd(t, bin, dir)
+	go io.Copy(io.Discard, stdout)
+	defer cmd.Process.Kill()
+
+	c, err := qosnet.DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type inflight struct {
+		block, version int64
+		done           <-chan qosnet.SubmitResult
+	}
+	var (
+		mu       sync.Mutex
+		newest   = make(map[int64]int64) // block → newest acked version
+		ackCount int
+	)
+	floodDone := make(chan struct{})
+	go func() {
+		defer close(floodDone)
+		var queue []inflight
+		for seq := int64(1); ; seq++ {
+			if len(queue) == depth || seq > 1_000_000 {
+				if len(queue) == 0 {
+					return
+				}
+				p := queue[0]
+				queue = queue[1:]
+				res := <-p.done
+				if res.Err != nil {
+					return // connection died under the kill
+				}
+				if !res.Rejected {
+					mu.Lock()
+					newest[p.block] = max(newest[p.block], p.version)
+					ackCount++
+					mu.Unlock()
+				}
+				continue
+			}
+			b := seq % blocks
+			queue = append(queue, inflight{b, seq, c.PutAsync(b, versionPayload(b, seq))})
+		}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		mu.Lock()
+		n := ackCount
+		mu.Unlock()
+		if n >= 500 || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
+		t.Fatal(err)
+	}
+	<-floodDone
+	cmd.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if ackCount < 500 {
+		t.Fatalf("flood acknowledged %d PUTs in 10 s, want >= 500 before the kill", ackCount)
+	}
+
+	cmd2, addr2, stdout2 := startPackQosd(t, bin, dir)
+	defer cmd2.Process.Kill()
+	c2, err := qosnet.DialBinary(addr2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b, acked := range newest {
+		_, data, err := c2.Get(b)
+		if err != nil {
+			t.Fatalf("block %d (acked at version %d) lost after crash: %v", b, acked, err)
+		}
+		if len(data) != 512 {
+			t.Fatalf("block %d: %d bytes after crash", b, len(data))
+		}
+		v := int64(binary.LittleEndian.Uint64(data))
+		if !bytes.Equal(data, versionPayload(b, v)) {
+			t.Fatalf("block %d corrupted after crash", b)
+		}
+		if v < acked {
+			t.Fatalf("block %d reads version %d after crash, older than acked version %d", b, v, acked)
+		}
 	}
 	c2.Close()
 	stopClean(t, cmd2, stdout2)

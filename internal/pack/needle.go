@@ -45,13 +45,14 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // AppendNeedle appends the encoded needle record for (block, payload) to
 // buf and returns the extended slice. Zero-alloc when buf has capacity.
 func AppendNeedle(buf []byte, block int64, payload []byte) []byte {
-	var hdr [needleHeaderSize - 8]byte // block + length, the CRC'd prefix
-	binary.LittleEndian.PutUint64(hdr[0:8], uint64(block))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(payload)))
-	crc := crc32.Update(0, castagnoli, hdr[:])
-	crc = crc32.Update(crc, castagnoli, payload)
 	buf = append(buf, needleMagic...)
-	buf = append(buf, hdr[:]...)
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(block))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	// The CRC'd prefix (block + length) is summed in place: a stack array
+	// would escape through crc32's dispatch and cost an allocation.
+	crc := crc32.Update(0, castagnoli, buf[start:])
+	crc = crc32.Update(crc, castagnoli, payload)
 	buf = binary.LittleEndian.AppendUint32(buf, crc)
 	return append(buf, payload...)
 }

@@ -28,8 +28,8 @@
 //     until a compaction rewrites the live set and swaps the volume in
 //     place: Compact on demand, or — on a synced store — the background
 //     compactor, which takes one volume at a time once its garbage reaches
-//     half its live bytes (and at least 1 MiB), so no volume grows past
-//     about 1.5× what it holds.
+//     a third of its live bytes (and at least 1 MiB), so no volume grows
+//     past about 1.33× what it holds.
 //
 // All Store methods are safe for concurrent use.
 package pack
@@ -165,35 +165,76 @@ func (s *Store) Put(dev int, block int64, payload []byte) error {
 // replicas instead of one commit each. errs must be at least as long as
 // devs; errs[i] receives devs[i]'s outcome, nil meaning the payload is
 // durable on that device (with NoSync: appended). wrote counts the nils.
+// It is AppendAll then WaitAll.
 func (s *Store) PutAll(devs []int, block int64, payload []byte, errs []error) (wrote int) {
-	type mark struct {
-		v   *volume
-		end int64
-		gen uint64
+	var p Pending
+	s.AppendAll(&p, devs, block, payload, errs)
+	return s.WaitAll(&p, errs)
+}
+
+// mark is where one append ended on its volume, and in which compaction
+// generation; v is nil when the append failed.
+type mark struct {
+	v   *volume
+	end int64
+	gen uint64
+}
+
+// Pending is one PutAll between its halves: AppendAll records a mark per
+// device and WaitAll parks on them. The caller owns it; it may be moved,
+// and reused once WaitAll has returned. The zero value is ready.
+type Pending struct {
+	n     int
+	marks [4]mark
+	more  []mark // marks past the fourth, for replica sets wider than four
+}
+
+func (p *Pending) mark(i int) *mark {
+	if i < len(p.marks) {
+		return &p.marks[i]
 	}
-	var buf [4]mark
-	marks := buf[:0]
+	return &p.more[i-len(p.marks)]
+}
+
+// AppendAll is PutAll's first half: it appends block's needle to every
+// device in devs, counts the appended bytes toward SyncBytes once, and
+// records in p where each append ended. errs must be at least as long as
+// devs; errs[i] receives devs[i]'s append error. The appends are visible
+// to Get at once but durable only once WaitAll(p, errs) says so.
+func (s *Store) AppendAll(p *Pending, devs []int, block int64, payload []byte, errs []error) {
+	p.n = len(devs)
+	if extra := p.n - len(p.marks); extra > 0 {
+		p.more = append(p.more[:0], make([]mark, extra)...)
+	}
 	var appended int64
 	for i, dev := range devs {
-		var m mark
+		m := p.mark(i)
+		*m = mark{}
 		v, err := s.vol(dev)
 		if err == nil && len(payload) > DefaultMaxPayload {
 			err = fmt.Errorf("%w (%d > %d bytes)", ErrTooLarge, len(payload), DefaultMaxPayload)
 		}
 		if err == nil {
-			m.v = v
 			if m.end, m.gen, err = v.append(block, payload); err == nil {
+				m.v = v
 				appended += int64(needleHeaderSize + len(payload))
 			}
 		}
 		errs[i] = err
-		marks = append(marks, m)
 	}
 	if !s.opts.NoSync && appended > 0 && s.dirty.Add(appended) >= int64(s.opts.SyncBytes) {
 		s.kickSync()
 	}
-	for i, m := range marks {
-		if errs[i] != nil {
+}
+
+// WaitAll is PutAll's second half: it parks until a group commit covers
+// every append AppendAll recorded in p, and sets errs[i] — errs as
+// AppendAll left it — to that device's outcome, nil meaning durable (with
+// NoSync: appended). wrote counts the nils.
+func (s *Store) WaitAll(p *Pending, errs []error) (wrote int) {
+	for i := 0; i < p.n; i++ {
+		m := p.mark(i)
+		if m.v == nil {
 			continue
 		}
 		if s.opts.NoSync {

@@ -556,6 +556,55 @@ func TestPutAllReportsPerDevice(t *testing.T) {
 	}
 }
 
+// TestAppendThenWait splits PutAll at its seam: the appends are readable
+// at once, WaitAll parks until a sync pass covers them, and a Pending is
+// reused across a fan-out wider than its inline marks, with a failing
+// device past them.
+func TestAppendThenWait(t *testing.T) {
+	s, err := Open(t.TempDir(), 6, Options{SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var p Pending
+	for round, devs := range [][]int{{0, 1, 2, 3, 4, 9}, {5, 1}} {
+		block := int64(round)
+		errs := make([]error, len(devs))
+		s.AppendAll(&p, devs, block, payloadFor(block, 100), errs)
+		for i, d := range devs {
+			if d >= s.Devices() {
+				if errs[i] == nil {
+					t.Fatalf("round %d: append to device %d succeeded", round, d)
+				}
+				continue
+			}
+			if errs[i] != nil {
+				t.Fatalf("round %d: append to device %d: %v", round, d, errs[i])
+			}
+			if got, err := s.Get(d, block, nil); err != nil || !bytes.Equal(got, payloadFor(block, 100)) {
+				t.Fatalf("round %d: appended block unreadable on device %d: %v", round, d, err)
+			}
+		}
+		done := make(chan int, 1)
+		go func() { done <- s.WaitAll(&p, errs) }()
+		select {
+		case <-done:
+			t.Fatalf("round %d: WaitAll returned before any sync pass", round)
+		case <-time.After(20 * time.Millisecond):
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		want := len(devs)
+		if round == 0 {
+			want--
+		}
+		if wrote := <-done; wrote != want {
+			t.Fatalf("round %d: wrote %d, want %d (errs %v)", round, wrote, want, errs)
+		}
+	}
+}
+
 // TestSyncSkipsCompactingVolume: compaction holds its volume's lock for
 // the whole rewrite. Neither the sync loop nor a forced Sync may queue an
 // fsync behind it — the swap marks the volume durable itself — so Puts on

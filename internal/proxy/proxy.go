@@ -350,6 +350,8 @@ func (p *Proxy) handle(conn net.Conn) {
 			if !errors.Is(err, io.EOF) {
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
 				w.WriteError(wire.Header{}, err.Error())
+				// The deferred close stops the flusher before it runs.
+				w.Flush()
 			}
 			return
 		}

@@ -1,6 +1,8 @@
 package proxy
 
 import (
+	"bufio"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"flashqos/internal/health"
 	"flashqos/internal/qosnet"
 	"flashqos/internal/shard"
+	"flashqos/internal/wire"
 )
 
 // startBackend runs one in-process qosd-shaped backend: a single-shard
@@ -52,6 +55,43 @@ func startProxy(t testing.TB, opts Options, addrs ...string) (*Proxy, *qosnet.Bi
 	}
 	t.Cleanup(func() { c.Close() })
 	return p, c
+}
+
+// TestProxyMalformedFrameError: a client frame the proxy cannot decode —
+// here a header announcing a 4 GiB payload — is answered with an error
+// frame before the connection closes, on every connection.
+func TestProxyMalformedFrameError(t *testing.T) {
+	_, a0 := startBackend(t)
+	p, err := New([]string{a0}, Options{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := p.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go p.Serve()
+	t.Cleanup(func() { p.Close() })
+	frame := wire.AppendHeader(nil, wire.Header{Opcode: wire.OpSubmit, ID: 1, Len: 1<<32 - 1})
+	got := 0
+	for i := 0; i < 200; i++ {
+		conn, err := net.Dial("tcp", bound.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		h, _, err := wire.NewReader(bufio.NewReader(conn), 0).Next()
+		if err == nil && h.Flags&wire.FlagError != 0 {
+			got++
+		}
+		conn.Close()
+	}
+	if got != 200 {
+		t.Fatalf("error frame delivered on %d of 200 connections", got)
+	}
 }
 
 // TestProxyRoutesByBlock checks that READ/WRITE/MAP through the proxy land

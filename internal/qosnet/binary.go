@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"flashqos/internal/admission"
@@ -93,6 +94,11 @@ type session struct {
 	devs    []wire.DeviceHealth
 	batchSc shard.BatchScratch
 	dataBuf []byte // OpGet payload scratch
+
+	// PUTs appended since the last write, whose replies wait for their
+	// group commit, and the acker that completes them.
+	puts []*pendingPut
+	ack  *acker
 }
 
 func (s *Server) newSession(st *stripe) *session {
@@ -118,12 +124,15 @@ func (c *session) stamp() {
 	}
 }
 
-// fail appends an error frame: the request's opcode and ID, FlagError, and
-// msg as payload.
-func (c *session) fail(h wire.Header, msg string) {
+// fail appends an error frame to c.out.
+func (c *session) fail(h wire.Header, msg string) { c.out = appendFail(c.out, h, msg) }
+
+// appendFail appends an error frame: the request's opcode and ID,
+// FlagError, and msg as payload.
+func appendFail(dst []byte, h wire.Header, msg string) []byte {
 	h.Flags |= wire.FlagError
 	h.Len = uint32(len(msg))
-	c.out = append(wire.AppendHeader(c.out, h), msg...)
+	return append(wire.AppendHeader(dst, h), msg...)
 }
 
 // flushBurst admits the collected burst shard by shard and appends its
@@ -298,7 +307,14 @@ func (c *session) serve(h wire.Header, payload []byte) (quit bool) {
 			msg = "no data store"
 			break
 		}
-		out, err := s.dataPut(c.st, block, data, c.hasHealth, c.arrival)
+		pp := c.nextPut()
+		out, pending, err := s.putAppend(c.st, block, data, c.arrival, pp)
+		if pending {
+			// The reply waits for the group commit; it goes here.
+			pp.id, pp.at = h.ID, len(c.out)
+			return false
+		}
+		c.puts = c.puts[:len(c.puts)-1]
 		if err != nil {
 			msg = err.Error()
 			break
@@ -391,10 +407,11 @@ func (c *session) health() []byte {
 	return wire.AppendHealth(c.scratch[:0], h)
 }
 
-// handleBinary serves one framed connection. Requests are processed in
-// arrival order (admission is fast enough that per-connection concurrency
-// would only buy reordering); the request ID is echoed on every response,
-// so clients may pipeline arbitrarily deep and demultiplex completions.
+// handleBinary serves one framed connection. Requests are admitted and
+// executed in arrival order on this read loop (admission is fast enough
+// that per-connection concurrency would only buy reordering); the request
+// ID is echoed on every response, so clients may pipeline arbitrarily
+// deep and demultiplex completions.
 //
 // Pipelined READ/WRITE frames are drained into a burst before admitting:
 // Reader.More tells, for free, whether the read buffer holds another
@@ -407,9 +424,16 @@ func (c *session) health() []byte {
 // frames encode append-style into one buffer written with a single
 // syscall, grouped by shard — request IDs are echoed on every response,
 // so the protocol permits the reordering (BinaryClient demuxes by ID).
+//
+// A PUT is admitted and appended to its replicas here, in frame order,
+// but the loop does not wait for its group commit: the fill's replies go
+// to the connection's acker, which writes them once the commits land (see
+// flush). So a pipelined PUT stream shares commits, and no reply leaves
+// before every earlier PUT on the connection is acked.
 func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 	rd := wire.NewReader(r, wire.DefaultMaxPayload)
 	c := s.newSession(st)
+	defer c.stopAcker()
 	for {
 		if s.opts.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
@@ -427,8 +451,8 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 				conn.SetWriteDeadline(time.Now().Add(time.Second))
 				c.fail(wire.Header{}, err.Error())
 			}
-			if len(c.out) > 0 {
-				conn.Write(c.out)
+			if len(c.out) > 0 || len(c.puts) > 0 {
+				c.flush(conn)
 			}
 			return
 		}
@@ -446,10 +470,9 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 			c.flushBurst()
 		}
 		if !more || len(c.out) >= connReadBuf {
-			if _, err := conn.Write(c.out); err != nil {
+			if err := c.flush(conn); err != nil {
 				return
 			}
-			c.out = c.out[:0]
 		}
 		if quit {
 			return
@@ -457,5 +480,114 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, st *stripe) {
 		if !more {
 			c.arrival = -1 // next frame comes off a fresh fill
 		}
+	}
+}
+
+// ackDepth is how many reply batches a connection's acker holds: enough
+// that the read loop keeps appending a pipelined PUT stream while earlier
+// batches wait out their commits, and, once all are out, the read loop's
+// backpressure.
+const ackDepth = 4
+
+// errConnDead stops the read loop once the acker's write has failed.
+var errConnDead = errors.New("connection write failed")
+
+// ackBatch is one flush's replies: the frames in out, with each pending
+// PUT's reply still to be spliced in at its offset.
+type ackBatch struct {
+	out  []byte
+	puts []*pendingPut // in order of at
+}
+
+// acker is a connection's PUT completer: one goroutine that takes the
+// read loop's reply batches in order, waits out each batch's group
+// commits, and writes the batch with its PUT replies in place.
+type acker struct {
+	queued chan *ackBatch // handed over, in fill order
+	free   chan *ackBatch // written; the read loop refills them
+	busy   atomic.Int32   // batches handed over and not yet written
+	dead   atomic.Bool    // a write failed
+	done   chan struct{}  // closed once the acker has drained
+}
+
+// nextPut returns a reusable pendingPut appended to c.puts.
+func (c *session) nextPut() *pendingPut {
+	n := len(c.puts)
+	if n == cap(c.puts) {
+		c.puts = append(c.puts, new(pendingPut))
+	} else if c.puts = c.puts[:n+1]; c.puts[n] == nil {
+		c.puts[n] = new(pendingPut)
+	}
+	return c.puts[n]
+}
+
+// flush writes the replies in c.out. While PUTs are pending, or earlier
+// batches are still with the acker, the replies go to the acker instead
+// (started by the connection's first PUT), so they leave in order and
+// only after the commits before them landed; otherwise it writes them
+// directly.
+func (c *session) flush(conn net.Conn) error {
+	if len(c.puts) == 0 && (c.ack == nil || c.ack.busy.Load() == 0) {
+		_, err := conn.Write(c.out)
+		c.out = c.out[:0]
+		return err
+	}
+	if c.ack == nil {
+		a := &acker{
+			queued: make(chan *ackBatch, ackDepth),
+			free:   make(chan *ackBatch, ackDepth),
+			done:   make(chan struct{}),
+		}
+		for range ackDepth {
+			a.free <- new(ackBatch)
+		}
+		c.ack = a
+		go a.run(c.s, conn, c.hasHealth)
+	}
+	a := c.ack
+	if a.dead.Load() {
+		return errConnDead
+	}
+	b := <-a.free
+	b.out, c.out = c.out, b.out
+	b.puts, c.puts = c.puts, b.puts
+	a.busy.Add(1)
+	a.queued <- b
+	return nil
+}
+
+// stopAcker drains the acker, if the connection started one: every batch
+// handed over is completed before the connection closes.
+func (c *session) stopAcker() {
+	if c.ack != nil {
+		close(c.ack.queued)
+		<-c.ack.done
+	}
+}
+
+func (a *acker) run(s *Server, conn net.Conn, hasHealth bool) {
+	defer close(a.done)
+	var buf []byte // a batch with its PUT replies spliced in
+	for b := range a.queued {
+		w := b.out
+		if len(b.puts) > 0 {
+			buf = buf[:0]
+			prev := 0
+			for _, pp := range b.puts {
+				buf = append(buf, b.out[prev:pp.at]...)
+				buf = s.putWait(pp, hasHealth, buf)
+				prev = pp.at
+			}
+			buf = append(buf, b.out[prev:]...)
+			w = buf
+		}
+		if !a.dead.Load() {
+			if _, err := conn.Write(w); err != nil {
+				a.dead.Store(true)
+			}
+		}
+		b.out, b.puts = b.out[:0], b.puts[:0]
+		a.busy.Add(-1)
+		a.free <- b
 	}
 }

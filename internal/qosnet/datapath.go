@@ -8,20 +8,24 @@ import (
 	"flashqos/internal/health"
 	"flashqos/internal/pack"
 	"flashqos/internal/shard"
+	"flashqos/internal/wire"
 )
 
 // BlockStore is the per-device payload engine behind the binary GET/PUT
 // data verbs — the surface pack.Store implements. Device ids are global
 // (shard·N + local), matching the outcome's Device field. Get appends the
 // payload to dst and returns the extended slice; on error dst comes back
-// with its length unchanged. PutAll stores one payload durably on every
-// listed device under one group commit, reporting each device's outcome
-// in errs. A missing block is pack.ErrNotFound (or an error wrapping it);
-// any other Get/PutAll error is treated as a media fault and fed to the
-// device's health monitor.
+// with its length unchanged. AppendAll and WaitAll are the two halves of
+// one replicated PUT: AppendAll appends the payload to every listed
+// device and records in p where each append ended, WaitAll parks until
+// one group commit covers them all; each reports a device's outcome in
+// errs. A missing block is pack.ErrNotFound (or an error wrapping it);
+// any other Get/AppendAll/WaitAll error is treated as a media fault and
+// fed to the device's health monitor.
 type BlockStore interface {
 	Get(dev int, block int64, dst []byte) ([]byte, error)
-	PutAll(devs []int, block int64, payload []byte, errs []error) (wrote int)
+	AppendAll(p *pack.Pending, devs []int, block int64, payload []byte, errs []error)
+	WaitAll(p *pack.Pending, errs []error) (wrote int)
 	Has(dev int, block int64) bool
 	Blocks(dev int, dst []int64) []int64
 	Copy(from int, to []int, block int64) error
@@ -114,20 +118,29 @@ func (s *Server) dataGet(st *stripe, block int64, hasHealth bool, arrival float6
 	return out, dst, errNoReplica
 }
 
-// dataPut runs one payload write: QoS admission prices it like a
-// timing-only WRITE (all replicas touched), then one PutAll stores the
-// payload on every available replica of the block — every append first,
-// then one group commit covering them all, as the engine prices the c
-// replicas served together. Unavailable replicas are skipped — that is
-// the degraded write the resilver pass catches up — and a replica whose
-// write faults reports a health error. The ack contract: a nil error
-// means the payload is group-commit fsynced on at least one replica,
-// every available replica was attempted, and every replica appended to
-// was waited on.
-func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, arrival float64) (core.Outcome, error) {
-	out := s.submitAt(st, true, block, arrival)
+// pendingPut is one admitted PUT between its two halves: putAppend fills
+// it on the read loop, putWait completes it on the connection's acker.
+// Its slices keep their capacity across reuse.
+type pendingPut struct {
+	id   uint64       // request ID the reply echoes
+	at   int          // offset in its batch's reply buffer where the reply goes
+	out  core.Outcome // the admission outcome the ack carries
+	devs []int        // the available replicas appended to
+	errs []error      // devs[i]'s outcome
+	p    pack.Pending
+}
+
+// putAppend runs the first half of one payload write, on the read loop:
+// QoS admission prices it like a timing-only WRITE (all replicas
+// touched), then the payload is appended to every available replica of
+// the block. Unavailable replicas are skipped — that is the degraded
+// write the resilver pass catches up. pending reports whether pp now
+// holds appends for putWait; otherwise the outcome (rejected) or err is
+// the whole answer.
+func (s *Server) putAppend(st *stripe, block int64, data []byte, arrival float64, pp *pendingPut) (out core.Outcome, pending bool, err error) {
+	out = s.submitAt(st, true, block, arrival)
 	if out.Rejected {
-		return out, nil
+		return out, false, nil
 	}
 	sh := s.arr.ShardOf(block)
 	base := sh * s.arr.DevicesPerShard()
@@ -135,39 +148,50 @@ func (s *Server) dataPut(st *stripe, block int64, data []byte, hasHealth bool, a
 	if mon := s.arr.Monitor(sh); mon != nil {
 		mask = mon.Mask()
 	}
-	var devBuf [8]int
-	var errBuf [8]error
-	devs, errs := devBuf[:0], errBuf[:0]
+	pp.out, pp.devs, pp.errs = out, pp.devs[:0], pp.errs[:0]
 	for _, d := range s.arr.System(sh).Replicas(block) {
 		if mask == nil || mask.Has(d) {
-			devs = append(devs, base+d)
-			errs = append(errs, nil)
+			pp.devs = append(pp.devs, base+d)
+			pp.errs = append(pp.errs, nil)
 		}
 	}
-	if len(devs) == 0 {
-		return out, fmt.Errorf("no available replica for block %d", block)
+	if len(pp.devs) == 0 {
+		return out, false, fmt.Errorf("no available replica for block %d", block)
 	}
-	wrote := s.opts.Store.PutAll(devs, block, data, errs)
+	s.opts.Store.AppendAll(&pp.p, pp.devs, block, data, pp.errs)
+	return out, true, nil
+}
+
+// putWait runs the second half: one group commit covers every replica
+// putAppend appended to — as the engine prices the c replicas served
+// together — each replica reports to health (a fault on its append or
+// its fsync is a health error), and the ack or error frame is appended
+// to dst. The ack contract: an ack means the payload is group-commit
+// fsynced on at least one replica, every available replica was
+// attempted, and every replica appended to was waited on.
+func (s *Server) putWait(pp *pendingPut, hasHealth bool, dst []byte) []byte {
+	wrote := s.opts.Store.WaitAll(&pp.p, pp.errs)
 	var lastErr error
-	for i, g := range devs {
-		if errs[i] != nil {
-			lastErr = errs[i]
+	for i, g := range pp.devs {
+		if pp.errs[i] != nil {
+			lastErr = pp.errs[i]
 		}
 		if !hasHealth {
 			continue
 		}
 		if m, local := s.monitorFor(g); m != nil {
-			if errs[i] != nil {
+			if pp.errs[i] != nil {
 				m.ReportError(local)
 			} else {
-				m.ReportSuccess(local, out.Response())
+				m.ReportSuccess(local, pp.out.Response())
 			}
 		}
 	}
+	h := wire.Header{Opcode: wire.OpPut, ID: pp.id}
 	if wrote == 0 {
-		return out, lastErr
+		return appendFail(dst, h, lastErr.Error())
 	}
-	return out, nil
+	return wire.AppendOutcomeFrame(dst, h, toWireOutcome(pp.out))
 }
 
 // RebuildCopy returns the rebuild callback that moves real payloads when

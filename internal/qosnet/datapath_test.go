@@ -137,53 +137,84 @@ func TestDataPathWithoutStore(t *testing.T) {
 	}
 }
 
-// faultStore wraps a BlockStore and fails reads/writes on selected global
-// devices with a media error.
+// faultStore wraps a BlockStore and fails reads, appends or commits on
+// selected global devices with a media error.
 type faultStore struct {
 	BlockStore
-	mu       sync.Mutex
-	badRead  map[int]bool
-	badWrite map[int]bool
+	mu        sync.Mutex
+	badRead   map[int]bool
+	badWrite  map[int]bool // AppendAll fails the device
+	badCommit map[int]bool // WaitAll fails the device
+	pending   map[*pack.Pending]faultPut
 }
 
-func (f *faultStore) setBadRead(dev int, bad bool) {
+// faultPut is one AppendAll between its halves: its devices, and the
+// indexes of those the wrapped store appended to.
+type faultPut struct {
+	devs []int
+	at   []int
+}
+
+func (f *faultStore) set(m *map[int]bool, dev int, bad bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.badRead == nil {
-		f.badRead = make(map[int]bool)
+	if *m == nil {
+		*m = make(map[int]bool)
 	}
-	f.badRead[dev] = bad
+	(*m)[dev] = bad
 }
 
-func (f *faultStore) setBadWrite(dev int, bad bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.badWrite == nil {
-		f.badWrite = make(map[int]bool)
-	}
-	f.badWrite[dev] = bad
-}
+func (f *faultStore) setBadRead(dev int, bad bool)   { f.set(&f.badRead, dev, bad) }
+func (f *faultStore) setBadWrite(dev int, bad bool)  { f.set(&f.badWrite, dev, bad) }
+func (f *faultStore) setBadCommit(dev int, bad bool) { f.set(&f.badCommit, dev, bad) }
 
-// PutAll fails the bad devices and hands the rest to the wrapped store
-// in one call, so their commit stays shared.
-func (f *faultStore) PutAll(devs []int, block int64, payload []byte, errs []error) int {
-	var good, at []int
+// AppendAll fails the bad-write devices and hands the rest to the wrapped
+// store in one call, so their commit stays shared.
+func (f *faultStore) AppendAll(p *pack.Pending, devs []int, block int64, payload []byte, errs []error) {
+	fp := faultPut{devs: append([]int(nil), devs...)}
+	var good []int
 	f.mu.Lock()
 	for i, d := range devs {
 		if f.badWrite[d] {
 			errs[i] = fmt.Errorf("injected write fault on device %d", d)
 		} else {
-			good, at = append(good, d), append(at, i)
+			good, fp.at = append(good, d), append(fp.at, i)
 		}
 	}
+	if f.pending == nil {
+		f.pending = make(map[*pack.Pending]faultPut)
+	}
+	f.pending[p] = fp
 	f.mu.Unlock()
 	goodErrs := make([]error, len(good))
-	wrote := 0
-	if len(good) > 0 {
-		wrote = f.BlockStore.PutAll(good, block, payload, goodErrs)
-	}
-	for j, i := range at {
+	f.BlockStore.AppendAll(p, good, block, payload, goodErrs)
+	for j, i := range fp.at {
 		errs[i] = goodErrs[j]
+	}
+}
+
+// WaitAll waits on the wrapped store, then fails the bad-commit devices
+// that were appended to.
+func (f *faultStore) WaitAll(p *pack.Pending, errs []error) int {
+	f.mu.Lock()
+	fp := f.pending[p]
+	delete(f.pending, p)
+	f.mu.Unlock()
+	goodErrs := make([]error, len(fp.at))
+	for j, i := range fp.at {
+		goodErrs[j] = errs[i]
+	}
+	f.BlockStore.WaitAll(p, goodErrs)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	wrote := 0
+	for j, i := range fp.at {
+		if errs[i] = goodErrs[j]; errs[i] == nil && f.badCommit[fp.devs[i]] {
+			errs[i] = fmt.Errorf("injected fsync fault on device %d", fp.devs[i])
+		}
+		if errs[i] == nil {
+			wrote++
+		}
 	}
 	return wrote
 }
